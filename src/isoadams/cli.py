@@ -310,14 +310,10 @@ def cmd_isotropic(args) -> int:
     tmax_classical = args.tmax // 2 if args.tmax else 22
     ichart, cchart, report = _isotropic_charts(args.smax, tmax_classical, args.nmax, args.pmin, args.pmax or 0)
     if not report.unique:
-        # fall back to the even-subalgebra chart, which needs no action table
-        print("action table ambiguous; assessing the even-subalgebra chart alone", file=sys.stderr)
+        # without a unique action table there is no isotropic chart to compare
+        print("action table not unique; the isotropic chart is undefined", file=sys.stderr)
         print("underdetermined:", report.underdetermined, "inconsistent:", report.inconsistent, file=sys.stderr)
-        gchart, _ = _field_chart("G", args.smax, 2 * tmax_classical)
-        rep = charts.compare_doubling(cchart, gchart)
-        for line in rep.lines():
-            print(line)
-        return EXIT_OK if rep.ok else EXIT_MISMATCH
+        return EXIT_MISMATCH
     _filter_weights(ichart, args.qmin, args.qmax)
     ichart.meta["job"] = JobConfig.from_args(args).as_meta()
     if args.out:

@@ -323,9 +323,9 @@ def massey_in_cobar(
     cls = cx.class_vector(s, deg, w)
     # indeterminacy rank: a . H^{s_b+s_c-1} + H^{s_a+s_b-1} . c
     vectors = []
-    for rep, _, _ in cx.cohomology_basis(sb + sc - 1, tuple(x + y for x, y in zip(db, dc))):
+    for rep in cx.cohomology_basis(sb + sc - 1, tuple(x + y for x, y in zip(db, dc))):
         vectors.append(cx.class_vector(s, deg, concat(cx, sa, da, va, sb + sc - 1, tuple(x + y for x, y in zip(db, dc)), rep)))
-    for rep, _, _ in cx.cohomology_basis(sa + sb - 1, tuple(x + y for x, y in zip(da, db))):
+    for rep in cx.cohomology_basis(sa + sb - 1, tuple(x + y for x, y in zip(da, db))):
         vectors.append(cx.class_vector(s, deg, concat(cx, sa + sb - 1, tuple(x + y for x, y in zip(da, db)), rep, sc, dc, vc)))
     rank = gf2.rank_ints([v for v in vectors if v], max(cx.cohomology_dim(s, deg), 1))
     return CobarMassey(s, deg, cls, rank)

@@ -6,8 +6,14 @@ row operations are single XORs.  Everything downstream (Milnor products,
 resolutions, cobar ranks) reduces to these routines, so they stay free
 of any per-entry Python objects.
 
-The int-level helpers (`rref_ints`, `kernel_ints`, ...) are the hot
-path; `F2Vector`/`F2Matrix` wrap them for a typed surface.
+The int-level helpers (`rref_ints`, `kernel_ints`, ...) serve one-off
+systems; `F2Vector`/`F2Matrix` wrap them for a typed surface.  The hot
+path of the resolution engine is `SpanBuilder`: a semi-echelon row
+space keyed by each row's lowest set bit and never back-reduced.  When
+it tracks which inputs each stored row combines, it is a quasi-inverse
+of its input matrix: one elimination yields the rank, the kernel (input
+combinations that vanish) and a preimage of any vector of the row
+space by back-substitution.
 """
 
 from __future__ import annotations
@@ -125,30 +131,61 @@ def matvec_ints(rows: list[int], x: int) -> int:
 
 
 class SpanBuilder:
-    """Incremental row space with O(rank) insertion, deterministic pivots."""
+    """Semi-echelon row space, optionally a quasi-inverse of its rows.
 
-    def __init__(self) -> None:
-        self.rows: list[int] = []
-        self.pivots: list[int] = []
+    Rows are fed one at a time with `add`.  Each stored row is keyed by
+    its lowest set bit (as `column + 1`, a small int that hashes fast),
+    and no two stored rows share a key; rows are never back-reduced, so
+    an insertion costs one pass over the pivots its row hits.
+
+    Given `ncols`, the width of the rows to be added, the builder also
+    tracks which inputs each stored row combines: the n-th added row
+    carries bit `ncols + n`, and eliminations carry those bits along.
+    It is then a quasi-inverse of the matrix M of its inputs: `kernel`
+    lists the input combinations that reduced to zero (a basis of
+    {y : y M = 0}) and `preimage(b)` returns some x with x M = b.
+    """
+
+    def __init__(self, ncols: Optional[int] = None) -> None:
+        self.rows: dict[int, int] = {}
+        self.kernel: list[int] = []
+        self._inputs = 0
+        self._ncols = ncols
+        self._mask = -1 if ncols is None else (1 << ncols) - 1
+
+    def _eliminate(self, v: int) -> int:
+        """Clear v's lowest bit with stored rows while it is a pivot."""
+        rows = self.rows
+        while True:
+            row = rows.get((v & -v).bit_length())
+            if row is None:
+                return v
+            v ^= row
 
     def reduce(self, v: int) -> int:
-        for row, p in zip(self.rows, self.pivots):
-            if v & (1 << p):
-                v ^= row
-        return v
+        """v minus a span element; zero exactly when v is in the span.
+
+        Stops at the first lowest bit that is not a pivot, so a nonzero
+        result is not a canonical normal form."""
+        return self._eliminate(v) & self._mask
 
     def add(self, v: int) -> bool:
         """Insert v; returns True if it enlarged the span."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        p = (v & -v).bit_length() - 1
-        for i in range(len(self.rows)):
-            if self.rows[i] & (1 << p):
-                self.rows[i] ^= v
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
+        if self._ncols is not None:
+            v |= 1 << (self._ncols + self._inputs)
+        self._inputs += 1
+        v = self._eliminate(v)
+        if v & self._mask:
+            self.rows[(v & -v).bit_length()] = v
+            return True
+        if v:
+            self.kernel.append(v >> self._ncols)
+        return False
+
+    def preimage(self, b: int) -> Optional[int]:
+        """Some input combination x with x M = b, or None (needs ncols)."""
+        x = self._eliminate(b)
+        return None if x & self._mask else x >> self._ncols
 
     @property
     def rank(self) -> int:

@@ -13,6 +13,7 @@ the earlier stage killed).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,11 +30,11 @@ class WindowExceededError(Exception):
 
 
 def sub_deg(a: Deg, b: Deg) -> Deg:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def add_deg(a: Deg, b: Deg) -> Deg:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +235,10 @@ class FreeResolution:
     diff: list[list[dict]] = field(default_factory=list)
     target: object = field(default_factory=TrivialTarget)
     _basis_cache: dict = field(default_factory=dict, repr=False)
-    _rows_cache: dict = field(default_factory=dict, repr=False)
-    _solve_cache: dict = field(default_factory=dict, repr=False)
+    # (s, deg) -> quasi-inverse of d_s at deg, built on first solve
+    _cell_cache: dict = field(default_factory=dict, repr=False)
+    # (s, deg, bits) -> ChainLift of that class
+    _lift_cache: dict = field(default_factory=dict, repr=False)
 
     def gen_count(self, s: int, deg: Deg) -> int:
         return sum(1 for d in self.gens[s] if d == deg) if s < len(self.gens) else 0
@@ -267,49 +270,37 @@ class FreeResolution:
                     row ^= 1 << cod_index[(j, t)]
         return row
 
-    def _invalidate(self, s: int, deg: Deg) -> None:
-        self._basis_cache.pop((s, deg), None)
-        self._rows_cache.pop((s, deg), None)
-        self._solve_cache.pop((s, deg), None)
-
     def diff_rows(self, s: int, deg: Deg) -> tuple[list[int], tuple]:
         """(rows, codomain basis): row per domain element of F_s at deg,
         bits over the codomain (F_{s-1} at deg, or the target for s=0)."""
-        key = (s, deg)
-        got = self._rows_cache.get(key)
-        if got is not None:
-            return got
-        dom = self.cell_basis(s, deg)
-        if s == 0:
-            cod = self.target.basis_at(deg)
-        else:
-            cod = self.cell_basis(s - 1, deg)
+        cod = self.target.basis_at(deg) if s == 0 else self.cell_basis(s - 1, deg)
         cod_index = {c: n for n, c in enumerate(cod)}
-        rows = [self._image_row(s, i, m, cod_index) for (i, m) in dom]
-        self._rows_cache[key] = (rows, cod)
-        return rows, cod
+        return [self._image_row(s, i, m, cod_index) for i, m in self.cell_basis(s, deg)], cod
+
+    def _span(self, s: int, deg: Deg, track: bool) -> gf2.SpanBuilder:
+        """A fresh SpanBuilder fed the rows of d_s at deg in cell-basis
+        order; the rows themselves are not kept."""
+        rows, cod = self.diff_rows(s, deg)
+        span = gf2.SpanBuilder(len(cod) if track else None)
+        for row in rows:
+            span.add(row)
+        return span
+
+    def _quasi_inverse(self, s: int, deg: Deg) -> gf2.SpanBuilder:
+        key = (s, deg)
+        got = self._cell_cache.get(key)
+        if got is None:
+            got = self._cell_cache[key] = self._span(s, deg, track=True)
+        return got
 
     def solve_in_cell(self, s: int, deg: Deg, rhs_bits: int) -> Optional[int]:
         """Some x in (F_s)_deg with d_s(x) = rhs, coordinates over
         cell_basis(s, deg)."""
-        key = (s, deg)
-        trans = self._solve_cache.get(key)
-        if trans is None:
-            rows, cod = self.diff_rows(s, deg)
-            ncod = len(cod)
-            trans = [0] * ncod
-            for c, row in enumerate(rows):
-                while row:
-                    low = row & -row
-                    trans[low.bit_length() - 1] |= 1 << c
-                    row ^= low
-            self._solve_cache[key] = trans
-        return gf2.solve_ints(trans, len(self.cell_basis(s, deg)), rhs_bits)
+        return self._quasi_inverse(s, deg).preimage(rhs_bits)
 
     def cell_kernel(self, s: int, deg: Deg) -> list[int]:
         """Basis of {x in (F_s)_deg : d_s x = 0} over the cell basis."""
-        rows, cod = self.diff_rows(s, deg)
-        return gf2.left_kernel_ints(rows, max(len(cod), 1))
+        return self._quasi_inverse(s, deg).kernel
 
     def element_to_bits(self, s: int, deg: Deg, elt: dict) -> int:
         index = {c: n for n, c in enumerate(self.cell_basis(s, deg))}
@@ -338,7 +329,14 @@ def resolve(
 ) -> FreeResolution:
     """Minimal resolution of the target module (the ground field by
     default) out to homological degree smax+1 and topological degree
-    pmax."""
+    pmax.
+
+    At each cell, stage s eliminates the rows of d_s once.  The image
+    pivots decide which classes of ker d_{s-1} (for s = 0: which target
+    basis vectors) need new generators of F_s; the tracked input
+    combinations give ker d_s, carried to stage s+1.  New generators
+    leave ker d_s unchanged: their images are independent of the old
+    rows, and they sit at the end of the cell basis."""
     if pmax > algebra.max_p:
         raise WindowExceededError("algebra window too small for the requested resolution")
     res = FreeResolution(algebra, smax, pmax, target=target or TrivialTarget())
@@ -349,64 +347,25 @@ def resolve(
     for p in range(pmax + 1):
         for deg in algebra.cells_at(p):
             mkeys = res.target.basis_at(deg)
-            mindex = {k: n for n, k in enumerate(mkeys)}
-            # current map: F_0 cell -> M cell
-            dom = list(res.cell_basis(0, deg))
-            rows = []
-            for (i, m) in dom:
-                row = 0
-                for key in res.diff[0][i]["target"]:
-                    for out in res.target.act(algebra, m, key):
-                        row ^= 1 << mindex[out]
-                rows.append(row)
-            span = gf2.SpanBuilder()
-            for r in rows:
-                span.add(r)
-            for k, key in enumerate(mkeys):
-                if span.reduce(1 << k):
-                    gi = len(res.gens[0])
-                    res.gens[0].append(deg)
-                    res.diff[0].append({"target": frozenset([key])})
-                    dom.append((gi, algebra.unit))
-                    rows.append(1 << k)
-                    span.add(1 << k)
-            res._invalidate(0, deg)
-
-            prev_len = len(mkeys)
-            for s in range(1, levels):
-                kernel = gf2.left_kernel_ints(rows, prev_len)
-                new_dom = list(res.cell_basis(s, deg))
-                dom_index = {c: n for n, c in enumerate(dom)}
-                new_rows = []
-                for (i, m) in new_dom:
-                    row = 0
-                    for j, coeffs in res.diff[s][i].items():
-                        for n in coeffs:
-                            for t in algebra.multiply(m, n):
-                                row ^= 1 << dom_index[(j, t)]
-                    new_rows.append(row)
-                span = gf2.SpanBuilder()
-                for r in new_rows:
-                    span.add(r)
+            kernel = [1 << k for k in range(len(mkeys))]
+            for s in range(levels):
+                span = res._span(s, deg, track=s < levels - 1)
+                first = len(res.gens[s])
                 for z in kernel:
                     if not span.reduce(z):
                         continue
-                    entry: dict = {}
-                    bits = z
-                    while bits:
-                        low = bits & -bits
-                        j, m = dom[low.bit_length() - 1]
-                        entry.setdefault(j, set()).add(m)
-                        bits ^= low
-                    gi = len(res.gens[s])
-                    res.gens[s].append(deg)
-                    res.diff[s].append({j: frozenset(v) for j, v in entry.items()})
-                    new_dom.append((gi, algebra.unit))
-                    new_rows.append(z)
                     span.add(z)
-                res._invalidate(s, deg)
-                prev_len = len(dom)
-                dom, rows = new_dom, new_rows
+                    res.gens[s].append(deg)
+                    if s == 0:
+                        res.diff[0].append({"target": frozenset([mkeys[z.bit_length() - 1]])})
+                    else:
+                        res.diff[s].append(res.bits_to_element(s - 1, deg, z))
+                if len(res.gens[s]) > first:
+                    del res._basis_cache[(s, deg)]  # rebuilt with the new generators
+                kernel = span.kernel
+            # keep no cell bases from the loop; later solves rebuild theirs
+            for s in range(levels):
+                res._basis_cache.pop((s, deg), None)
     return res
 
 
@@ -460,24 +419,35 @@ def ext_chart_coefficients(
             hom_basis_cache[key] = got
         return got
 
-    def delta_rows(s: int, cell: Deg):
-        """Hom(F_s) -> Hom(F_{s+1}) at the cell; row per domain basis
-        element, bits over the codomain."""
-        dom, _ = hom_basis(s, cell)
-        cod, _ = hom_basis(s + 1, cell)
-        cod_index = {c: n for n, c in enumerate(cod)}
-        rows = []
-        for (j, h) in dom:
-            row = 0
-            for i, entry in enumerate(res.diff[s + 1]):
-                coeffs = entry.get(j)
-                if not coeffs:
-                    continue
-                for m in coeffs:
-                    for hh in coefficients.act_mono(m, h):
-                        row ^= 1 << cod_index[(i, hh)]
-            rows.append(row)
-        return rows, dom, cod
+    # incoming[s][j]: (i, coefficients) of every generator i of F_s whose
+    # differential has a term on generator j of F_{s-1}
+    incoming: list[list[list]] = [[]]
+    for s in range(1, len(res.diff)):
+        by_source: list[list] = [[] for _ in res.gens[s - 1]]
+        for i, entry in enumerate(res.diff[s]):
+            for j, coeffs in entry.items():
+                by_source[j].append((i, coeffs))
+        incoming.append(by_source)
+
+    rank_cache: dict = {}
+
+    def delta_rank(s: int, cell: Deg) -> int:
+        """Rank of Hom(F_s) -> Hom(F_{s+1}) at the cell."""
+        key = (s, cell)
+        got = rank_cache.get(key)
+        if got is None:
+            cod, _ = hom_basis(s + 1, cell)
+            cod_index = {c: n for n, c in enumerate(cod)}
+            span = gf2.SpanBuilder()
+            for (j, h) in hom_basis(s, cell)[0]:
+                row = 0
+                for i, coeffs in incoming[s + 1][j]:
+                    for m in coeffs:
+                        for hh in coefficients.act_mono(m, h):
+                            row ^= 1 << cod_index[(i, hh)]
+                span.add(row)
+            got = rank_cache[key] = span.rank
+        return got
 
     cells: set[Deg] = set()
     for s in range(res.smax + 1):
@@ -498,14 +468,7 @@ def ext_chart_coefficients(
             if truncated:
                 chart.truncated.add((s, cell))
                 continue
-            rows, _, _ = delta_rows(s, cell)
-            ncod = len(hom_basis(s + 1, cell)[0])
-            kernel_dim = len(dom) - gf2.rank_ints(rows, max(ncod, 1))
-            image_dim = 0
-            if s > 0:
-                prev_rows, prev_dom, _ = delta_rows(s - 1, cell)
-                image_dim = gf2.rank_ints(prev_rows, max(len(dom), 1))
-            dim = kernel_dim - image_dim
+            dim = len(dom) - delta_rank(s, cell) - (delta_rank(s - 1, cell) if s > 0 else 0)
             if dim:
                 chart.cells[(s, cell)] = dim
     return chart
@@ -624,14 +587,11 @@ def yoneda_product(res: FreeResolution, x: ChartClass, y: ChartClass) -> ChartCl
 
 
 def _lift_for(res: FreeResolution, cls: ChartClass) -> ChainLift:
-    cache = getattr(res, "_lift_cache", None)
-    if cache is None:
-        cache = {}
-        res._lift_cache = cache
     key = (cls.s, cls.deg, cls.bits)
-    if key not in cache:
-        cache[key] = ChainLift(res, cls)
-    return cache[key]
+    lift = res._lift_cache.get(key)
+    if lift is None:
+        lift = res._lift_cache[key] = ChainLift(res, cls)
+    return lift
 
 
 class NullHomotopy:

@@ -241,3 +241,34 @@ def test_criterion_10_higher_products():
     h1sq_cobar = cx.class_vector(2, (4,), cobar.concat(cx, 1, (2,), cobar_h(1), 1, (2,), cobar_h(1)))
     assert oracle_bracket.class_bits == h1sq_cobar and oracle_bracket.indeterminacy_rank == 0
     report(10, f"{products} h-family Yoneda products match the cobar oracle; <h0,h1,h0> = h1^2 with zero indeterminacy in both engines")
+
+
+def test_criterion_10_bracket_with_indeterminacy():
+    # <h0, h1^2, h0> in Ext^{3,6}: both products vanish and the
+    # indeterminacy h0 Ext^{2,5} + Ext^{2,5} h0 is nonzero, so the cobar
+    # oracle has to handle nonempty indeterminacy cells
+    res = H.resolve(H.algebra_for("classical", 14), smax=8, pmax=12)
+    cx = cobar.CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
+    h0, h1 = ChartClass(1, (1,), 1), ChartClass(1, (2,), 1)
+    h1sq = H.yoneda_product(res, h1, h1)
+    assert h1sq.bits
+
+    def cobar_h(i):
+        basis = cx.tensor_basis(1, (2**i,))
+        return 1 << basis.index((((), (2**i,)),))
+
+    h1sq_cocycle = cobar.concat(cx, 1, (2,), cobar_h(1), 1, (2,), cobar_h(1))
+    oracle = cobar.massey_in_cobar(cx, (1, (1,), cobar_h(0)), (2, (4,), h1sq_cocycle), (1, (1,), cobar_h(0)))
+    assert (oracle.s, oracle.deg) == (3, (6,))
+    assert oracle.class_bits == 0 and oracle.indeterminacy_rank == 1
+    # Ext^{3,6} is one-dimensional in both engines, so zero and nonzero
+    # identify the classes across their bases
+    dim = cx.cohomology_dim(3, (6,))
+    assert dim == res.gen_count(3, (6,)) == 1
+    oracle_coset = {0, 1} if oracle.indeterminacy_rank else {oracle.class_bits}
+    for rng in (None, random.Random(7)):
+        got = H.massey_triple(res, h0, h1sq, h0, rng=rng)
+        assert (got.s, got.deg) == (3, (6,))
+        assert len(got.indeterminacy) == oracle.indeterminacy_rank
+        assert got.coset() == oracle_coset
+    report(10, "<h0,h1^2,h0> in Ext^{3,6}: engine (canonical and perturbed homotopy) and cobar oracle agree, indeterminacy rank 1")

@@ -148,6 +148,25 @@ def test_isotropic_strict_truncation_exit(capsys):
     assert code == 3 and "window-truncated" in err
 
 
+def test_isotropic_non_unique_action_table_is_a_mismatch(monkeypatch, tmp_path, capsys):
+    # an ambiguous action table leaves the requested statement undefined;
+    # the command must not report success for some other chart
+    from isoadams.isotropic import SolveReport
+
+    real = cli._isotropic_charts
+
+    def ambiguous(*args, **kwargs):
+        ichart, cchart, _ = real(*args, **kwargs)
+        return ichart, cchart, SolveReport(solution_dims={(2, 0): 1})
+
+    monkeypatch.setattr(cli, "_isotropic_charts", ambiguous)
+    out_file = tmp_path / "iso.csv"
+    code, out, err = run_cli(["isotropic", "--tmax", "8", "--smax", "3", "--out", str(out_file)], capsys)
+    assert code == 1
+    assert "not unique" in err and "(2, 0)" in err
+    assert "verdict" not in out and not out_file.exists()
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "isoadams.cli", "frobnicate"], capture_output=True

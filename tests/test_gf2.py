@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoadams import gf2
 from isoadams.gf2 import F2Matrix, F2Vector
@@ -142,3 +143,45 @@ def test_span_builder_matches_rank():
         assert sb.rank == gf2.rank_ints(rows, ncols)
         for r in rows:
             assert sb.reduce(r) == 0
+
+
+def _combine(rows, x):
+    """x M: the xor of the rows selected by the bits of x."""
+    acc = 0
+    for i, row in enumerate(rows):
+        if (x >> i) & 1:
+            acc ^= row
+    return acc
+
+
+def _transpose(rows, ncols):
+    return [sum(((row >> c) & 1) << i for i, row in enumerate(rows)) for c in range(ncols)]
+
+
+matrices = st.integers(1, 12).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.integers(0, (1 << ncols) - 1), max_size=12),
+        st.integers(0, (1 << ncols) - 1),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_quasi_inverse_matches_elimination(case):
+    ncols, rows, b = case
+    qi = gf2.SpanBuilder(ncols)
+    for r in rows:
+        qi.add(r)
+    rank = gf2.rank_ints(rows, ncols)
+    assert qi.rank == rank
+    assert len(qi.kernel) == len(gf2.left_kernel_ints(rows, ncols)) == len(rows) - rank
+    for y in qi.kernel:
+        assert y and _combine(rows, y) == 0
+    assert gf2.rank_ints(qi.kernel, max(len(rows), 1)) == len(qi.kernel)
+    x = qi.preimage(b)
+    assert (x is None) == (gf2.solve_ints(_transpose(rows, ncols), len(rows), b) is None)
+    if x is not None:
+        assert _combine(rows, x) == b
+    assert (qi.reduce(b) == 0) == (x is not None)

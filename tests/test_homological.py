@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoadams import charts, cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.homological import ChartClass
@@ -103,6 +104,64 @@ def test_exactness_spot_check(classical_res):
             rows_up, _ = res.diff_rows(s + 1, (t,))
             image = gf2.rank_ints(rows_up, max(len(dom), 1))
             assert kernel == image, (s, t)
+
+
+RESOLUTIONS = {
+    "classical": lambda: H.resolve(H.algebra_for("classical", 16), smax=6, pmax=14),
+    "A0": lambda: H.resolve(H.algebra_for("A0", 12), smax=5, pmax=10),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RESOLUTIONS))
+def small_res(request):
+    return RESOLUTIONS[request.param]()
+
+
+def _all_cells(res):
+    return [deg for p in range(res.pmax + 1) for deg in res.algebra.cells_at(p)]
+
+
+def _combine(rows, x):
+    """x M: the xor of the rows selected by the bits of x."""
+    acc = 0
+    for n, row in enumerate(rows):
+        if (x >> n) & 1:
+            acc ^= row
+    return acc
+
+
+def test_cell_d_squared_zero_and_exact(small_res):
+    # per cell: d_s d_{s+1} = 0, d_0 onto the target, and
+    # dim ker d_s = rank d_{s+1} (exactness at F_s), s <= smax
+    res = small_res
+    for deg in _all_cells(res):
+        rows0, target = res.diff_rows(0, deg)
+        assert gf2.rank_ints(rows0, max(len(target), 1)) == len(target), deg
+        for s in range(res.smax + 1):
+            rows, cod = res.diff_rows(s, deg)
+            rows_up, _ = res.diff_rows(s + 1, deg)
+            dom = res.cell_basis(s, deg)
+            assert not any(_combine(rows, r) for r in rows_up), (s, deg)
+            kernel = len(dom) - gf2.rank_ints(rows, max(len(cod), 1))
+            assert kernel == gf2.rank_ints(rows_up, max(len(dom), 1)), (s, deg)
+            cell_kernel = res.cell_kernel(s, deg)
+            assert len(cell_kernel) == kernel, (s, deg)
+            assert not any(_combine(rows, z) for z in cell_kernel), (s, deg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_in_cell_maps_to_rhs(small_res, data):
+    res = small_res
+    cells = [(s, deg) for deg in _all_cells(res) for s in range(1, res.smax + 2) if res.cell_basis(s, deg)]
+    s, deg = data.draw(st.sampled_from(cells))
+    rows, cod = res.diff_rows(s, deg)
+    rhs = _combine(rows, data.draw(st.integers(0, (1 << len(rows)) - 1)))
+    y = res.solve_in_cell(s, deg, rhs)
+    assert y is not None and _combine(rows, y) == rhs
+    other = data.draw(st.integers(0, (1 << len(cod)) - 1)) if cod else 0
+    solvable = gf2.rank_ints(rows + [other], max(len(cod), 1)) == gf2.rank_ints(rows, max(len(cod), 1))
+    assert (res.solve_in_cell(s, deg, other) is not None) == solvable
 
 
 # ---------------------------------------------------------------------------
