@@ -18,9 +18,9 @@ from .homological import (
     ChartClass,
     FreeResolution,
     algebra_for,
-    ext_chart,
+    ext_chart_coefficients,
+    ext_chart_field,
     massey_triple,
-    minimal_resolution,
     resolve,
     yoneda_product,
 )
@@ -42,9 +42,9 @@ __all__ = [
     "compare_doubling",
     "compare_equality",
     "dual_coalgebra",
-    "ext_chart",
+    "ext_chart_coefficients",
+    "ext_chart_field",
     "massey_triple",
-    "minimal_resolution",
     "multiply",
     "multiply_via_duality",
     "parse_element",

@@ -34,21 +34,6 @@ Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class SqWord:
-    exponents: Word
-    flavor: str
-
-    def __post_init__(self) -> None:
-        validate_word(self.exponents, self.flavor)
-
-    def degree(self) -> Bidegree:
-        return word_degree(self.exponents, self.flavor)
-
-    def __str__(self) -> str:
-        return format_word(self.exponents)
-
-
-@dataclass(frozen=True)
 class WordElement:
     terms: frozenset[Word]
     flavor: str
@@ -199,12 +184,6 @@ def double(x: WordElement) -> WordElement:
     if x.flavor != CLASSICAL:
         raise ValueError("doubling is defined on the classical flavor")
     return WordElement(frozenset(tuple(2 * a for a in w) for w in x.terms), EVEN)
-
-
-def halve(x: WordElement) -> WordElement:
-    if x.flavor != EVEN:
-        raise ValueError("halving is defined on the even flavor")
-    return WordElement(frozenset(tuple(a // 2 for a in w) for w in x.terms), CLASSICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,6 @@ def compare_doubling(classical: ExtChart, target: ExtChart) -> CompareReport:
     return report
 
 
-# long-form name for the doubling comparison
-chart_compare_doubling = compare_doubling
-
-
 @dataclass
 class VanishingReport:
     violations: list = field(default_factory=list)
@@ -233,12 +229,17 @@ def from_json(text: str) -> ExtChart:
 
 def from_csv(text: str, flavor: str = "chart") -> ExtChart:
     lines = [l for l in text.strip().splitlines() if l]
+    if not lines:
+        raise ValueError("empty CSV chart")
     if lines[0].strip() != "s,t,u,dim":
         raise ValueError("bad CSV header; expected s,t,u,dim")
     cells: dict[Cell, int] = {}
     grading = 1
-    for line in lines[1:]:
-        s_, t_, u_, d_ = (x.strip() for x in line.split(","))
+    for n, line in enumerate(lines[1:], start=2):
+        fields = [x.strip() for x in line.split(",")]
+        if len(fields) != 4:
+            raise ValueError(f"CSV row {n} has {len(fields)} fields; expected s,t,u,dim")
+        s_, t_, u_, d_ = fields
         deg: Deg = (int(t_),) if u_ == "" else (int(t_), int(u_))
         if len(deg) == 2:
             grading = 2

@@ -35,23 +35,22 @@ class JobConfig:
     qmin: Optional[int] = None
     qmax: Optional[int] = None
     nmax: Optional[int] = None
-    seed: int = 0
     fmt: str = "csv"
-    strict: bool = False
+    strict: Optional[bool] = None
 
     @classmethod
     def from_args(cls, args) -> "JobConfig":
+        # massey has no weight, generator-range or --strict flags
         return cls(
             command=args.command,
             flavor=getattr(args, "flavor", "isotropic"),
             tmax=args.tmax,
             smax=args.smax,
-            qmin=args.qmin,
-            qmax=args.qmax,
-            nmax=args.nmax,
-            seed=args.seed,
+            qmin=getattr(args, "qmin", None),
+            qmax=getattr(args, "qmax", None),
+            nmax=getattr(args, "nmax", None),
             fmt=args.format,
-            strict=args.strict,
+            strict=getattr(args, "strict", None),
         )
 
     def as_meta(self) -> dict:
@@ -168,10 +167,11 @@ def _isotropic_charts(
     nmax: Optional[int],
     pmin: Optional[int] = None,
     pmax_h: int = 0,
-):
+) -> Optional[tuple[ExtChart, ExtChart]]:
     """The isotropic chart plus the classical chart it is compared to.
 
-    Returns (iso chart, classical chart, action table report)."""
+    Returns None, after reporting on stderr, when the action table is not
+    unique: the isotropic chart is then undefined, so nothing is resolved."""
     pmax = 2 * tmax_classical
     if nmax is None and pmin is None:
         window = iso.window_for_depth(-(pmax + 2))
@@ -183,6 +183,11 @@ def _isotropic_charts(
     else:
         window = iso.IsotropicWindow(nmax, pmin, pmax_h)
     table = iso.solve_action_table(n_max=window.n_max, w_max=tmax_classical)
+    report = table.report
+    if not report.unique:
+        print("action table not unique; the isotropic chart is undefined", file=sys.stderr)
+        print("underdetermined:", report.underdetermined, "inconsistent:", report.inconsistent, file=sys.stderr)
+        return None
     coeffs = iso.isotropic_coefficients(table, window)
 
     def covers(d):
@@ -192,16 +197,15 @@ def _isotropic_charts(
     res = H.resolve(H.algebra_for("A0", pmax + 2), smax=smax, pmax=pmax)
     ichart = H.ext_chart_coefficients(res, coeffs, flavor="isotropic", covers=covers)
     cchart, _ = _field_chart("classical", smax, tmax_classical)
-    return ichart, cchart, table.report
+    return ichart, cchart
 
 
 def cmd_resolve(args) -> int:
     if args.flavor == "isotropic":
-        ichart, _, report = _isotropic_charts(args.smax, args.tmax // 2, args.nmax, args.pmin, args.pmax or 0)
-        if not report.unique:
-            print("action table not unique:", report.underdetermined, report.inconsistent, file=sys.stderr)
+        pair = _isotropic_charts(args.smax, args.tmax // 2, args.nmax, args.pmin, args.pmax or 0)
+        if pair is None:
             return EXIT_MISMATCH
-        chart = ichart
+        chart = pair[0]
     else:
         chart, _ = _field_chart(args.flavor, args.smax, args.tmax)
     _filter_weights(chart, args.qmin, args.qmax)
@@ -215,12 +219,16 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    a = _load_chart(args.chart_a)
-    b = _load_chart(args.chart_b)
-    if args.mode == "doubling":
-        report = charts.compare_doubling(a, b)
-    else:
-        report = charts.compare_equality(a, b)
+    try:
+        a = _load_chart(args.chart_a)
+        b = _load_chart(args.chart_b)
+        if args.mode == "doubling":
+            report = charts.compare_doubling(a, b)
+        else:
+            report = charts.compare_equality(a, b)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     for line in report.lines():
         print(line)
     if args.out:
@@ -281,7 +289,7 @@ def cmd_massey(args) -> int:
         return EXIT_USAGE
     try:
         result = H.massey_triple(res, a, b, c)
-    except H.MasseyPreconditionError as err:
+    except (H.MasseyPreconditionError, H.WindowExceededError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     desc = _describe_class(res, chart, result.s, result.deg, result.bits)
@@ -307,13 +315,11 @@ def cmd_massey(args) -> int:
 
 
 def cmd_isotropic(args) -> int:
-    tmax_classical = args.tmax // 2 if args.tmax else 22
-    ichart, cchart, report = _isotropic_charts(args.smax, tmax_classical, args.nmax, args.pmin, args.pmax or 0)
-    if not report.unique:
-        # without a unique action table there is no isotropic chart to compare
-        print("action table not unique; the isotropic chart is undefined", file=sys.stderr)
-        print("underdetermined:", report.underdetermined, "inconsistent:", report.inconsistent, file=sys.stderr)
+    tmax_classical = args.tmax // 2
+    pair = _isotropic_charts(args.smax, tmax_classical, args.nmax, args.pmin, args.pmax or 0)
+    if pair is None:
         return EXIT_MISMATCH
+    ichart, cchart = pair
     _filter_weights(ichart, args.qmin, args.qmax)
     ichart.meta["job"] = JobConfig.from_args(args).as_meta()
     if args.out:
@@ -335,6 +341,13 @@ def cmd_isotropic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoadams",
@@ -342,18 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output_flags(p, tmax_default=12):
+        p.add_argument("--tmax", type=_non_negative, default=tmax_default)
+        p.add_argument("--smax", type=_non_negative, default=8)
+        p.add_argument("--format", choices=["csv", "json", "svg", "ascii"], default="csv")
+        p.add_argument("--out", type=str, default=None)
+
     def window_flags(p, tmax_default=12):
-        p.add_argument("--tmax", type=int, default=tmax_default)
-        p.add_argument("--smax", type=int, default=8)
+        output_flags(p, tmax_default)
         p.add_argument("--qmin", type=int, default=None)
         p.add_argument("--qmax", type=int, default=None)
         p.add_argument("--nmax", type=int, default=None)
         p.add_argument("--pmin", type=int, default=None)
         p.add_argument("--pmax", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict", action="store_true")
-        p.add_argument("--format", choices=["csv", "json", "svg", "ascii"], default="csv")
-        p.add_argument("--out", type=str, default=None)
 
     p_mul = sub.add_parser("mul", help="multiply two elements")
     p_mul.add_argument("lhs")
@@ -379,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mas.add_argument("b")
     p_mas.add_argument("c")
     p_mas.add_argument("--flavor", choices=["classical", "G", "A0", "isotropic"], default="classical")
-    window_flags(p_mas)
+    output_flags(p_mas)
     p_mas.set_defaults(func=cmd_massey)
 
     p_iso = sub.add_parser(

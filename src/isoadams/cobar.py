@@ -56,17 +56,8 @@ class DualCoalgebra:
                 return ()
             return tuple(((), r) for r in milnor.p_exponents_of_weight(t))
         # exterior: at most one monomial per bidegree
-        p, q = deg
-        size = p - 2 * q
-        if size < 0:
-            return ()
-        total = q + size
-        if total < 0 or total.bit_count() != size:
-            return ()
-        e = tuple(i for i in range(total.bit_length()) if (total >> i) & 1)
-        if e and e[-1] > self.n_max:
-            return ()
-        if sum(2 ** (i + 1) - 1 for i in e) != p:
+        e = milnor.exterior_from_degree(*deg)
+        if e is None or (e and e[-1] > self.n_max):
             return ()
         return ((e, ()),)
 

@@ -6,9 +6,8 @@ row operations are single XORs.  Everything downstream (Milnor products,
 resolutions, cobar ranks) reduces to these routines, so they stay free
 of any per-entry Python objects.
 
-The int-level helpers (`rref_ints`, `kernel_ints`, ...) serve one-off
-systems; `F2Vector`/`F2Matrix` wrap them for a typed surface.  The hot
-path of the resolution engine is `SpanBuilder`: a semi-echelon row
+The helpers `rref_ints`, `kernel_ints`, ... serve one-off systems.  The
+hot path of the resolution engine is `SpanBuilder`: a semi-echelon row
 space keyed by each row's lowest set bit and never back-reduced.  When
 it tracks which inputs each stored row combines, it is a quasi-inverse
 of its input matrix: one elimination yields the rank, the kernel (input
@@ -18,12 +17,7 @@ space by back-substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
-
-
-# ---------------------------------------------------------------------------
-# int-level core
 
 
 def rref_ints(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -103,31 +97,12 @@ def left_kernel_ints(rows: list[int], ncols: int) -> list[int]:
     return [row >> ncols for row in red if not (row & mask)]
 
 
-def span_contains(reduced_rows: list[int], pivots: list[int], v: int) -> bool:
-    """Membership test against rows already in RREF."""
-    for r, p in enumerate(pivots):
-        if v & (1 << p):
-            v ^= reduced_rows[r]
-    return v == 0
-
-
 def reduce_against(reduced_rows: list[int], pivots: list[int], v: int) -> int:
     """Normal form of v modulo the RREF row space."""
     for r, p in enumerate(pivots):
         if v & (1 << p):
             v ^= reduced_rows[r]
     return v
-
-
-def dot_ints(row: int, x: int) -> int:
-    return (row & x).bit_count() & 1
-
-
-def matvec_ints(rows: list[int], x: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= dot_ints(row, x) << i
-    return out
 
 
 class SpanBuilder:
@@ -190,115 +165,3 @@ class SpanBuilder:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-# ---------------------------------------------------------------------------
-# typed surface
-
-
-@dataclass(frozen=True)
-class F2Vector:
-    """A GF(2) coordinate vector; bit j of `bits` is coordinate j."""
-
-    bits: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.bits >> max(self.length, 0):
-            raise ValueError("coordinates beyond length must be zero")
-
-    @classmethod
-    def from_list(cls, coords: Iterable[int]) -> "F2Vector":
-        bits = 0
-        n = 0
-        for n, c in enumerate(coords, start=1):
-            if c & 1:
-                bits |= 1 << (n - 1)
-        return cls(bits, n)
-
-    def to_list(self) -> list[int]:
-        return [(self.bits >> j) & 1 for j in range(self.length)]
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return F2Vector(self.bits ^ other.bits, self.length)
-
-    def dot(self, other: "F2Vector") -> int:
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return dot_ints(self.bits, other.bits)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-
-@dataclass(frozen=True)
-class F2Matrix:
-    """Rectangular GF(2) matrix as a tuple of equal-length F2Vector rows."""
-
-    rows: tuple[F2Vector, ...]
-    ncols: int
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], ncols: Optional[int] = None) -> "F2Matrix":
-        vecs = [F2Vector.from_list(r) for r in rows]
-        if vecs:
-            n = vecs[0].length
-            if any(v.length != n for v in vecs):
-                raise ValueError("ragged rows")
-        else:
-            n = ncols or 0
-        if ncols is not None and vecs and ncols != n:
-            raise ValueError("ncols mismatch")
-        return cls(tuple(vecs), n)
-
-    @classmethod
-    def from_ints(cls, rows: Iterable[int], ncols: int) -> "F2Matrix":
-        return cls(tuple(F2Vector(r, ncols) for r in rows), ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls.from_ints([1 << i for i in range(n)], n)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "F2Matrix":
-        return cls.from_ints([0] * nrows, ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def row_ints(self) -> list[int]:
-        return [v.bits for v in self.rows]
-
-    def to_lists(self) -> list[list[int]]:
-        return [v.to_list() for v in self.rows]
-
-    def mul_vector(self, x: F2Vector) -> F2Vector:
-        if x.length != self.ncols:
-            raise ValueError("dimension mismatch")
-        return F2Vector(matvec_ints(self.row_ints(), x.bits), self.nrows)
-
-
-def rref(m: F2Matrix) -> tuple[F2Matrix, list[int]]:
-    """RREF of m together with its (strictly increasing) pivot columns."""
-    red, pivots = rref_ints(m.row_ints(), m.ncols)
-    return F2Matrix.from_ints(red, m.ncols), pivots
-
-
-def rank(m: F2Matrix) -> int:
-    return rank_ints(m.row_ints(), m.ncols)
-
-
-def kernel_basis(m: F2Matrix) -> list[F2Vector]:
-    """Independent spanning set of {x : m x = 0}; count = ncols - rank."""
-    return [F2Vector(v, m.ncols) for v in kernel_ints(m.row_ints(), m.ncols)]
-
-
-def solve(m: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
-    """Some x with m x = b, or None when b is outside the column space."""
-    if b.length != m.nrows:
-        raise ValueError("dimension mismatch")
-    x = solve_ints(m.row_ints(), m.ncols, b.bits)
-    return None if x is None else F2Vector(x, m.ncols)

@@ -26,7 +26,8 @@ Deg = tuple[int, ...]
 
 
 class WindowExceededError(Exception):
-    pass
+    """A computation needs degrees outside the window it was given; the
+    isotropic action table raises the same class."""
 
 
 def sub_deg(a: Deg, b: Deg) -> Deg:
@@ -75,9 +76,6 @@ class WindowedAlgebra:
     def check_window(self, deg: Deg) -> None:
         if deg[0] > self.max_p:
             raise WindowExceededError(f"degree {deg} beyond window p <= {self.max_p}")
-
-    def zero_deg(self) -> Deg:
-        return (0,) * self.grading
 
 
 class ClassicalAlgebra(WindowedAlgebra):
@@ -147,18 +145,10 @@ class ExteriorMilnorAlgebra(WindowedAlgebra):
 
     def basis(self, deg: Deg) -> tuple:
         self.check_window(deg)
-        p, q = deg
-        size = p - 2 * q
-        if size < 0:
+        mono = milnor.exterior_from_degree(*deg)
+        if mono is None or (mono and mono[-1] > self.n_max):
             return ()
-        total = q + size  # sum of 2^i over the support
-        if total < 0 or total.bit_count() != size:
-            return ()
-        mono = tuple(i for i in range(total.bit_length()) if (total >> i) & 1)
-        if mono and mono[-1] > self.n_max:
-            return ()
-        psum = sum(2 ** (i + 1) - 1 for i in mono)
-        return (mono,) if psum == p else ()
+        return (mono,)
 
     def monomial_product(self, m1, m2) -> frozenset:
         if set(m1) & set(m2):
@@ -166,26 +156,11 @@ class ExteriorMilnorAlgebra(WindowedAlgebra):
         return frozenset([tuple(sorted(m1 + m2))])
 
 
-class GroundFieldAlgebra(WindowedAlgebra):
-    """The trivial algebra: the ground field itself."""
-
-    flavor = "trivial"
-    grading = 1
-    unit: tuple = ()
-
-    def basis(self, deg: Deg) -> tuple:
-        return ((),) if deg[0] == 0 else ()
-
-    def monomial_product(self, m1, m2) -> frozenset:
-        return frozenset([()])
-
-
 def algebra_for(flavor: str, max_p: int) -> WindowedAlgebra:
     table = {
         "classical": ClassicalAlgebra,
         "G": EvenAlgebra,
         "A0": GeneralizedAlgebra,
-        "trivial": GroundFieldAlgebra,
     }
     if flavor not in table:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -709,24 +684,3 @@ def massey_triple(
     basis, _ = gf2.rref_ints([v for v in vectors if v], ncols)
     return MasseyResult(s, deg, bits, [v for v in basis if v])
 
-
-# ---------------------------------------------------------------------------
-# top-level entry points
-
-
-def minimal_resolution(
-    algebra: WindowedAlgebra, module=None, s_max: int = 8, t_max: int = 12
-) -> FreeResolution:
-    """Minimal free resolution of the module (ground field by default)."""
-    target = None
-    if module is not None and not isinstance(module, TrivialTarget):
-        target = module if isinstance(module, FiniteTarget) else FiniteTarget(module)
-    return resolve(algebra, smax=s_max, pmax=t_max, target=target)
-
-
-def ext_chart(res: FreeResolution, coefficients: Optional[FiniteModule] = None, **kw) -> ExtChart:
-    """Ext chart of a resolution: generator counts for ground-field
-    coefficients, Hom-complex cohomology otherwise."""
-    if coefficients is None:
-        return ext_chart_field(res, **kw)
-    return ext_chart_coefficients(res, coefficients, **kw)

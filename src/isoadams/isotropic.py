@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import gf2, milnor
+from .homological import WindowExceededError
 from .milnor import Bidegree, Mono
 from .modules import FiniteModule
 
@@ -36,38 +37,20 @@ H_ZERO: HElement = frozenset()
 H_ONE: HElement = frozenset([()])
 
 
-class WindowExceededError(Exception):
-    pass
-
-
-class ActionTableError(Exception):
-    pass
-
-
 def r_degree(i: int) -> Bidegree:
     return Bidegree(-(2 ** (i + 1)) + 1, -(2**i) + 1)
 
 
 def ext_degree(I: ExtMono) -> Bidegree:
-    p = sum(-(2 ** (i + 1)) + 1 for i in I)
-    q = sum(-(2**i) + 1 for i in I)
-    return Bidegree(p, q)
+    """Minus the bidegree of Q_I."""
+    p, q = milnor.mono_degree((I, ()))
+    return Bidegree(-p, -q)
 
 
 def ext_from_degree(deg: Bidegree) -> Optional[ExtMono]:
-    """Decode the unique exterior monomial of a bidegree, if any.
-
-    |I| = 2q - p and sum 2^i = |I| - q, so the binary digits of the
-    latter spell out I.
-    """
-    size = 2 * deg.q - deg.p
-    if size < 0:
-        return None
-    total = size - deg.q
-    if total < 0 or total.bit_count() != size:
-        return None
-    I = tuple(i for i in range(total.bit_length()) if (total >> i) & 1)
-    return I if ext_degree(I) == deg else None
+    """The unique exterior monomial of a bidegree, if any: r_I sits at
+    minus the bidegree of Q_I."""
+    return milnor.exterior_from_degree(-deg.p, -deg.q)
 
 
 def ext_product(a: ExtMono, b: ExtMono) -> HElement:
@@ -239,7 +222,7 @@ def _weight(r: tuple[int, ...]) -> int:
     return sum(rj * (2**j - 1) for j, rj in enumerate(r, start=1))
 
 
-def solve_action_table(n_max: "int | IsotropicWindow", w_max: int) -> ActionTable:
+def solve_action_table(n_max: int, w_max: int) -> ActionTable:
     """Solve the P^R structure constants weight by weight.
 
     Constraints per weight w and generator r_i: for every square
@@ -250,8 +233,6 @@ def solve_action_table(n_max: "int | IsotropicWindow", w_max: int) -> ActionTabl
     commuting Q_k past P^R adds scalar-output equations.  The known
     generator rows enter through S = () (the product with the unit).
     """
-    if isinstance(n_max, IsotropicWindow):
-        n_max = n_max.n_max
     report = SolveReport()
     solved: set[tuple[tuple[int, ...], int]] = set()
 
@@ -407,7 +388,7 @@ def smash_module(N: FiniteModule, table: ActionTable, window: IsotropicWindow) -
 
 
 def q_monomial_degree(I: ExtMono) -> Bidegree:
-    return Bidegree(sum(2 ** (i + 1) - 1 for i in I), sum(2**i - 1 for i in I))
+    return milnor.mono_degree((I, ()))
 
 
 def ideal_monomials(n_max: int, gens: Iterable[ExtMono]) -> frozenset[ExtMono]:
@@ -554,29 +535,22 @@ def _subsets(n_max: int):
 @dataclass
 class HomComparison:
     dim_linear: int
-    dim_milnor_linear: int
     dim_into_smash: int
     lands_in_module: bool
 
     @property
     def ok(self) -> bool:
-        return self.dim_linear == self.dim_milnor_linear == self.dim_into_smash and self.lands_in_module
+        return self.dim_linear == self.dim_into_smash and self.lands_in_module
 
 
 def hom_comparison_check(
     N: FiniteModule, Nprime: FiniteModule, table: ActionTable, window: IsotropicWindow
 ) -> HomComparison:
-    """Compare, in shift zero, linear maps N -> N', maps commuting with
-    the Milnor operations (which act trivially on both sides), and maps
-    from N into the smash module; the last must land in the copy of N'
-    under the unit."""
-    pairs = [(a, b) for a in N.keys for b in Nprime.keys if N.degree_of(a) == Nprime.degree_of(b)]
-    dim_linear = len(pairs)
-
-    # Milnor-linear into N': the operations act as zero on both sides,
-    # so f(Q_j a) = 0 = Q_j f(a) imposes no constraint rows
-    rows: list[int] = []
-    dim_m = len(pairs) - gf2.rank_ints(rows, max(dim_linear, 1)) if pairs else 0
+    """Compare, in shift zero, linear maps N -> N' with maps from N into
+    the smash module; the latter must land in the copy of N' under the
+    unit.  The Milnor operations act as zero on N and N', so every linear
+    map N -> N' already commutes with them."""
+    dim_linear = sum(1 for a in N.keys for b in Nprime.keys if N.degree_of(a) == Nprime.degree_of(b))
 
     # into the smash module
     smash = smash_module(Nprime, table, window)
@@ -587,7 +561,7 @@ def hom_comparison_check(
             if smash.degree_of(k) == d:
                 unknowns.append((a, k))
     uindex = {u: n for n, u in enumerate(unknowns)}
-    rows = []
+    rows: list[int] = []
     for a in N.keys:
         # Q_j f(a) = f(Q_j a) = 0
         for j in range(window.n_max + 1):
@@ -606,4 +580,4 @@ def hom_comparison_check(
         for (a, k), n in uindex.items():
             if (v >> n) & 1 and k[0] != ():
                 lands = False
-    return HomComparison(dim_linear, dim_m, len(space), lands)
+    return HomComparison(dim_linear, len(space), lands)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 
 class Bidegree(NamedTuple):
@@ -59,14 +59,6 @@ def trim(r: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-def q_degree(i: int) -> Bidegree:
-    return Bidegree(2 ** (i + 1) - 1, 2**i - 1)
-
-
-def xi_degree(j: int) -> Bidegree:
-    return Bidegree(2 ** (j + 1) - 2, 2**j - 1)
-
-
 def mono_degree(m: Mono) -> Bidegree:
     e, r = m
     p = sum(2 ** (i + 1) - 1 for i in e) + sum(rj * (2 ** (j + 1) - 2) for j, rj in enumerate(r, start=1))
@@ -77,13 +69,6 @@ def mono_degree(m: Mono) -> Bidegree:
 def mono_key(m: Mono):
     """Canonical order: lexicographic on (bidegree, E, R)."""
     return (mono_degree(m), m[0], m[1])
-
-
-def bidegree(x) -> Bidegree:
-    """Bidegree of a monomial or of a homogeneous element."""
-    if isinstance(x, Element):
-        return x.degree()
-    return mono_degree(x)
 
 
 class Element:
@@ -111,9 +96,6 @@ class Element:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        return len({mono_degree(m) for m in self.terms}) <= 1
 
     def degree(self) -> Bidegree:
         degs = {mono_degree(m) for m in self.terms}
@@ -146,10 +128,6 @@ def Q(*indices: int) -> Element:
 def P(*r: int) -> Element:
     """The operation dual to xi_1^{r_1} xi_2^{r_2} ...."""
     return Element([((), trim(r))])
-
-
-def element(monos: Iterable[Mono]) -> Element:
-    return Element(monos)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +207,18 @@ def basis(p: int, q: int) -> tuple[Mono, ...]:
     return tuple(sorted(out, key=mono_key))
 
 
-def dim(p: int, q: int) -> int:
-    return len(basis(p, q))
+def exterior_from_degree(p: int, q: int) -> Optional[tuple[int, ...]]:
+    """The index set E of the unique exterior monomial Q^E of bidegree
+    (q)[p], or None when no such monomial exists.
+
+    |E| = p - 2q and sum_{i in E} 2^i = q + |E|, so the binary digits of
+    the latter spell out E; any E so decoded has exactly bidegree (q)[p].
+    """
+    size = p - 2 * q
+    total = q + size
+    if size < 0 or total < 0 or total.bit_count() != size:
+        return None
+    return tuple(i for i in range(total.bit_length()) if (total >> i) & 1)
 
 
 # the dual Hopf algebra has the same monomial shapes, so tau^E xi^R is

@@ -64,30 +64,6 @@ def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "tr
     return FiniteModule(keys, deg, act, name)
 
 
-def even_window_module(max_weight: int, name: str = "even-window") -> FiniteModule:
-    """The even subalgebra acting on itself, truncated above weight
-    max_weight (degrees beyond the cap form a submodule, so the
-    truncation is a genuine quotient module).  Milnor operations act as
-    zero: the module is pulled back along the quotient killing them."""
-    keys = tuple((r,) for w in range(max_weight + 1) for r in milnor.p_exponents_of_weight(w))
-    key_set = set(keys)
-
-    def deg(k):
-        return milnor.mono_degree(((), k[0]))
-
-    def act(m: Mono, k) -> frozenset:
-        e, r = m
-        if e:
-            return frozenset()
-        out: set = set()
-        for t in milnor.p_product(r, k[0]):
-            if (t,) in key_set:
-                out ^= {(t,)}
-        return frozenset(out)
-
-    return FiniteModule(keys, deg, act, name)
-
-
 def random_trivial_module(rng: random.Random, size: int, degree_pool: list[Bidegree], name: str = "random") -> FiniteModule:
     degs = [rng.choice(degree_pool) for _ in range(size)]
     return trivial_module(degs, name)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from isoadams import cli
+from isoadams import cli, homological as H, isotropic as iso
 from isoadams.charts import from_csv, from_json
 
 
@@ -150,21 +150,84 @@ def test_isotropic_strict_truncation_exit(capsys):
 
 def test_isotropic_non_unique_action_table_is_a_mismatch(monkeypatch, tmp_path, capsys):
     # an ambiguous action table leaves the requested statement undefined;
-    # the command must not report success for some other chart
-    from isoadams.isotropic import SolveReport
+    # the command must stop before resolving and not report success for
+    # some other chart
+    def ambiguous(n_max, w_max):
+        return iso.ActionTable(n_max, w_max, frozenset(), iso.SolveReport(solution_dims={(2, 0): 1}))
 
-    real = cli._isotropic_charts
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("resolved with a non-unique action table")
 
-    def ambiguous(*args, **kwargs):
-        ichart, cchart, _ = real(*args, **kwargs)
-        return ichart, cchart, SolveReport(solution_dims={(2, 0): 1})
+    monkeypatch.setattr(iso, "solve_action_table", ambiguous)
+    monkeypatch.setattr(H, "resolve", no_resolve)
+    for command in (["isotropic"], ["resolve", "--flavor", "isotropic"]):
+        out_file = tmp_path / "iso.csv"
+        code, out, err = run_cli(command + ["--tmax", "8", "--smax", "3", "--out", str(out_file)], capsys)
+        assert code == 1, command
+        assert "not unique" in err and "(2, 0)" in err, command
+        assert "verdict" not in out and not out_file.exists(), command
 
-    monkeypatch.setattr(cli, "_isotropic_charts", ambiguous)
-    out_file = tmp_path / "iso.csv"
-    code, out, err = run_cli(["isotropic", "--tmax", "8", "--smax", "3", "--out", str(out_file)], capsys)
-    assert code == 1
-    assert "not unique" in err and "(2, 0)" in err
-    assert "verdict" not in out and not out_file.exists()
+
+def test_isotropic_tmax_zero_runs_that_window(capsys):
+    code, out, _ = run_cli(["isotropic", "--tmax", "0", "--smax", "2"], capsys)
+    assert code == 0 and "checked 3 cells" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--tmax", "-1"],
+        ["resolve", "--smax", "-1"],
+        ["isotropic", "--smax", "-1"],
+        ["massey", "h0", "h1", "h0", "--tmax", "-2"],
+    ],
+)
+def test_negative_window_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and "must be >= 0" in out.err and out.out == ""
+
+
+def test_massey_outside_window_is_usage_error(capsys):
+    code, out, err = run_cli(["massey", "h0", "h1", "h0", "--tmax", "2", "--smax", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_massey_rejects_window_flags_it_ignores(capsys):
+    for flag in (["--qmin", "1"], ["--nmax", "2"], ["--pmin", "-4"], ["--strict"], ["--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["massey", "h0", "h1", "h0", *flag])
+        assert exc.value.code == 2, flag
+
+
+BAD_CHARTS = {
+    "missing": None,
+    "empty": "",
+    "short-row": "s,t,u,dim\n0,0,,1\n1,1\n",
+    "bad-json": '{"schema": ',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHARTS))
+def test_compare_bad_chart_is_usage_error(case, tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("s,t,u,dim\n0,0,,1\n")
+    bad = tmp_path / ("bad.json" if case == "bad-json" else "bad.csv")
+    if BAD_CHARTS[case] is not None:
+        bad.write_text(BAD_CHARTS[case])
+    for argv in (["compare", str(bad), str(good)], ["compare", str(good), str(bad)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", case
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, case
+
+
+def test_compare_doubling_needs_matching_gradings(tmp_path, capsys):
+    cl = tmp_path / "cl.csv"
+    cl.write_text("s,t,u,dim\n0,0,,1\n")
+    code, _, err = run_cli(["compare", str(cl), str(cl), "--mode", "doubling"], capsys)
+    assert code == 2 and "doubling compares" in err
 
 
 def test_usage_error_exit_code():

@@ -27,11 +27,6 @@ def classical_cobar():
 # resolution basics
 
 
-def test_trivial_algebra_resolution():
-    res = H.resolve(H.algebra_for("trivial", 6), smax=4, pmax=6)
-    assert [len(g) for g in res.gens] == [1, 0, 0, 0, 0, 0]
-
-
 def koszul_exterior_oracle(smax):
     """Independent check for Lambda(Q_0): the (commutative, local) ring
     F2[x]/x^2 has the periodic resolution ... -> R -> R -> R with d = x,
@@ -54,20 +49,19 @@ def test_resolution_of_nontrivial_module():
     from isoadams.modules import trivial_module
 
     module = trivial_module([Bidegree(0, 0), Bidegree(1, 0)])
-    res = H.minimal_resolution(H.ExteriorMilnorAlgebra(0, 10), module, s_max=4, t_max=8)
+    res = H.resolve(H.ExteriorMilnorAlgebra(0, 10), smax=4, pmax=8, target=H.FiniteTarget(module))
     for s in range(5):
         assert sorted(res.gens[s]) == [(s, 0), (s + 1, 0)]
 
 
 def test_top_level_entry_points_match_internals():
-    alg = H.algebra_for("classical", 10)
-    res = H.minimal_resolution(alg, None, s_max=4, t_max=8)
-    chart = H.ext_chart(res)
-    assert chart.cells == H.ext_chart_field(H.resolve(alg, smax=4, pmax=8)).cells
-    from isoadams import isotropic as iso
+    import isoadams
 
-    w = iso.IsotropicWindow(2, -10)
-    assert iso.solve_action_table(w, 4).entries == iso.solve_action_table(2, 4).entries
+    assert isoadams.resolve is H.resolve
+    assert isoadams.ext_chart_field is H.ext_chart_field
+    assert isoadams.ext_chart_coefficients is H.ext_chart_coefficients
+    assert isoadams.solve_action_table is iso.solve_action_table
+    assert iso.WindowExceededError is H.WindowExceededError
 
 
 def test_d_squared_zero(classical_res):
@@ -437,6 +431,30 @@ def test_vanishing_regions():
 
 # ---------------------------------------------------------------------------
 # isotropic coefficients: the E2 identification at a small window
+
+
+def test_exterior_decoders_agree_with_enumeration():
+    # every exterior monomial Q_E, E within {0..6}, by its bidegree; any E
+    # with an index of 7 or more lies beyond the box (p >= 255)
+    table = {}
+    for size in range(8):
+        for E in itertools.combinations(range(7), size):
+            d = milnor.mono_degree((E, ()))
+            assert (d.p, d.q) not in table
+            table[(d.p, d.q)] = E
+    pmax = max(p for p, _ in table)
+    qmax = max(q for _, q in table)
+    algebras = [H.ExteriorMilnorAlgebra(n, pmax) for n in range(7)]
+    duals = [cobar.DualCoalgebra("exterior", n) for n in range(7)]
+    for p in range(-2, pmax + 1):
+        for q in range(-2, qmax + 2):
+            E = table.get((p, q))
+            assert milnor.exterior_from_degree(p, q) == E, (p, q)
+            assert iso.ext_from_degree(milnor.Bidegree(-p, -q)) == E, (p, q)
+            for n in range(7):
+                inside = E is not None and all(i <= n for i in E)
+                assert algebras[n].basis((p, q)) == ((E,) if inside else ()), (n, p, q)
+                assert duals[n].basis((p, q)) == (((E, ()),) if inside else ()), (n, p, q)
 
 
 def test_isotropic_chart_matches_doubled_classical_small():
