@@ -204,24 +204,58 @@ def to_json(chart: ExtChart) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def _parse_deg(obj: dict, grading: int) -> Deg:
-    return (obj["t"],) if grading == 1 else (obj["t"], obj["u"])
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], checked to be a `kind`; ValueError otherwise (a bool is
+    not an int here)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"chart JSON: {where} needs {kind.__name__} field {key!r}")
+    return value
+
+
+def _entries(payload: dict, key: str) -> list:
+    """An optional list field of the chart, [] when absent."""
+    return _field(payload, key, list, "the chart") if key in payload else []
+
+
+def _parse_deg(obj: dict, grading: int, where: str) -> Deg:
+    t = _field(obj, "t", int, where)
+    return (t,) if grading == 1 else (t, _field(obj, "u", int, where))
 
 
 def from_json(text: str) -> ExtChart:
+    """Parse a chart; a missing or ill-typed field raises ValueError."""
     payload = json.loads(text)
-    if payload.get("schema") != "isoadams-chart/1":
+    if not isinstance(payload, dict) or payload.get("schema") != "isoadams-chart/1":
         raise ValueError("not an isoadams chart")
-    grading = payload["grading"]
-    chart = ExtChart(payload["flavor"], grading, payload["smax"], payload["tmax"])
-    for obj in payload["cells"]:
-        chart.cells[(obj["s"], _parse_deg(obj, grading))] = obj["dim"]
-    for obj in payload.get("truncated", []):
-        chart.truncated.add((obj["s"], _parse_deg(obj, grading)))
-    for obj in payload.get("classes", []):
-        chart.classes[obj["name"]] = (obj["s"], _parse_deg(obj, grading), obj["index"])
-    for obj in payload.get("products", []):
-        chart.products[(obj["left"], obj["right"])] = obj["value"]
+    grading = _field(payload, "grading", int, "the chart")
+    if grading not in (1, 2):
+        raise ValueError(f"chart JSON: grading must be 1 or 2, got {grading}")
+    chart = ExtChart(
+        _field(payload, "flavor", str, "the chart"),
+        grading,
+        _field(payload, "smax", int, "the chart"),
+        _field(payload, "tmax", int, "the chart"),
+    )
+    for n, obj in enumerate(_field(payload, "cells", list, "the chart")):
+        where = f"cell {n}"
+        cell = (_field(obj, "s", int, where), _parse_deg(obj, grading, where))
+        chart.cells[cell] = _field(obj, "dim", int, where)
+    for n, obj in enumerate(_entries(payload, "truncated")):
+        where = f"truncated cell {n}"
+        chart.truncated.add((_field(obj, "s", int, where), _parse_deg(obj, grading, where)))
+    for n, obj in enumerate(_entries(payload, "classes")):
+        where = f"class {n}"
+        chart.classes[_field(obj, "name", str, where)] = (
+            _field(obj, "s", int, where),
+            _parse_deg(obj, grading, where),
+            _field(obj, "index", int, where),
+        )
+    for n, obj in enumerate(_entries(payload, "products")):
+        where = f"product {n}"
+        if not isinstance(obj, dict) or "value" not in obj:
+            raise ValueError(f"chart JSON: {where} needs field 'value'")
+        chart.products[(_field(obj, "left", str, where), _field(obj, "right", str, where))] = obj["value"]
     chart.brackets = payload.get("brackets", [])
     chart.meta = payload.get("meta", {})
     return chart

@@ -198,17 +198,18 @@ class CobarComplex:
         return [r for r in red if r], pivots
 
     def cohomology_basis(self, s: int, deg: Deg) -> list[int]:
-        """Deterministic cocycle representatives of a cohomology basis,
-        reduced modulo boundaries."""
-        boundaries, _ = self.boundary_space(s, deg)
-        span = gf2.SpanBuilder()
-        for b in boundaries:
-            span.add(b)
+        """Deterministic cocycle representatives of a cohomology basis:
+        each is a cocycle of `cocycle_space` in normal form modulo the
+        boundaries and the representatives before it."""
+        red, pivots = self.boundary_space(s, deg)
+        ncols = len(self.tensor_basis(s, deg))
         out = []
         for z in self.cocycle_space(s, deg):
-            rep = span.reduce(z)
-            if rep and span.add(rep):
+            rep = gf2.reduce_against(red, pivots, z)
+            if rep:
                 out.append(rep)
+                red, pivots = gf2.rref_ints(red + [rep], ncols)
+                red = red[: len(pivots)]
         return out
 
     def class_vector(self, s: int, deg: Deg, cocycle_bits: int) -> int:

@@ -8,11 +8,14 @@ of any per-entry Python objects.
 
 The helpers `rref_ints`, `kernel_ints`, ... serve one-off systems.  The
 hot path of the resolution engine is `SpanBuilder`: a semi-echelon row
-space keyed by each row's lowest set bit and never back-reduced.  When
+space keyed by each row's highest set bit and never back-reduced.  When
 it tracks which inputs each stored row combines, it is a quasi-inverse
 of its input matrix: one elimination yields the rank, the kernel (input
 combinations that vanish) and a preimage of any vector of the row
-space by back-substitution.
+space by back-substitution.  Top-bit pivots make the kernel easy to
+read: the n-th kernel vector found has its highest bit at the index of
+the input that vanished, so distinct kernel vectors have distinct top
+bits, and any subspace of their span has its pivots among those bits.
 """
 
 from __future__ import annotations
@@ -109,16 +112,20 @@ class SpanBuilder:
     """Semi-echelon row space, optionally a quasi-inverse of its rows.
 
     Rows are fed one at a time with `add`.  Each stored row is keyed by
-    its lowest set bit (as `column + 1`, a small int that hashes fast),
-    and no two stored rows share a key; rows are never back-reduced, so
-    an insertion costs one pass over the pivots its row hits.
+    its highest set bit (as `column + 1`, its `bit_length`, a small int
+    that hashes fast), and no two stored rows share a key; rows are
+    never back-reduced, so an insertion costs one pass over the pivots
+    its row hits, from the top bit down.
 
     Given `ncols`, the width of the rows to be added, the builder also
     tracks which inputs each stored row combines: the n-th added row
     carries bit `ncols + n`, and eliminations carry those bits along.
+    Pivots are read from the row part only, `(v & mask).bit_length()`.
     It is then a quasi-inverse of the matrix M of its inputs: `kernel`
     lists the input combinations that reduced to zero (a basis of
-    {y : y M = 0}) and `preimage(b)` returns some x with x M = b.
+    {y : y M = 0}) and `preimage(b)` returns some x with x M = b.  A
+    kernel vector found at the n-th input has highest bit n, because
+    stored rows only combine earlier inputs.
     """
 
     def __init__(self, ncols: Optional[int] = None) -> None:
@@ -129,10 +136,11 @@ class SpanBuilder:
         self._mask = -1 if ncols is None else (1 << ncols) - 1
 
     def _eliminate(self, v: int) -> int:
-        """Clear v's lowest bit with stored rows while it is a pivot."""
+        """Clear v's top row bit with stored rows while it is a pivot."""
         rows = self.rows
+        mask = self._mask
         while True:
-            row = rows.get((v & -v).bit_length())
+            row = rows.get((v & mask).bit_length())
             if row is None:
                 return v
             v ^= row
@@ -140,7 +148,7 @@ class SpanBuilder:
     def reduce(self, v: int) -> int:
         """v minus a span element; zero exactly when v is in the span.
 
-        Stops at the first lowest bit that is not a pivot, so a nonzero
+        Stops at the first top bit that is not a pivot, so a nonzero
         result is not a canonical normal form."""
         return self._eliminate(v) & self._mask
 
@@ -150,8 +158,9 @@ class SpanBuilder:
             v |= 1 << (self._ncols + self._inputs)
         self._inputs += 1
         v = self._eliminate(v)
-        if v & self._mask:
-            self.rows[(v & -v).bit_length()] = v
+        row = v & self._mask
+        if row:
+            self.rows[row.bit_length()] = v
             return True
         if v:
             self.kernel.append(v >> self._ncols)

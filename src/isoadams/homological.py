@@ -44,7 +44,8 @@ def add_deg(a: Deg, b: Deg) -> Deg:
 
 class WindowedAlgebra:
     """Basis-per-bidegree view of a connected graded algebra, with
-    memoized monomial products; `max_p` is the window bound."""
+    memoized monomial products and packed right-multiplication rows;
+    `max_p` is the window bound."""
 
     flavor: str
     grading: int
@@ -53,6 +54,10 @@ class WindowedAlgebra:
     def __init__(self, max_p: int):
         self.max_p = max_p
         self._product_cache: dict = {}
+        # (n, deg) -> rows m*n for m in basis(deg), packed over the
+        # basis of the product degree
+        self._right_rows: dict = {}
+        self._index_cache: dict = {}
 
     def basis(self, deg: Deg) -> tuple:
         raise NotImplementedError
@@ -67,6 +72,24 @@ class WindowedAlgebra:
             out = self.monomial_product(m1, m2)
             self._product_cache[key] = out
         return out
+
+    def right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
+        """Rows m*n for m in basis(deg), each packed as bits over
+        basis(out_deg), where out_deg = deg + |n|."""
+        key = (n, deg)
+        got = self._right_rows.get(key)
+        if got is None:
+            index = self._index_cache.get(out_deg)
+            if index is None:
+                index = self._index_cache[out_deg] = {t: k for k, t in enumerate(self.basis(out_deg))}
+            rows = []
+            for m in self.basis(deg):
+                row = 0
+                for t in self.monomial_product(m, n):
+                    row ^= 1 << index[t]
+                rows.append(row)
+            got = self._right_rows[key] = tuple(rows)
+        return got
 
     def cells_at(self, p: int) -> list[Deg]:
         if self.grading == 1:
@@ -209,7 +232,15 @@ class FreeResolution:
     gens: list[list[Deg]] = field(default_factory=list)
     diff: list[list[dict]] = field(default_factory=list)
     target: object = field(default_factory=TrivialTarget)
+    # s -> runs (degree, first, stop) of equal-degree generators of F_s
+    _run_cache: dict = field(default_factory=dict, repr=False)
+    # (s, deg) -> generator blocks of F_s at deg (see _layout), kept
+    # only for the cell `resolve` is working on; None outside resolve
+    _layout_cache: Optional[dict] = field(default=None, repr=False)
+    # (s, deg) -> cell basis of F_s at deg
     _basis_cache: dict = field(default_factory=dict, repr=False)
+    # degree -> algebra basis there, for the block walk
+    _bases: dict = field(default_factory=dict, repr=False)
     # (s, deg) -> quasi-inverse of d_s at deg, built on first solve
     _cell_cache: dict = field(default_factory=dict, repr=False)
     # (s, deg, bits) -> ChainLift of that class
@@ -218,45 +249,114 @@ class FreeResolution:
     def gen_count(self, s: int, deg: Deg) -> int:
         return sum(1 for d in self.gens[s] if d == deg) if s < len(self.gens) else 0
 
+    def runs(self, s: int) -> list[tuple[Deg, int, int]]:
+        """Runs (degree, first, stop) of equal-degree generators of F_s.
+
+        `resolve` appends generators in cell order, so each degree is one
+        contiguous run and the runs come in increasing p; the list is
+        extended as F_s grows."""
+        runs = self._run_cache.setdefault(s, [])
+        gens = self.gens[s] if s < len(self.gens) else []
+        for i in range(runs[-1][2] if runs else 0, len(gens)):
+            if runs and runs[-1][0] == gens[i]:
+                runs[-1] = (gens[i], runs[-1][1], i + 1)
+            else:
+                runs.append((gens[i], i, i + 1))
+        return runs
+
+    def _layout(self, s: int, deg: Deg) -> tuple[list, int]:
+        """(blocks, size) of (F_s)_deg: blocks lists (first, stop,
+        deg - |g|, algebra basis there, bit offset) for each run of
+        generators with a nonempty block.  The walk takes one basis per
+        run and stops at the first run above deg in p."""
+        cache = self._layout_cache
+        got = cache.get((s, deg)) if cache is not None else None
+        if got is None:
+            blocks = []
+            size = 0
+            bases = self._bases
+            for gdeg, first, stop in self.runs(s):
+                if gdeg[0] > deg[0]:
+                    break
+                sub = sub_deg(deg, gdeg)
+                basis = bases.get(sub)
+                if basis is None:
+                    basis = bases[sub] = self.algebra.basis(sub)
+                if basis:
+                    blocks.append((first, stop, sub, basis, size))
+                    size += len(basis) * (stop - first)
+            got = (blocks, size)
+            if cache is not None:
+                cache[(s, deg)] = got
+        return got
+
     def cell_basis(self, s: int, deg: Deg) -> tuple:
         """Ordered basis (gen index, algebra monomial) of (F_s) at deg."""
         key = (s, deg)
         got = self._basis_cache.get(key)
         if got is None:
-            got = tuple(
-                (i, m)
-                for i, gdeg in enumerate(self.gens[s])
-                for m in self.algebra.basis(sub_deg(deg, gdeg))
-            ) if s < len(self.gens) else ()
-            self._basis_cache[key] = got
+            blocks, _ = self._layout(s, deg)
+            got = self._basis_cache[key] = tuple(
+                (i, m) for first, stop, _, basis, _ in blocks for i in range(first, stop) for m in basis
+            )
         return got
 
-    def _image_row(self, s: int, i: int, m, cod_index: dict) -> int:
-        """Image of m * g_{s,i} under d_s, as bits over the codomain."""
-        row = 0
+    def _rows(self, s: int, deg: Deg) -> tuple[list[int], int]:
+        """(rows, width): a row per element of cell_basis(s, deg), bits
+        over the codomain (F_{s-1} at deg, or the target for s = 0).
+
+        For s >= 1 all rows of one generator are built at once: each
+        coefficient n of its differential on g_j contributes the packed
+        rows m*n of the algebra, shifted to the block of g_j."""
+        blocks, _ = self._layout(s, deg)
+        rows = []
         if s == 0:
-            for key in self.diff[0][i]["target"]:
-                for out in self.target.act(self.algebra, m, key):
-                    row ^= 1 << cod_index[out]
-            return row
-        for j, coeffs in self.diff[s][i].items():
-            for n in coeffs:
-                for t in self.algebra.multiply(m, n):
-                    row ^= 1 << cod_index[(j, t)]
-        return row
+            cod = self.target.basis_at(deg)
+            cod_index = {c: n for n, c in enumerate(cod)}
+            for first, stop, _, basis, _ in blocks:
+                for i in range(first, stop):
+                    keys = self.diff[0][i]["target"]
+                    for m in basis:
+                        row = 0
+                        for key in keys:
+                            for out in self.target.act(self.algebra, m, key):
+                                row ^= 1 << cod_index[out]
+                        rows.append(row)
+            return rows, len(cod)
+        cod_blocks, width = self._layout(s - 1, deg)
+        # generator of F_{s-1} -> (bit offset, degree) of its block; a
+        # generator with an empty block takes no products
+        place = {}
+        for first, stop, sub, basis, offset in cod_blocks:
+            for j in range(first, stop):
+                place[j] = (offset + (j - first) * len(basis), sub)
+        diff = self.diff[s]
+        right_rows = self.algebra.right_rows
+        for first, stop, sub, basis, _ in blocks:
+            zero = [0] * len(basis)
+            for i in range(first, stop):
+                acc = zero
+                for j, coeffs in diff[i].items():
+                    if j not in place:
+                        continue
+                    offset, out_deg = place[j]
+                    for n in coeffs:
+                        acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(n, sub, out_deg))]
+                rows.extend(acc)
+        return rows, width
 
     def diff_rows(self, s: int, deg: Deg) -> tuple[list[int], tuple]:
         """(rows, codomain basis): row per domain element of F_s at deg,
         bits over the codomain (F_{s-1} at deg, or the target for s=0)."""
+        rows, _ = self._rows(s, deg)
         cod = self.target.basis_at(deg) if s == 0 else self.cell_basis(s - 1, deg)
-        cod_index = {c: n for n, c in enumerate(cod)}
-        return [self._image_row(s, i, m, cod_index) for i, m in self.cell_basis(s, deg)], cod
+        return rows, cod
 
     def _span(self, s: int, deg: Deg, track: bool) -> gf2.SpanBuilder:
         """A fresh SpanBuilder fed the rows of d_s at deg in cell-basis
         order; the rows themselves are not kept."""
-        rows, cod = self.diff_rows(s, deg)
-        span = gf2.SpanBuilder(len(cod) if track else None)
+        rows, width = self._rows(s, deg)
+        span = gf2.SpanBuilder(width if track else None)
         for row in rows:
             span.add(row)
         return span
@@ -306,18 +406,24 @@ def resolve(
     default) out to homological degree smax+1 and topological degree
     pmax.
 
-    At each cell, stage s eliminates the rows of d_s once.  The image
-    pivots decide which classes of ker d_{s-1} (for s = 0: which target
-    basis vectors) need new generators of F_s; the tracked input
-    combinations give ker d_s, carried to stage s+1.  New generators
-    leave ker d_s unchanged: their images are independent of the old
-    rows, and they sit at the end of the cell basis."""
+    At each cell, stage s eliminates the rows of d_s once, with pivots
+    at each row's highest set bit.  The carried basis of ker d_{s-1}
+    (for s = 0: the target basis vectors) has distinct top bits, since
+    each kernel vector tops out at the input that vanished; the image
+    of d_s lies in its span, so the image pivots are some of those top
+    bits.  Each kernel vector whose top bit is not an image pivot gets
+    a new generator of F_s: together with the image they span ker
+    d_{s-1}, and no reduction is needed to find them.  The tracked
+    input combinations give ker d_s, carried to stage s+1.  New
+    generators leave ker d_s unchanged: their images are independent of
+    the old rows, and they sit at the end of the cell basis."""
     if pmax > algebra.max_p:
         raise WindowExceededError("algebra window too small for the requested resolution")
     res = FreeResolution(algebra, smax, pmax, target=target or TrivialTarget())
     levels = smax + 2
     res.gens = [[] for _ in range(levels)]
     res.diff = [[] for _ in range(levels)]
+    res._layout_cache = {}
 
     for p in range(pmax + 1):
         for deg in algebra.cells_at(p):
@@ -325,22 +431,24 @@ def resolve(
             kernel = [1 << k for k in range(len(mkeys))]
             for s in range(levels):
                 span = res._span(s, deg, track=s < levels - 1)
-                first = len(res.gens[s])
-                for z in kernel:
-                    if not span.reduce(z):
-                        continue
-                    span.add(z)
+                pivots = span.rows
+                new = [z for z in kernel if z.bit_length() not in pivots]
+                for z in new:
                     res.gens[s].append(deg)
                     if s == 0:
                         res.diff[0].append({"target": frozenset([mkeys[z.bit_length() - 1]])})
                     else:
                         res.diff[s].append(res.bits_to_element(s - 1, deg, z))
-                if len(res.gens[s]) > first:
-                    del res._basis_cache[(s, deg)]  # rebuilt with the new generators
+                if new:  # rebuilt with the new generators
+                    res._layout_cache.pop((s, deg), None)
+                    res._basis_cache.pop((s, deg), None)
                 kernel = span.kernel
-            # keep no cell bases from the loop; later solves rebuild theirs
+            # keep no cell bases or layouts from the loop; later solves
+            # rebuild theirs
+            res._layout_cache.clear()
             for s in range(levels):
                 res._basis_cache.pop((s, deg), None)
+    res._layout_cache = None
     return res
 
 
@@ -377,19 +485,28 @@ def ext_chart_coefficients(
     chart = ExtChart(flavor, 2, res.smax, res.pmax)
 
     hom_basis_cache: dict = {}
+    # (p, q) -> (covers(bidegree), coefficient keys there)
+    coefficient_at: dict = {}
 
     def hom_basis(s: int, cell: Deg):
+        """(basis (gen index, coefficient key), truncated) of Hom(F_s)
+        at the cell; one coefficient degree per run of generators."""
         key = (s, cell)
         got = hom_basis_cache.get(key)
         if got is None:
             out = []
             truncated = False
-            for i, gdeg in enumerate(res.gens[s]):
-                hdeg = Bidegree(gdeg[0] - cell[0], gdeg[1] - cell[1])
-                if not covers(hdeg):
+            for gdeg, first, stop in res.runs(s):
+                hdeg = (gdeg[0] - cell[0], gdeg[1] - cell[1])
+                entry = coefficient_at.get(hdeg)
+                if entry is None:
+                    bideg = Bidegree(*hdeg)
+                    entry = coefficient_at[hdeg] = (covers(bideg), coefficients.basis_at(bideg))
+                ok, hkeys = entry
+                if not ok:
                     truncated = True
-                for hkey in coefficients.basis_at(hdeg):
-                    out.append((i, hkey))
+                if hkeys:
+                    out.extend((i, h) for i in range(first, stop) for h in hkeys)
             got = (tuple(out), truncated)
             hom_basis_cache[key] = got
         return got
@@ -405,6 +522,7 @@ def ext_chart_coefficients(
         incoming.append(by_source)
 
     rank_cache: dict = {}
+    acted: dict = {}  # (m, h) -> coefficients.act_mono(m, h)
 
     def delta_rank(s: int, cell: Deg) -> int:
         """Rank of Hom(F_s) -> Hom(F_{s+1}) at the cell."""
@@ -418,16 +536,20 @@ def ext_chart_coefficients(
                 row = 0
                 for i, coeffs in incoming[s + 1][j]:
                     for m in coeffs:
-                        for hh in coefficients.act_mono(m, h):
+                        out = acted.get((m, h))
+                        if out is None:
+                            out = acted[(m, h)] = coefficients.act_mono(m, h)
+                        for hh in out:
                             row ^= 1 << cod_index[(i, hh)]
                 span.add(row)
             got = rank_cache[key] = span.rank
         return got
 
     cells: set[Deg] = set()
+    hdegs = coefficients.degrees()
     for s in range(res.smax + 1):
-        for gdeg in res.gens[s]:
-            for hdeg in coefficients.degrees():
+        for gdeg, _, _ in res.runs(s):
+            for hdeg in hdegs:
                 cells.add((gdeg[0] - hdeg.p, gdeg[1] - hdeg.q))
 
     for cell in sorted(cells):

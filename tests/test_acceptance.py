@@ -7,7 +7,9 @@ Run:  pytest tests/test_acceptance.py -v -s
 import random
 import time
 
-from isoadams import adem, charts, cobar, gf2, homological as H, isotropic as iso, milnor
+import pytest
+
+from isoadams import adem, charts, cli, cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree, Element
 
@@ -272,3 +274,16 @@ def test_criterion_10_bracket_with_indeterminacy():
         assert len(got.indeterminacy) == oracle.indeterminacy_rank
         assert got.coset() == oracle_coset
     report(10, "<h0,h1^2,h0> in Ext^{3,6}: engine (canonical and perturbed homotopy) and cobar oracle agree, indeterminacy rank 1")
+
+
+@pytest.mark.slow
+def test_identification_to_classical_t40(capsys):
+    # the t <= 40 rung: `isoadams isotropic --tmax 80 --smax 14`
+    t0 = time.time()
+    code = cli.main(["isotropic", "--tmax", "80", "--smax", "14"])
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict: MATCH" in out
+    assert "vanishing regions: ok" in out
+    assert code == 0
+    with capsys.disabled():
+        report("8 (t <= 40)", f"isotropic chart = doubled classical chart to classical t <= 40, s <= 14, in {time.time() - t0:.1f}s")

@@ -223,6 +223,39 @@ def test_compare_bad_chart_is_usage_error(case, tmp_path, capsys):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1, case
 
 
+INCOMPLETE_JSON_CHARTS = {
+    "schema-only": {"schema": "isoadams-chart/1"},
+    "no-cells": {"schema": "isoadams-chart/1", "flavor": "classical", "grading": 1, "smax": 2, "tmax": 4},
+    "string-grading": {"schema": "isoadams-chart/1", "flavor": "classical", "grading": "1", "smax": 2, "tmax": 4, "cells": []},
+    "grading-3": {"schema": "isoadams-chart/1", "flavor": "classical", "grading": 3, "smax": 2, "tmax": 4, "cells": []},
+    "cell-without-dim": {
+        "schema": "isoadams-chart/1", "flavor": "G", "grading": 2, "smax": 2, "tmax": 4,
+        "cells": [{"s": 0, "t": 0, "u": 0}],
+    },
+    "cell-without-u": {
+        "schema": "isoadams-chart/1", "flavor": "G", "grading": 2, "smax": 2, "tmax": 4,
+        "cells": [{"s": 0, "t": 0, "dim": 1}],
+    },
+    "cells-not-a-list": {"schema": "isoadams-chart/1", "flavor": "G", "grading": 2, "smax": 2, "tmax": 4, "cells": 7},
+    "not-an-object": ["schema", "isoadams-chart/1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCOMPLETE_JSON_CHARTS))
+def test_compare_incomplete_json_chart_is_usage_error(case, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text('{"schema": "isoadams-chart/1", "flavor": "c", "grading": 1, "smax": 0, "tmax": 0, '
+                    '"cells": [{"s": 0, "t": 0, "dim": 1}]}')
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(INCOMPLETE_JSON_CHARTS[case]))
+    for argv in (["compare", str(bad), str(good)], ["compare", str(good), str(bad)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", case
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, case
+    code, out, _ = run_cli(["compare", str(good), str(good)], capsys)
+    assert code == 0 and "verdict: MATCH" in out
+
+
 def test_compare_doubling_needs_matching_gradings(tmp_path, capsys):
     cl = tmp_path / "cl.csv"
     cl.write_text("s,t,u,dim\n0,0,,1\n")

@@ -475,3 +475,177 @@ def test_isotropic_chart_matches_doubled_classical_small():
     cchart = H.ext_chart_field(cres)
     rep = charts.compare_doubling(cchart, ichart)
     assert rep.ok, rep.mismatches
+
+
+# ---------------------------------------------------------------------------
+# packed row builder, Hom chart and chain maps against test-local references
+
+
+def _reference_diff_rows(res, s, deg):
+    """(rows, width) of d_s at deg, built monomial by monomial through
+    `algebra.multiply`, scanning every generator of F_s and F_{s-1}."""
+
+    def basis_of(level):
+        if level >= len(res.gens):
+            return []
+        return [
+            (i, m)
+            for i, gdeg in enumerate(res.gens[level])
+            for m in res.algebra.basis(H.sub_deg(deg, gdeg))
+        ]
+
+    dom = basis_of(s)
+    cod = res.target.basis_at(deg) if s == 0 else basis_of(s - 1)
+    index = {c: n for n, c in enumerate(cod)}
+    rows = []
+    for i, m in dom:
+        row = 0
+        if s == 0:
+            for key in res.diff[0][i]["target"]:
+                for out in res.target.act(res.algebra, m, key):
+                    row ^= 1 << index[out]
+        else:
+            for j, coeffs in res.diff[s][i].items():
+                for n in coeffs:
+                    for t in res.algebra.multiply(m, n):
+                        row ^= 1 << index[(j, t)]
+        rows.append(row)
+    return dom, rows, len(cod)
+
+
+def _two_point_target():
+    from isoadams.milnor import Bidegree
+    from isoadams.modules import trivial_module
+
+    return H.FiniteTarget(trivial_module([Bidegree(0, 0), Bidegree(3, 1)]))
+
+
+ROW_CASES = {
+    "classical": lambda: H.resolve(H.algebra_for("classical", 14), smax=5, pmax=12),
+    "G": lambda: H.resolve(H.algebra_for("G", 18), smax=4, pmax=16),
+    "A0": lambda: H.resolve(H.algebra_for("A0", 14), smax=5, pmax=13),
+    "A0-finite-target": lambda: H.resolve(H.algebra_for("A0", 9), smax=3, pmax=8, target=_two_point_target()),
+    "exterior-finite-target": lambda: H.resolve(
+        H.ExteriorMilnorAlgebra(1, 10), smax=4, pmax=9, target=_two_point_target()
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_diff_rows_match_monomial_products(case):
+    res = ROW_CASES[case]()
+    checked = 0
+    for deg in _all_cells(res):
+        for s in range(res.smax + 2):
+            dom, rows, width = _reference_diff_rows(res, s, deg)
+            got, cod = res.diff_rows(s, deg)
+            assert list(res.cell_basis(s, deg)) == dom, (s, deg)
+            assert (got, len(cod)) == (rows, width), (s, deg)
+            checked += len(rows)
+    assert checked
+
+
+def _reference_hom_chart(res, coefficients, covers):
+    """(cells, truncated) of Hom(resolution, coefficients), scanning
+    every generator for each (s, cell) and ranking with rank_ints."""
+    from isoadams.milnor import Bidegree
+
+    def hom_basis(s, cell):
+        out, truncated = [], False
+        for i, gdeg in enumerate(res.gens[s]):
+            hdeg = Bidegree(gdeg[0] - cell[0], gdeg[1] - cell[1])
+            truncated = truncated or not covers(hdeg)
+            out.extend((i, h) for h in coefficients.basis_at(hdeg))
+        return out, truncated
+
+    def delta_rank(s, cell):
+        dom, _ = hom_basis(s, cell)
+        cod, _ = hom_basis(s + 1, cell)
+        index = {c: n for n, c in enumerate(cod)}
+        rows = []
+        for j, h in dom:
+            row = 0
+            for i, entry in enumerate(res.diff[s + 1]):
+                for m in entry.get(j, ()):
+                    for hh in coefficients.act_mono(m, h):
+                        row ^= 1 << index[(i, hh)]
+            rows.append(row)
+        return gf2.rank_ints(rows, max(len(cod), 1))
+
+    candidates = {
+        (gdeg[0] - hdeg.p, gdeg[1] - hdeg.q)
+        for s in range(res.smax + 1)
+        for gdeg in res.gens[s]
+        for hdeg in coefficients.degrees()
+    }
+    cells, truncated = {}, set()
+    for cell in sorted(candidates):
+        for s in range(res.smax + 1):
+            dom, here = hom_basis(s, cell)
+            if not dom:
+                continue
+            if here or hom_basis(s + 1, cell)[1] or (s > 0 and hom_basis(s - 1, cell)[1]) or cell[0] > res.pmax:
+                truncated.add((s, cell))
+                continue
+            dim = len(dom) - delta_rank(s, cell) - (delta_rank(s - 1, cell) if s else 0)
+            if dim:
+                cells[(s, cell)] = dim
+    return cells, truncated
+
+
+@pytest.mark.parametrize("n_max, tmax_cl", [(2, 10), (3, 7)])
+def test_hom_chart_matches_full_generator_scan(n_max, tmax_cl):
+    # n_max = 2 is the window of `isotropic --nmax 2`, which truncates
+    # cells inside t <= 20
+    smax = 6
+    table = iso.solve_action_table(n_max=n_max, w_max=tmax_cl)
+    assert table.report.unique
+    win = iso.IsotropicWindow(n_max, iso.r_degree(n_max + 1).p + 1)
+    coeffs = iso.isotropic_coefficients(table, win)
+
+    def covers(d):
+        J = iso.ext_from_degree(d)
+        return J is None or win.contains(J)
+
+    res = H.resolve(H.algebra_for("A0", 2 * tmax_cl + 2), smax=smax, pmax=2 * tmax_cl)
+    chart = H.ext_chart_coefficients(res, coeffs, covers=covers)
+    cells, truncated = _reference_hom_chart(res, coeffs, covers)
+    assert chart.cells == cells
+    assert chart.truncated == truncated
+    assert cells
+    if n_max == 2:
+        assert any(c[1][0] <= res.pmax for c in truncated)
+
+
+def _apply(res, images, elt):
+    """sum over j of coeffs_j * images(j): the Lambda-linear extension of
+    a generator map, through algebra.multiply."""
+    out = {}
+    for j, coeffs in elt.items():
+        for jj, coeffs2 in images(j).items():
+            acc = out.setdefault(jj, set())
+            for m in coeffs:
+                for n in coeffs2:
+                    acc ^= res.algebra.multiply(m, n)
+    return {j: frozenset(v) for j, v in out.items() if v}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chain_lift_commutes_with_d(small_res, data):
+    # d Y_k = Y_{k-1} d on every generator of F_{s0+k}
+    res = small_res
+    cells = [
+        (s, deg)
+        for deg in _all_cells(res)
+        for s in range(1, res.smax + 1)
+        if res.gen_count(s, deg)
+    ]
+    s0, deg0 = data.draw(st.sampled_from(cells))
+    bits = data.draw(st.integers(1, (1 << res.gen_count(s0, deg0)) - 1))
+    lift = H.ChainLift(res, ChartClass(s0, deg0, bits))
+    k = data.draw(st.integers(1, res.smax + 1 - s0))
+    for i in range(len(res.gens[s0 + k])):
+        left = _apply(res, lambda j: res.diff[k][j], lift.value(k, i))
+        right = _apply(res, lambda j: lift.value(k - 1, j), res.diff[s0 + k][i])
+        assert left == right, (s0, deg0, bits, k, i)
