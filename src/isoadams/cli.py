@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -74,9 +74,11 @@ def _emit(chart: ExtChart, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _filter_weights(chart: ExtChart, qmin: Optional[int], qmax: Optional[int]) -> None:
+def _filter_weights(chart: ExtChart, qmin: Optional[int], qmax: Optional[int]) -> ExtChart:
+    """The chart with only the cells of weight in [qmin, qmax]; a display
+    filter, never applied before a comparison."""
     if qmin is None and qmax is None:
-        return
+        return chart
     keep = {}
     for (s, deg), dim in chart.cells.items():
         if len(deg) == 2:
@@ -85,7 +87,7 @@ def _filter_weights(chart: ExtChart, qmin: Optional[int], qmax: Optional[int]) -
             if qmax is not None and deg[1] > qmax:
                 continue
         keep[(s, deg)] = dim
-    chart.cells = keep
+    return replace(chart, cells=keep)
 
 
 def _load_chart(path: str) -> ExtChart:
@@ -208,7 +210,7 @@ def cmd_resolve(args) -> int:
         chart = pair[0]
     else:
         chart, _ = _field_chart(args.flavor, args.smax, args.tmax)
-    _filter_weights(chart, args.qmin, args.qmax)
+    chart = _filter_weights(chart, args.qmin, args.qmax)
     chart.meta["job"] = JobConfig.from_args(args).as_meta()
     _emit(chart, args.format, args.out)
     truncated_inside = [c for c in chart.truncated if c[1][0] <= args.tmax]
@@ -320,10 +322,9 @@ def cmd_isotropic(args) -> int:
     if pair is None:
         return EXIT_MISMATCH
     ichart, cchart = pair
-    _filter_weights(ichart, args.qmin, args.qmax)
     ichart.meta["job"] = JobConfig.from_args(args).as_meta()
     if args.out:
-        _emit(ichart, args.format, args.out)
+        _emit(_filter_weights(ichart, args.qmin, args.qmax), args.format, args.out)
     rep = charts.compare_doubling(cchart, ichart)
     van = charts.vanishing_check(ichart)
     for line in rep.lines():

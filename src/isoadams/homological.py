@@ -1,6 +1,8 @@
 """Minimal free resolutions over windowed graded GF(2) algebras, Ext
-charts, Yoneda products via chain-map lifting, and triple Massey
-products via null-homotopies.
+charts, and one chain-map class (`ChainMap`) serving both Yoneda
+products (chain lifts) and triple Massey products (null-homotopies);
+resolution and chain maps build their rows from the same packed
+right-multiplication table.
 
 Degrees are tuples: (t,) for the singly graded classical algebra,
 (p, q) for the bigraded ones.  Resolutions are built cell by cell in
@@ -44,8 +46,7 @@ def add_deg(a: Deg, b: Deg) -> Deg:
 
 class WindowedAlgebra:
     """Basis-per-bidegree view of a connected graded algebra, with
-    memoized monomial products and packed right-multiplication rows;
-    `max_p` is the window bound."""
+    packed right-multiplication rows; `max_p` is the window bound."""
 
     flavor: str
     grading: int
@@ -53,7 +54,6 @@ class WindowedAlgebra:
 
     def __init__(self, max_p: int):
         self.max_p = max_p
-        self._product_cache: dict = {}
         # (n, deg) -> rows m*n for m in basis(deg), packed over the
         # basis of the product degree
         self._right_rows: dict = {}
@@ -66,12 +66,16 @@ class WindowedAlgebra:
         raise NotImplementedError
 
     def multiply(self, m1, m2) -> frozenset:
-        key = (m1, m2)
-        out = self._product_cache.get(key)
-        if out is None:
-            out = self.monomial_product(m1, m2)
-            self._product_cache[key] = out
-        return out
+        """The product of two basis monomials, formed afresh on every
+        call: an independent reference for the packed rows."""
+        return self.monomial_product(m1, m2)
+
+    def index(self, deg: Deg) -> dict:
+        """Position of each monomial in basis(deg)."""
+        got = self._index_cache.get(deg)
+        if got is None:
+            got = self._index_cache[deg] = {t: k for k, t in enumerate(self.basis(deg))}
+        return got
 
     def right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
         """Rows m*n for m in basis(deg), each packed as bits over
@@ -79,9 +83,7 @@ class WindowedAlgebra:
         key = (n, deg)
         got = self._right_rows.get(key)
         if got is None:
-            index = self._index_cache.get(out_deg)
-            if index is None:
-                index = self._index_cache[out_deg] = {t: k for k, t in enumerate(self.basis(out_deg))}
+            index = self.index(out_deg)
             rows = []
             for m in self.basis(deg):
                 row = 0
@@ -239,11 +241,13 @@ class FreeResolution:
     _layout_cache: Optional[dict] = field(default=None, repr=False)
     # (s, deg) -> cell basis of F_s at deg
     _basis_cache: dict = field(default_factory=dict, repr=False)
+    # (s, deg) -> block placement of F_s at deg (see _place)
+    _place_cache: dict = field(default_factory=dict, repr=False)
     # degree -> algebra basis there, for the block walk
     _bases: dict = field(default_factory=dict, repr=False)
     # (s, deg) -> quasi-inverse of d_s at deg, built on first solve
     _cell_cache: dict = field(default_factory=dict, repr=False)
-    # (s, deg, bits) -> ChainLift of that class
+    # (s, deg, bits) -> chain lift of that class (see ChainMap.lift)
     _lift_cache: dict = field(default_factory=dict, repr=False)
 
     def gen_count(self, s: int, deg: Deg) -> int:
@@ -301,6 +305,26 @@ class FreeResolution:
             )
         return got
 
+    def _place(self, s: int, deg: Deg) -> dict:
+        """Generator j of F_s -> (bit offset, deg - |g_j|) of its block
+        in the cell basis of F_s at deg; a generator with an empty block
+        is absent, as any product landing there is zero."""
+        key = (s, deg)
+        got = self._place_cache.get(key)
+        if got is None:
+            got = self._place_cache[key] = {}
+            for first, stop, sub, basis, offset in self._layout(s, deg)[0]:
+                for j in range(first, stop):
+                    got[j] = (offset + (j - first) * len(basis), sub)
+        return got
+
+    def _drop_cell(self, s: int, deg: Deg) -> None:
+        """Forget the cached layout, basis and placement of F_s at deg."""
+        if self._layout_cache is not None:
+            self._layout_cache.pop((s, deg), None)
+        self._basis_cache.pop((s, deg), None)
+        self._place_cache.pop((s, deg), None)
+
     def _rows(self, s: int, deg: Deg) -> tuple[list[int], int]:
         """(rows, width): a row per element of cell_basis(s, deg), bits
         over the codomain (F_{s-1} at deg, or the target for s = 0).
@@ -323,13 +347,8 @@ class FreeResolution:
                                 row ^= 1 << cod_index[out]
                         rows.append(row)
             return rows, len(cod)
-        cod_blocks, width = self._layout(s - 1, deg)
-        # generator of F_{s-1} -> (bit offset, degree) of its block; a
-        # generator with an empty block takes no products
-        place = {}
-        for first, stop, sub, basis, offset in cod_blocks:
-            for j in range(first, stop):
-                place[j] = (offset + (j - first) * len(basis), sub)
+        _, width = self._layout(s - 1, deg)
+        place = self._place(s - 1, deg)
         diff = self.diff[s]
         right_rows = self.algebra.right_rows
         for first, stop, sub, basis, _ in blocks:
@@ -376,14 +395,6 @@ class FreeResolution:
     def cell_kernel(self, s: int, deg: Deg) -> list[int]:
         """Basis of {x in (F_s)_deg : d_s x = 0} over the cell basis."""
         return self._quasi_inverse(s, deg).kernel
-
-    def element_to_bits(self, s: int, deg: Deg, elt: dict) -> int:
-        index = {c: n for n, c in enumerate(self.cell_basis(s, deg))}
-        bits = 0
-        for j, coeffs in elt.items():
-            for m in coeffs:
-                bits ^= 1 << index[(j, m)]
-        return bits
 
     def bits_to_element(self, s: int, deg: Deg, bits: int) -> dict:
         basis = self.cell_basis(s, deg)
@@ -440,14 +451,12 @@ def resolve(
                     else:
                         res.diff[s].append(res.bits_to_element(s - 1, deg, z))
                 if new:  # rebuilt with the new generators
-                    res._layout_cache.pop((s, deg), None)
-                    res._basis_cache.pop((s, deg), None)
+                    res._drop_cell(s, deg)
                 kernel = span.kernel
-            # keep no cell bases or layouts from the loop; later solves
-            # rebuild theirs
-            res._layout_cache.clear()
+            # keep no cell bases, layouts or placements from the loop;
+            # later solves rebuild theirs
             for s in range(levels):
-                res._basis_cache.pop((s, deg), None)
+                res._drop_cell(s, deg)
     res._layout_cache = None
     return res
 
@@ -596,61 +605,110 @@ def _gen_positions(res: FreeResolution, s: int, deg: Deg) -> list[int]:
     return [i for i, d in enumerate(res.gens[s]) if d == deg]
 
 
-class ChainLift:
-    """Chain maps Y_k: F_{s0+k} -> F_k lifting a cocycle given by its
-    values on the generators at one cell (ground-field coefficients,
-    single F_0 generator)."""
+class ChainMap:
+    """A Lambda-linear map V_k: F_{src+k} -> F_k lowering degree by
+    `shift`, defined one generator at a time by solving d V_k(g) = rhs in
+    its cell; values are kept in the `diff` format, {generator of F_k:
+    algebra coefficients}.
 
-    def __init__(self, res: FreeResolution, cls: ChartClass):
-        if len(res.gens[0]) != 1:
-            raise ValueError("chain lifting expects a single generator in filtration 0")
+    A chain lift of a class (`ChainMap.lift`) sends the class's dual'd
+    generators to the unit in F_0 and solves with rhs = V_{k-1}(d g).  A
+    null-homotopy of B composed with C (`ChainMap.homotopy`, for chain
+    lifts B, C whose product class vanishes) has V_0 = 0 and adds
+    B_{k-1}(C(g)) to the rhs, so dV + Vd = BC.  An optional rng perturbs
+    each solve by kernel elements of the cell differential; any such
+    choice is another valid homotopy, so brackets built from it may only
+    move within their indeterminacy.
+
+    Each rhs is built straight into bits over the target cell basis from
+    the algebra's packed right-multiplication rows, each shifted to its
+    generator's block (`FreeResolution._place`), as `resolve` builds d.
+    """
+
+    def __init__(self, res: FreeResolution, src: int, shift: Deg, base=frozenset(), composite=None, rng=None):
         self.res = res
-        self.cls = cls
+        self.src = src
+        self.shift = shift
+        self.base = base  # generators of F_src that V_0 sends to the unit
+        self.composite = composite  # (B, C), or None for a chain lift
+        self.rng = rng
         self._memo: dict = {}
-        positions = _gen_positions(res, cls.s, cls.deg)
-        self.gen_bit = {gi: (cls.bits >> n) & 1 for n, gi in enumerate(positions)}
+
+    @classmethod
+    def lift(cls, res: FreeResolution, c: ChartClass) -> "ChainMap":
+        """The chain lift of a class (ground-field coefficients, single
+        F_0 generator), kept per resolution."""
+        key = (c.s, c.deg, c.bits)
+        got = res._lift_cache.get(key)
+        if got is None:
+            if len(res.gens[0]) != 1:
+                raise ValueError("chain lifting expects a single generator in filtration 0")
+            positions = _gen_positions(res, c.s, c.deg)
+            base = frozenset(gi for n, gi in enumerate(positions) if (c.bits >> n) & 1)
+            got = res._lift_cache[key] = cls(res, c.s, c.deg, base=base)
+        return got
+
+    @classmethod
+    def homotopy(cls, res: FreeResolution, b: ChartClass, c: ChartClass, rng=None) -> "ChainMap":
+        """V: F_{s_b+s_c-1+k} -> F_k with dV + Vd = (lift b)(lift c)."""
+        composite = (cls.lift(res, b), cls.lift(res, c))
+        return cls(res, b.s + c.s - 1, add_deg(b.deg, c.deg), composite=composite, rng=rng)
 
     def value(self, k: int, i: int) -> dict:
-        """Y_k(g_{s0+k, i}) as {gen index of F_k: algebra coefficients}."""
+        """V_k(g_{src+k, i}) as {gen index of F_k: algebra coefficients}."""
         key = (k, i)
         got = self._memo.get(key)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._memo[key] = self._solve(k, i)
+        return got
+
+    def _solve(self, k: int, i: int) -> dict:
         res = self.res
-        s0 = self.cls.s
-        gdeg = res.gens[s0 + k][i]
-        cell = sub_deg(gdeg, self.cls.deg)
-        if any(x < 0 for x in cell):
-            out: dict = {}
-        elif k == 0:
-            if all(x == 0 for x in cell) and self.gen_bit.get(i):
-                out = {0: frozenset([res.algebra.unit])}
-            else:
-                out = {}
-        else:
-            rhs = apply_values(res, self.value, k - 1, res.diff[s0 + k][i])
-            rhs_bits = res.element_to_bits(k - 1, cell, rhs)
-            x = res.solve_in_cell(k, cell, rhs_bits)
-            if x is None:
-                raise WindowExceededError(f"chain lift failed at {(k, cell)}")
-            out = res.bits_to_element(k, cell, x)
-        self._memo[key] = out
-        return out
+        gdeg = res.gens[self.src + k][i]
+        cell = sub_deg(gdeg, self.shift)
+        if min(cell) < 0:
+            return {}
+        if k == 0:
+            return {0: frozenset([res.algebra.unit])} if i in self.base else {}
+        rhs = 0
+        if self.composite is not None:
+            outer, inner = self.composite
+            rhs = outer.apply(k - 1, inner.value(outer.src + k - 1, i), sub_deg(gdeg, inner.shift))
+        rhs ^= self.apply(k - 1, res.diff[self.src + k][i], gdeg)
+        x = res.solve_in_cell(k, cell, rhs)
+        if x is None:
+            kind = "chain lift" if self.composite is None else "null homotopy"
+            raise WindowExceededError(f"{kind} failed at {(k, cell)}")
+        if self.rng is not None:
+            for z in res.cell_kernel(k, cell):
+                if self.rng.getrandbits(1):
+                    x ^= z
+        return res.bits_to_element(k, cell, x)
 
-
-def apply_values(res: FreeResolution, valuefn, level: int, elt: dict) -> dict:
-    """Apply a generator-valued map to an element {j: coefficients},
-    using Lambda-linearity: f(m g_j) = m f(g_j)."""
-    out: dict = {}
-    for j, coeffs in elt.items():
-        target = valuefn(level, j)
-        for jj, coeffs2 in target.items():
-            acc = out.setdefault(jj, set())
-            for m in coeffs:
-                for n in coeffs2:
-                    acc ^= res.algebra.multiply(m, n)
-            out[jj] = acc
-    return {j: frozenset(v) for j, v in out.items() if v}
+    def apply(self, k: int, elt: dict, deg: Deg) -> int:
+        """V_k of an element {generator of F_{src+k}: coefficients} of
+        degree deg, as bits over cell_basis(k, deg - shift): each term
+        m g_j contributes the packed row m*n of every n in V_k(g_j)."""
+        res = self.res
+        algebra = res.algebra
+        gens = res.gens[self.src + k]
+        place = res._place(k, sub_deg(deg, self.shift))
+        bits = 0
+        for j, coeffs in elt.items():
+            image = self.value(k, j)
+            if not image:
+                continue
+            sub = sub_deg(deg, gens[j])
+            index = algebra.index(sub)
+            for jj, ns in image.items():
+                if jj not in place:
+                    continue
+                offset, out_deg = place[jj]
+                for n in ns:
+                    rows = algebra.right_rows(n, sub, out_deg)
+                    for m in coeffs:
+                        bits ^= rows[index[m]] << offset
+        return bits
 
 
 def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, level_s: int, elt: dict) -> int:
@@ -675,78 +733,12 @@ def yoneda_product(res: FreeResolution, x: ChartClass, y: ChartClass) -> ChartCl
         raise WindowExceededError("product lands outside the computed window")
     if x.is_zero() or y.is_zero():
         return ChartClass(s, deg, 0)
-    lift = _lift_for(res, y)
+    lift = ChainMap.lift(res, y)
     bits = 0
     for n, gi in enumerate(_gen_positions(res, s, deg)):
         if _evaluate_cocycle(res, x, x.s, lift.value(x.s, gi)):
             bits |= 1 << n
     return ChartClass(s, deg, bits)
-
-
-def _lift_for(res: FreeResolution, cls: ChartClass) -> ChainLift:
-    key = (cls.s, cls.deg, cls.bits)
-    lift = res._lift_cache.get(key)
-    if lift is None:
-        lift = res._lift_cache[key] = ChainLift(res, cls)
-    return lift
-
-
-class NullHomotopy:
-    """V_k: F_{S-1+k} -> F_k with dV + Vd = (B composed with C), where
-    B, C are chain lifts and S = s_b + s_c; exists when the product
-    class vanishes, with V_0 = 0.
-
-    An optional rng perturbs each solve step by kernel elements of the
-    cell differential; any such choice is another valid homotopy, so
-    brackets built from it may only move within their indeterminacy.
-    """
-
-    def __init__(self, res: FreeResolution, b: ChartClass, c: ChartClass, rng=None):
-        self.res = res
-        self.b = b
-        self.c = c
-        self.blift = _lift_for(res, b)
-        self.clift = _lift_for(res, c)
-        self.S = b.s + c.s
-        self.shift = add_deg(b.deg, c.deg)
-        self.rng = rng
-        self._memo: dict = {}
-
-    def value(self, k: int, i: int) -> dict:
-        key = (k, i)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        res = self.res
-        if k == 0:
-            out: dict = {}
-        else:
-            gdeg = res.gens[self.S - 1 + k][i]
-            cell = sub_deg(gdeg, self.shift)
-            if any(x < 0 for x in cell):
-                out = {}
-            else:
-                # rhs = Psi_{k-1}(g_i) + V_{k-1}(d g_i)
-                cval = self.clift.value(self.b.s + k - 1, i)
-                psi = apply_values(res, self.blift.value, k - 1, cval)
-                vd = apply_values(res, self.value, k - 1, res.diff[self.S - 1 + k][i])
-                rhs: dict = {}
-                for part in (psi, vd):
-                    for j, coeffs in part.items():
-                        cur = rhs.get(j, frozenset())
-                        rhs[j] = cur ^ coeffs
-                rhs = {j: v for j, v in rhs.items() if v}
-                rhs_bits = res.element_to_bits(k - 1, cell, rhs)
-                x = res.solve_in_cell(k, cell, rhs_bits)
-                if x is None:
-                    raise WindowExceededError(f"null homotopy failed at {(k, cell)}")
-                if self.rng is not None:
-                    for z in res.cell_kernel(k, cell):
-                        if self.rng.getrandbits(1):
-                            x ^= z
-                out = res.bits_to_element(k, cell, x)
-        self._memo[key] = out
-        return out
 
 
 class MasseyPreconditionError(ValueError):
@@ -787,7 +779,7 @@ def massey_triple(
     deg = add_deg(a.deg, add_deg(b.deg, c.deg))
     if s > res.smax or deg[0] > res.pmax:
         raise WindowExceededError("bracket lands outside the computed window")
-    hom = NullHomotopy(res, b, c, rng=rng)
+    hom = ChainMap.homotopy(res, b, c, rng=rng)
     bits = 0
     for n, gi in enumerate(_gen_positions(res, s, deg)):
         if _evaluate_cocycle(res, a, a.s, hom.value(a.s, gi)):

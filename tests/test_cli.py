@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +123,34 @@ def test_massey_example(capsys):
     assert "h1^2" in out and "indeterminacy 0" in out
 
 
+def test_even_products_are_doubled_classical_products(tmp_path, capsys):
+    # chain maps over the bigraded G engine give the classical product
+    # table under (s, t) -> (s, 2t, t)
+    tables = {}
+    for flavor, tmax in (("G", "32"), ("classical", "16")):
+        out_file = tmp_path / f"{flavor}.json"
+        code, _, _ = run_cli(
+            ["resolve", "--flavor", flavor, "--tmax", tmax, "--smax", "6",
+             "--format", "json", "--out", str(out_file)], capsys)
+        assert code == 0
+        tables[flavor] = json.loads(out_file.read_text())["products"]
+
+    def doubled(entry):
+        value = entry["value"]
+        if isinstance(value, dict):
+            value = {**value, "t": 2 * value["t"], "u": value["t"]}
+        return {**entry, "value": value}
+
+    assert tables["classical"]
+    assert tables["G"] == [doubled(e) for e in tables["classical"]]
+
+
+def test_massey_on_even_algebra(capsys):
+    code, out, _ = run_cli(["massey", "h0", "h1", "h0", "--flavor", "G"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["<h0,h1,h0> = h1^2", "indeterminacy 0"]
+
+
 def test_massey_precondition_guard(capsys):
     code, _, err = run_cli(["massey", "h0", "h0", "h1", "--tmax", "8", "--smax", "4"], capsys)
     assert code == 2 and "nonzero" in err
@@ -135,6 +165,17 @@ def test_isotropic_default_small(capsys):
     code, out, _ = run_cli(["isotropic", "--tmax", "16", "--smax", "5"], capsys)
     assert code == 0
     assert "verdict: MATCH" in out and "vanishing regions: ok" in out
+
+
+def test_isotropic_weight_filter_only_filters_output(tmp_path, capsys):
+    # --qmax trims the emitted chart; the comparison sees the whole chart
+    out_file = tmp_path / "iso.csv"
+    code, out, _ = run_cli(
+        ["isotropic", "--tmax", "16", "--smax", "4", "--qmax", "3", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert "verdict: MATCH" in out.splitlines() and "vanishing regions: ok" in out
+    chart = from_csv(out_file.read_text())
+    assert chart.cells and all(deg[1] <= 3 for _, deg in chart.cells)
 
 
 def test_isotropic_tiny_window_safe_region(capsys):
@@ -268,6 +309,26 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "isoadams.cli", "frobnicate"], capture_output=True
     )
     assert proc.returncode == 2
+
+
+def test_trace_harness_wraps_live_names():
+    # the benchmark's tracer wraps layer functions by name; a renamed or
+    # deleted name fails here rather than only in traced benchmark runs
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import spans\n"
+        "from isoadams import homological as H, milnor\n"
+        "tracer = spans.Tracer()\n"
+        "spans.instrument(tracer)\n"
+        "res = H.resolve(H.algebra_for('classical', 6), smax=2, pmax=4)\n"
+        "H.yoneda_product(res, H.class_of_generator(res, 1, (1,)), H.class_of_generator(res, 1, (1,)))\n"
+        "metrics = spans.layer_metrics(tracer, milnor.multiply_mono.cache_info())\n"
+        "print(metrics['homological.yoneda.calls'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_chart_roundtrip_json_csv(tmp_path, capsys):

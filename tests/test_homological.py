@@ -643,9 +643,91 @@ def test_chain_lift_commutes_with_d(small_res, data):
     ]
     s0, deg0 = data.draw(st.sampled_from(cells))
     bits = data.draw(st.integers(1, (1 << res.gen_count(s0, deg0)) - 1))
-    lift = H.ChainLift(res, ChartClass(s0, deg0, bits))
+    lift = H.ChainMap.lift(res, ChartClass(s0, deg0, bits))
     k = data.draw(st.integers(1, res.smax + 1 - s0))
     for i in range(len(res.gens[s0 + k])):
         left = _apply(res, lambda j: res.diff[k][j], lift.value(k, i))
         right = _apply(res, lambda j: lift.value(k - 1, j), res.diff[s0 + k][i])
         assert left == right, (s0, deg0, bits, k, i)
+
+
+def _generator_classes(res):
+    """Every nonzero class spanned by the generators of one cell, 1 <= s <= smax."""
+    out = []
+    for s in range(1, res.smax + 1):
+        for deg in sorted(set(res.gens[s])):
+            out.extend(ChartClass(s, deg, bits) for bits in range(1, 1 << res.gen_count(s, deg)))
+    return out
+
+
+def _xor(a, b):
+    out = {j: a.get(j, frozenset()) ^ b.get(j, frozenset()) for j in set(a) | set(b)}
+    return {j: v for j, v in out.items() if v}
+
+
+@pytest.fixture(scope="module")
+def vanishing_pairs(small_res):
+    """Pairs (b, c) of in-window classes with bc = 0."""
+    res = small_res
+    classes = _generator_classes(res)
+    pairs = []
+    for b in classes:
+        for c in classes:
+            if b.s + c.s <= res.smax and b.deg[0] + c.deg[0] <= res.pmax:
+                if H.yoneda_product(res, b, c).is_zero():
+                    pairs.append((b, c))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_null_homotopy_identity(small_res, vanishing_pairs, data):
+    # d V_k(g) + V_{k-1}(d g) = B_{k-1}(C(g)) on every generator of
+    # F_{S-1+k} at every level k >= 1, products through algebra.multiply
+    res = small_res
+    b, c = data.draw(st.sampled_from(vanishing_pairs))
+    seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
+    rng = None if seed is None else random.Random(seed)
+    hom = H.ChainMap.homotopy(res, b, c, rng=rng)
+    blift, clift = H.ChainMap.lift(res, b), H.ChainMap.lift(res, c)
+    src = b.s + c.s - 1
+    for k in range(1, res.smax + 2 - src):
+        for i in range(len(res.gens[src + k])):
+            left = _xor(
+                _apply(res, lambda j: res.diff[k][j], hom.value(k, i)),
+                _apply(res, lambda j: hom.value(k - 1, j), res.diff[src + k][i]),
+            )
+            right = _apply(res, lambda j: blift.value(k - 1, j), clift.value(b.s + k - 1, i))
+            assert left == right, (b, c, seed, k, i)
+
+
+@pytest.fixture(scope="module")
+def window_triples(small_res):
+    """(all, chained): the triples of generator classes whose product
+    lies in the window, and those among them with xy and yz both
+    nonzero, where (xy)z can be nonzero."""
+    res = small_res
+    classes = _generator_classes(res)
+    triples = [
+        (x, y, z)
+        for x, y, z in itertools.product(classes, repeat=3)
+        if x.s + y.s + z.s <= res.smax and x.deg[0] + y.deg[0] + z.deg[0] <= res.pmax
+    ]
+    chained = [
+        (x, y, z)
+        for x, y, z in triples
+        if not H.yoneda_product(res, x, y).is_zero() and not H.yoneda_product(res, y, z).is_zero()
+    ]
+    return triples, chained
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_yoneda_product_is_associative(small_res, window_triples, data):
+    # (x y) z = x (y z) on generator classes whose product is in window
+    res = small_res
+    triples, chained = window_triples
+    x, y, z = data.draw(st.sampled_from(chained) | st.sampled_from(triples))
+    left = H.yoneda_product(res, H.yoneda_product(res, x, y), z)
+    right = H.yoneda_product(res, x, H.yoneda_product(res, y, z))
+    assert left == right, (x, y, z)
