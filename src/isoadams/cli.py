@@ -164,32 +164,30 @@ def _fill_product_table(chart: ExtChart, res: H.FreeResolution) -> None:
 
 
 def _isotropic_charts(
-    smax: int,
-    tmax_classical: int,
-    nmax: Optional[int],
-    pmin: Optional[int] = None,
-    pmax_h: int = 0,
-) -> Optional[tuple[ExtChart, ExtChart]]:
-    """The isotropic chart plus the classical chart it is compared to.
+    smax: int, tmax_classical: int, nmax: Optional[int], pmin: Optional[int]
+) -> tuple[int, Optional[tuple[ExtChart, ExtChart]]]:
+    """(exit code, charts): the isotropic chart plus the classical chart
+    it is compared to.
 
-    Returns None, after reporting on stderr, when the action table is not
-    unique: the isotropic chart is then undefined, so nothing is resolved."""
+    The charts are None, after a report on stderr, when the window is
+    invalid (exit 2) or the action table is not unique (exit 1): the
+    isotropic chart is then undefined, so nothing is resolved."""
     pmax = 2 * tmax_classical
-    if nmax is None and pmin is None:
-        window = iso.window_for_depth(-(pmax + 2))
-    elif pmin is None:
-        # shallowest depth the requested generator range supports
-        window = iso.IsotropicWindow(nmax, iso.r_degree(nmax + 1).p + 1, pmax_h)
-    elif nmax is None:
-        window = iso.window_for_depth(pmin)
-    else:
-        window = iso.IsotropicWindow(nmax, pmin, pmax_h)
+    if pmin is None:
+        # deep enough for the resolved range, or the shallowest depth the
+        # requested generator range supports
+        pmin = -(pmax + 2) if nmax is None else iso.r_degree(nmax + 1).p + 1
+    try:
+        window = iso.window_for_depth(pmin) if nmax is None else iso.IsotropicWindow(nmax, pmin)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE, None
     table = iso.solve_action_table(n_max=window.n_max, w_max=tmax_classical)
     report = table.report
     if not report.unique:
         print("action table not unique; the isotropic chart is undefined", file=sys.stderr)
         print("underdetermined:", report.underdetermined, "inconsistent:", report.inconsistent, file=sys.stderr)
-        return None
+        return EXIT_MISMATCH, None
     coeffs = iso.isotropic_coefficients(table, window)
 
     def covers(d):
@@ -199,14 +197,14 @@ def _isotropic_charts(
     res = H.resolve(H.algebra_for("A0", pmax + 2), smax=smax, pmax=pmax)
     ichart = H.ext_chart_coefficients(res, coeffs, flavor="isotropic", covers=covers)
     cchart, _ = _field_chart("classical", smax, tmax_classical)
-    return ichart, cchart
+    return EXIT_OK, (ichart, cchart)
 
 
 def cmd_resolve(args) -> int:
     if args.flavor == "isotropic":
-        pair = _isotropic_charts(args.smax, args.tmax // 2, args.nmax, args.pmin, args.pmax or 0)
+        code, pair = _isotropic_charts(args.smax, args.tmax // 2, args.nmax, args.pmin)
         if pair is None:
-            return EXIT_MISMATCH
+            return code
         chart = pair[0]
     else:
         chart, _ = _field_chart(args.flavor, args.smax, args.tmax)
@@ -318,9 +316,9 @@ def cmd_massey(args) -> int:
 
 def cmd_isotropic(args) -> int:
     tmax_classical = args.tmax // 2
-    pair = _isotropic_charts(args.smax, tmax_classical, args.nmax, args.pmin, args.pmax or 0)
+    code, pair = _isotropic_charts(args.smax, tmax_classical, args.nmax, args.pmin)
     if pair is None:
-        return EXIT_MISMATCH
+        return code
     ichart, cchart = pair
     ichart.meta["job"] = JobConfig.from_args(args).as_meta()
     if args.out:
@@ -366,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         output_flags(p, tmax_default)
         p.add_argument("--qmin", type=int, default=None)
         p.add_argument("--qmax", type=int, default=None)
-        p.add_argument("--nmax", type=int, default=None)
+        p.add_argument("--nmax", type=_non_negative, default=None)
         p.add_argument("--pmin", type=int, default=None)
-        p.add_argument("--pmax", type=int, default=None)
         p.add_argument("--strict", action="store_true")
 
     p_mul = sub.add_parser("mul", help="multiply two elements")

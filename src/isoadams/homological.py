@@ -1,8 +1,12 @@
 """Minimal free resolutions over windowed graded GF(2) algebras, Ext
 charts, and one chain-map class (`ChainMap`) serving both Yoneda
-products (chain lifts) and triple Massey products (null-homotopies);
-resolution and chain maps build their rows from the same packed
-right-multiplication table.
+products (chain lifts) and triple Massey products (null-homotopies).
+
+One store per fact: resolution and chain maps build their rows from the
+same packed right-multiplication table (`WindowedAlgebra.right_rows`),
+the only cache of algebra products on that path, and each cell (F_s)_deg
+has one layout record (`FreeResolution._cell`) from which its basis,
+block placement and bit decoding are all read.
 
 Degrees are tuples: (t,) for the singly graded classical algebra,
 (p, q) for the bigraded ones.  Resolutions are built cell by cell in
@@ -153,7 +157,8 @@ class GeneralizedAlgebra(WindowedAlgebra):
         return milnor.basis(p, q) if p >= 0 else ()
 
     def monomial_product(self, m1, m2) -> frozenset:
-        return milnor.multiply_mono(m1, m2)
+        # uncached: right_rows keeps every product the resolution uses
+        return milnor.multiply_mono.__wrapped__(m1, m2)
 
 
 class ExteriorMilnorAlgebra(WindowedAlgebra):
@@ -236,29 +241,21 @@ class FreeResolution:
     target: object = field(default_factory=TrivialTarget)
     # s -> runs (degree, first, stop) of equal-degree generators of F_s
     _run_cache: dict = field(default_factory=dict, repr=False)
-    # (s, deg) -> generator blocks of F_s at deg (see _layout), kept
-    # only for the cell `resolve` is working on; None outside resolve
-    _layout_cache: Optional[dict] = field(default=None, repr=False)
-    # (s, deg) -> cell basis of F_s at deg
-    _basis_cache: dict = field(default_factory=dict, repr=False)
-    # (s, deg) -> block placement of F_s at deg (see _place)
-    _place_cache: dict = field(default_factory=dict, repr=False)
+    # (s, deg) -> (blocks, size, place) of F_s at deg (see _cell)
+    _cells: dict = field(default_factory=dict, repr=False)
     # degree -> algebra basis there, for the block walk
     _bases: dict = field(default_factory=dict, repr=False)
     # (s, deg) -> quasi-inverse of d_s at deg, built on first solve
-    _cell_cache: dict = field(default_factory=dict, repr=False)
+    _inverse_cache: dict = field(default_factory=dict, repr=False)
     # (s, deg, bits) -> chain lift of that class (see ChainMap.lift)
     _lift_cache: dict = field(default_factory=dict, repr=False)
-
-    def gen_count(self, s: int, deg: Deg) -> int:
-        return sum(1 for d in self.gens[s] if d == deg) if s < len(self.gens) else 0
 
     def runs(self, s: int) -> list[tuple[Deg, int, int]]:
         """Runs (degree, first, stop) of equal-degree generators of F_s.
 
         `resolve` appends generators in cell order, so each degree is one
-        contiguous run and the runs come in increasing p; the list is
-        extended as F_s grows."""
+        contiguous run and the runs come in increasing degree; the list
+        is extended as F_s grows."""
         runs = self._run_cache.setdefault(s, [])
         gens = self.gens[s] if s < len(self.gens) else []
         for i in range(runs[-1][2] if runs else 0, len(gens)):
@@ -268,15 +265,30 @@ class FreeResolution:
                 runs.append((gens[i], i, i + 1))
         return runs
 
-    def _layout(self, s: int, deg: Deg) -> tuple[list, int]:
-        """(blocks, size) of (F_s)_deg: blocks lists (first, stop,
-        deg - |g|, algebra basis there, bit offset) for each run of
-        generators with a nonempty block.  The walk takes one basis per
-        run and stops at the first run above deg in p."""
-        cache = self._layout_cache
-        got = cache.get((s, deg)) if cache is not None else None
+    def gens_at(self, s: int, deg: Deg) -> range:
+        """Indices of the generators of F_s in degree deg."""
+        for gdeg, first, stop in self.runs(s):
+            if gdeg >= deg:
+                return range(first, stop) if gdeg == deg else range(0)
+        return range(0)
+
+    def gen_count(self, s: int, deg: Deg) -> int:
+        return len(self.gens_at(s, deg))
+
+    def _cell(self, s: int, deg: Deg) -> tuple[list, int, dict]:
+        """(blocks, size, place) of (F_s)_deg, cached; `resolve` drops
+        the record when it adds a generator there and when it leaves the
+        cell.  blocks lists (first, stop, deg - |g|, algebra basis there,
+        bit offset) for each run of generators with a nonempty block;
+        place maps generator j to (bit offset, deg - |g_j|) of its
+        block, and a generator with an empty block is absent, as any
+        product landing there is zero.  The walk takes one basis per run
+        and stops at the first run above deg in p."""
+        key = (s, deg)
+        got = self._cells.get(key)
         if got is None:
             blocks = []
+            place = {}
             size = 0
             bases = self._bases
             for gdeg, first, stop in self.runs(s):
@@ -288,42 +300,17 @@ class FreeResolution:
                     basis = bases[sub] = self.algebra.basis(sub)
                 if basis:
                     blocks.append((first, stop, sub, basis, size))
-                    size += len(basis) * (stop - first)
-            got = (blocks, size)
-            if cache is not None:
-                cache[(s, deg)] = got
+                    for j in range(first, stop):
+                        place[j] = (size, sub)
+                        size += len(basis)
+            got = self._cells[key] = (blocks, size, place)
         return got
 
     def cell_basis(self, s: int, deg: Deg) -> tuple:
         """Ordered basis (gen index, algebra monomial) of (F_s) at deg."""
-        key = (s, deg)
-        got = self._basis_cache.get(key)
-        if got is None:
-            blocks, _ = self._layout(s, deg)
-            got = self._basis_cache[key] = tuple(
-                (i, m) for first, stop, _, basis, _ in blocks for i in range(first, stop) for m in basis
-            )
-        return got
-
-    def _place(self, s: int, deg: Deg) -> dict:
-        """Generator j of F_s -> (bit offset, deg - |g_j|) of its block
-        in the cell basis of F_s at deg; a generator with an empty block
-        is absent, as any product landing there is zero."""
-        key = (s, deg)
-        got = self._place_cache.get(key)
-        if got is None:
-            got = self._place_cache[key] = {}
-            for first, stop, sub, basis, offset in self._layout(s, deg)[0]:
-                for j in range(first, stop):
-                    got[j] = (offset + (j - first) * len(basis), sub)
-        return got
-
-    def _drop_cell(self, s: int, deg: Deg) -> None:
-        """Forget the cached layout, basis and placement of F_s at deg."""
-        if self._layout_cache is not None:
-            self._layout_cache.pop((s, deg), None)
-        self._basis_cache.pop((s, deg), None)
-        self._place_cache.pop((s, deg), None)
+        return tuple(
+            (i, m) for first, stop, _, basis, _ in self._cell(s, deg)[0] for i in range(first, stop) for m in basis
+        )
 
     def _rows(self, s: int, deg: Deg) -> tuple[list[int], int]:
         """(rows, width): a row per element of cell_basis(s, deg), bits
@@ -332,7 +319,7 @@ class FreeResolution:
         For s >= 1 all rows of one generator are built at once: each
         coefficient n of its differential on g_j contributes the packed
         rows m*n of the algebra, shifted to the block of g_j."""
-        blocks, _ = self._layout(s, deg)
+        blocks = self._cell(s, deg)[0]
         rows = []
         if s == 0:
             cod = self.target.basis_at(deg)
@@ -347,8 +334,7 @@ class FreeResolution:
                                 row ^= 1 << cod_index[out]
                         rows.append(row)
             return rows, len(cod)
-        _, width = self._layout(s - 1, deg)
-        place = self._place(s - 1, deg)
+        _, width, place = self._cell(s - 1, deg)
         diff = self.diff[s]
         right_rows = self.algebra.right_rows
         for first, stop, sub, basis, _ in blocks:
@@ -382,9 +368,9 @@ class FreeResolution:
 
     def _quasi_inverse(self, s: int, deg: Deg) -> gf2.SpanBuilder:
         key = (s, deg)
-        got = self._cell_cache.get(key)
+        got = self._inverse_cache.get(key)
         if got is None:
-            got = self._cell_cache[key] = self._span(s, deg, track=True)
+            got = self._inverse_cache[key] = self._span(s, deg, track=True)
         return got
 
     def solve_in_cell(self, s: int, deg: Deg, rhs_bits: int) -> Optional[int]:
@@ -397,13 +383,22 @@ class FreeResolution:
         return self._quasi_inverse(s, deg).kernel
 
     def bits_to_element(self, s: int, deg: Deg, bits: int) -> dict:
-        basis = self.cell_basis(s, deg)
+        """Bits over cell_basis(s, deg) as {gen index: algebra monomials};
+        set bits are walked upwards, so the blocks are too."""
+        blocks = iter(self._cell(s, deg)[0])
+        first = offset = end = n = 0
+        basis: tuple = ()
         out: dict = {}
         while bits:
             low = bits & -bits
-            j, m = basis[low.bit_length() - 1]
-            out.setdefault(j, set()).add(m)
             bits ^= low
+            b = low.bit_length() - 1
+            while b >= end:
+                first, stop, _, basis, offset = next(blocks)
+                n = len(basis)
+                end = offset + n * (stop - first)
+            j, k = divmod(b - offset, n)
+            out.setdefault(first + j, set()).add(basis[k])
         return {j: frozenset(v) for j, v in out.items()}
 
 
@@ -434,7 +429,6 @@ def resolve(
     levels = smax + 2
     res.gens = [[] for _ in range(levels)]
     res.diff = [[] for _ in range(levels)]
-    res._layout_cache = {}
 
     for p in range(pmax + 1):
         for deg in algebra.cells_at(p):
@@ -451,13 +445,11 @@ def resolve(
                     else:
                         res.diff[s].append(res.bits_to_element(s - 1, deg, z))
                 if new:  # rebuilt with the new generators
-                    res._drop_cell(s, deg)
+                    res._cells.pop((s, deg))
                 kernel = span.kernel
-            # keep no cell bases, layouts or placements from the loop;
-            # later solves rebuild theirs
+            # keep no cells from the loop; later solves rebuild theirs
             for s in range(levels):
-                res._drop_cell(s, deg)
-    res._layout_cache = None
+                res._cells.pop((s, deg), None)
     return res
 
 
@@ -493,7 +485,7 @@ def ext_chart_coefficients(
     covers = covers or (lambda deg: True)
     chart = ExtChart(flavor, 2, res.smax, res.pmax)
 
-    hom_basis_cache: dict = {}
+    hom_bases: dict = {}
     # (p, q) -> (covers(bidegree), coefficient keys there)
     coefficient_at: dict = {}
 
@@ -501,7 +493,7 @@ def ext_chart_coefficients(
         """(basis (gen index, coefficient key), truncated) of Hom(F_s)
         at the cell; one coefficient degree per run of generators."""
         key = (s, cell)
-        got = hom_basis_cache.get(key)
+        got = hom_bases.get(key)
         if got is None:
             out = []
             truncated = False
@@ -517,7 +509,7 @@ def ext_chart_coefficients(
                 if hkeys:
                     out.extend((i, h) for i in range(first, stop) for h in hkeys)
             got = (tuple(out), truncated)
-            hom_basis_cache[key] = got
+            hom_bases[key] = got
         return got
 
     # incoming[s][j]: (i, coefficients) of every generator i of F_s whose
@@ -601,10 +593,6 @@ def class_of_generator(res: FreeResolution, s: int, deg: Deg, index: int = 0) ->
     return ChartClass(s, deg, 1 << index)
 
 
-def _gen_positions(res: FreeResolution, s: int, deg: Deg) -> list[int]:
-    return [i for i, d in enumerate(res.gens[s]) if d == deg]
-
-
 class ChainMap:
     """A Lambda-linear map V_k: F_{src+k} -> F_k lowering degree by
     `shift`, defined one generator at a time by solving d V_k(g) = rhs in
@@ -622,7 +610,8 @@ class ChainMap:
 
     Each rhs is built straight into bits over the target cell basis from
     the algebra's packed right-multiplication rows, each shifted to its
-    generator's block (`FreeResolution._place`), as `resolve` builds d.
+    generator's block (the placement of `FreeResolution._cell`), as
+    `resolve` builds d.
     """
 
     def __init__(self, res: FreeResolution, src: int, shift: Deg, base=frozenset(), composite=None, rng=None):
@@ -643,8 +632,7 @@ class ChainMap:
         if got is None:
             if len(res.gens[0]) != 1:
                 raise ValueError("chain lifting expects a single generator in filtration 0")
-            positions = _gen_positions(res, c.s, c.deg)
-            base = frozenset(gi for n, gi in enumerate(positions) if (c.bits >> n) & 1)
+            base = frozenset(gi for n, gi in enumerate(res.gens_at(c.s, c.deg)) if (c.bits >> n) & 1)
             got = res._lift_cache[key] = cls(res, c.s, c.deg, base=base)
         return got
 
@@ -692,7 +680,7 @@ class ChainMap:
         res = self.res
         algebra = res.algebra
         gens = res.gens[self.src + k]
-        place = res._place(k, sub_deg(deg, self.shift))
+        place = res._cell(k, sub_deg(deg, self.shift))[2]
         bits = 0
         for j, coeffs in elt.items():
             image = self.value(k, j)
@@ -714,13 +702,10 @@ class ChainMap:
 def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, level_s: int, elt: dict) -> int:
     """Pair the generator-dual cocycle against an element of F_{level_s}:
     picks unit coefficients at the dual'd generators."""
-    positions = {gi: n for n, gi in enumerate(_gen_positions(res, cls.s, cls.deg))}
+    gens = res.gens_at(cls.s, cls.deg)
     out = 0
     for j, coeffs in elt.items():
-        n = positions.get(j)
-        if n is None or not ((cls.bits >> n) & 1):
-            continue
-        if res.algebra.unit in coeffs:
+        if j in gens and (cls.bits >> (j - gens.start)) & 1 and res.algebra.unit in coeffs:
             out ^= 1
     return out
 
@@ -735,7 +720,7 @@ def yoneda_product(res: FreeResolution, x: ChartClass, y: ChartClass) -> ChartCl
         return ChartClass(s, deg, 0)
     lift = ChainMap.lift(res, y)
     bits = 0
-    for n, gi in enumerate(_gen_positions(res, s, deg)):
+    for n, gi in enumerate(res.gens_at(s, deg)):
         if _evaluate_cocycle(res, x, x.s, lift.value(x.s, gi)):
             bits |= 1 << n
     return ChartClass(s, deg, bits)
@@ -781,17 +766,17 @@ def massey_triple(
         raise WindowExceededError("bracket lands outside the computed window")
     hom = ChainMap.homotopy(res, b, c, rng=rng)
     bits = 0
-    for n, gi in enumerate(_gen_positions(res, s, deg)):
+    for n, gi in enumerate(res.gens_at(s, deg)):
         if _evaluate_cocycle(res, a, a.s, hom.value(a.s, gi)):
             bits |= 1 << n
     # indeterminacy: a . Ext^{s_b+s_c-1} + Ext^{s_a+s_b-1} . c
     vectors = []
     left_cell = (b.s + c.s - 1, add_deg(b.deg, c.deg))
-    for n, _ in enumerate(_gen_positions(res, *left_cell)):
+    for n in range(res.gen_count(*left_cell)):
         e = ChartClass(left_cell[0], left_cell[1], 1 << n)
         vectors.append(yoneda_product(res, a, e).bits)
     right_cell = (a.s + b.s - 1, add_deg(a.deg, b.deg))
-    for n, _ in enumerate(_gen_positions(res, *right_cell)):
+    for n in range(res.gen_count(*right_cell)):
         e = ChartClass(right_cell[0], right_cell[1], 1 << n)
         vectors.append(yoneda_product(res, e, c).bits)
     ncols = max(res.gen_count(s, deg), 1)

@@ -80,17 +80,19 @@ def q_action(j: int, x: HElement | ExtMono) -> HElement:
 
 @dataclass(frozen=True)
 class IsotropicWindow:
-    """All exterior monomials r_I, I within {0..n_max}, inside a
-    bidegree box.  Window-complete: any monomial of the full exterior
-    algebra whose bidegree lies in the box uses only r_0..r_{n_max}."""
+    """All exterior monomials r_I, I within {0..n_max}, of topological
+    degree p_min <= p (every r_I has p <= 0).  Window-complete: any
+    monomial of the full exterior algebra in that range uses only
+    r_0..r_{n_max}."""
 
     n_max: int
     p_min: int
-    p_max: int = 0
 
     def __post_init__(self) -> None:
+        if self.p_min > 0:
+            raise ValueError(f"window empty: p_min must be <= 0, got {self.p_min}")
         # r_{n_max+1} alone (the least negative escapee) must fall
-        # outside the box, and with it every monomial involving it
+        # outside the range, and with it every monomial involving it
         if r_degree(self.n_max + 1).p >= self.p_min:
             raise ValueError("window not complete: raise n_max or p_min")
 
@@ -98,12 +100,12 @@ class IsotropicWindow:
         out = []
         for bits in range(2 ** (self.n_max + 1)):
             I = tuple(i for i in range(self.n_max + 1) if (bits >> i) & 1)
-            if self.p_min <= ext_degree(I).p <= self.p_max:
+            if self.p_min <= ext_degree(I).p:
                 out.append(I)
         return tuple(sorted(out))
 
     def contains(self, I: ExtMono) -> bool:
-        return all(i <= self.n_max for i in I) and self.p_min <= ext_degree(I).p <= self.p_max
+        return all(i <= self.n_max for i in I) and self.p_min <= ext_degree(I).p
 
 
 def window_for_depth(p_min: int) -> IsotropicWindow:

@@ -293,7 +293,6 @@ def dual_coproduct(x: DualMono) -> frozenset[tuple[DualMono, DualMono]]:
 # the product formula
 
 
-@lru_cache(maxsize=None)
 def _matrices(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
     """All matrices X with row condition R(X) = r and column condition
     S(X) = s, as (inner rows, derived first column); the derived first

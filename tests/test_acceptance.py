@@ -4,12 +4,16 @@ with its measured scope so a `-s` run reads as a checklist.
 Run:  pytest tests/test_acceptance.py -v -s
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from isoadams import adem, charts, cli, cobar, gf2, homological as H, isotropic as iso, milnor
+from isoadams import adem, charts, cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree, Element
 
@@ -26,6 +30,36 @@ def all_monos(max_p):
     return out
 
 
+def triples_by_degree(max_p, count, rng, floor=20):
+    """At least `count` triples of Milnor monomials of total degree <= max_p,
+    drawn degree by degree: each total degree d gets its share of all
+    such triples, and at least `floor` of them (or all it has), each
+    drawn uniformly among the triples of total degree d."""
+    by_degree = {p: [m for q in range(p + 1) for m in milnor.basis(p, q)] for p in range(max_p + 1)}
+    # ways[k][d]: number of k-tuples of monomials of total degree d
+    ways = [{0: 1}]
+    for _ in range(3):
+        ways.append({})
+        for d, w in ways[-2].items():
+            for p, ms in by_degree.items():
+                if d + p <= max_p:
+                    ways[-1][d + p] = ways[-1].get(d + p, 0) + w * len(ms)
+    total = sum(ways[3].values())
+    out = []
+    for d, w in sorted(ways[3].items()):
+        for _ in range(max(-(-count * w // total), min(floor, w))):
+            left, triple = d, []
+            for k in (2, 1, 0):
+                # this slot's degree, weighted by how many triples it extends to
+                options = [p for p in by_degree if p <= left and ways[k].get(left - p)]
+                weights = [len(by_degree[p]) * ways[k][left - p] for p in options]
+                p = rng.choices(options, weights)[0]
+                triple.append(rng.choice(by_degree[p]))
+                left -= p
+            out.append(tuple(triple))
+    return out
+
+
 def test_criterion_1_product_oracle_and_associativity():
     t0 = time.time()
     monos24 = all_monos(24)
@@ -38,19 +72,14 @@ def test_criterion_1_product_oracle_and_associativity():
             ea, eb = Element([a]), Element([b])
             assert milnor.multiply(ea, eb) == milnor.multiply_via_duality(ea, eb), (a, b)
             pairs += 1
-    monos40 = all_monos(40)
-    degs40 = {m: milnor.mono_degree(m).p for m in monos40}
-    rng = random.Random(2024)
     triples = 0
-    while triples < 10_000:
-        a, b, c = rng.choice(monos40), rng.choice(monos40), rng.choice(monos40)
-        if degs40[a] + degs40[b] + degs40[c] > 40:
-            continue
+    for a, b, c in triples_by_degree(40, 10_000, random.Random(2024)):
         ea, eb, ec = Element([a]), Element([b]), Element([c])
         assert milnor.multiply(milnor.multiply(ea, eb), ec) == milnor.multiply(
             ea, milnor.multiply(eb, ec)
         )
         triples += 1
+    assert triples >= 10_000
     elapsed = time.time() - t0
     assert elapsed < 60, f"runtime target exceeded: {elapsed:.1f}s"
     report(1, f"{pairs} exhaustive oracle pairs (p<=24), {triples} associativity triples (p<=40) in {elapsed:.1f}s")
@@ -276,14 +305,31 @@ def test_criterion_10_bracket_with_indeterminacy():
     report(10, "<h0,h1^2,h0> in Ext^{3,6}: engine (canonical and perturbed homotopy) and cobar oracle agree, indeterminacy rank 1")
 
 
+PEAK_RSS_SCRIPT = (
+    "import resource, sys\n"
+    "from isoadams import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print('peak_rss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    "sys.exit(code)\n"
+)
+
+
 @pytest.mark.slow
-def test_identification_to_classical_t40(capsys):
-    # the t <= 40 rung: `isoadams isotropic --tmax 80 --smax 14`
+def test_identification_to_classical_t40():
+    # the t <= 40 rung: `isoadams isotropic --tmax 80 --smax 14`, in its
+    # own process so that its peak resident memory is its own
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
     t0 = time.time()
-    code = cli.main(["isotropic", "--tmax", "80", "--smax", "14"])
-    out = capsys.readouterr().out.splitlines()
-    assert "verdict: MATCH" in out
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "isotropic", "--tmax", "80", "--smax", "14"],
+        capture_output=True, text=True, env=env,
+    )
+    elapsed = time.time() - t0
+    out = proc.stdout.splitlines()
+    assert "verdict: MATCH" in out, proc.stderr
     assert "vanishing regions: ok" in out
-    assert code == 0
-    with capsys.disabled():
-        report("8 (t <= 40)", f"isotropic chart = doubled classical chart to classical t <= 40, s <= 14, in {time.time() - t0:.1f}s")
+    assert proc.returncode == 0
+    peak_mb = int(out[-1].split()[1]) / 1024
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
+    report("8 (t <= 40)", f"isotropic chart = doubled classical chart to classical t <= 40, s <= 14, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")

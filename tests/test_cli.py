@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -221,13 +222,31 @@ def test_isotropic_tmax_zero_runs_that_window(capsys):
         ["resolve", "--smax", "-1"],
         ["isotropic", "--smax", "-1"],
         ["massey", "h0", "h1", "h0", "--tmax", "-2"],
+        ["isotropic", "--nmax", "-5"],
+        ["resolve", "--flavor", "isotropic", "--nmax", "-5"],
+        ["isotropic", "--tmax", "8", "--pmin", "-3", "--nmax", "0"],
+        ["isotropic", "--tmax", "8", "--pmin", "5"],
+        ["resolve", "--flavor", "isotropic", "--tmax", "8", "--pmin", "5"],
     ],
 )
 def test_negative_window_is_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+    # a negative count fails in the parser, a window without a complete
+    # or nonempty exterior range before anything is solved
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
-    assert exc.value.code == 2 and "must be >= 0" in out.err and out.out == ""
+    assert code == 2 and out.out == ""
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert re.search(r"error: (argument --\w+: must be >= 0|window (empty|not complete))", errors[0])
+
+
+def test_pmax_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["isotropic", "--tmax", "16", "--smax", "4", "--nmax", "2", "--pmax", "-1"])
+    assert exc.value.code == 2 and "--pmax" in capsys.readouterr().err
 
 
 def test_massey_outside_window_is_usage_error(capsys):

@@ -156,6 +156,13 @@ def test_solve_in_cell_maps_to_rhs(small_res, data):
     other = data.draw(st.integers(0, (1 << len(cod)) - 1)) if cod else 0
     solvable = gf2.rank_ints(rows + [other], max(len(cod), 1)) == gf2.rank_ints(rows, max(len(cod), 1))
     assert (res.solve_in_cell(s, deg, other) is not None) == solvable
+    # the block decode agrees with the flat cell basis
+    x = data.draw(st.integers(0, (1 << len(rows)) - 1))
+    flat: dict = {}
+    for n, (j, m) in enumerate(res.cell_basis(s, deg)):
+        if (x >> n) & 1:
+            flat.setdefault(j, set()).add(m)
+    assert res.bits_to_element(s, deg, x) == {j: frozenset(v) for j, v in flat.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +518,17 @@ def _reference_diff_rows(res, s, deg):
                         row ^= 1 << index[(j, t)]
         rows.append(row)
     return dom, rows, len(cod)
+
+
+def test_a0_resolve_and_lifts_keep_no_milnor_product_cache():
+    # right_rows is the only store of the products the resolution and
+    # its chain maps use; milnor.multiply_mono's cache stays untouched
+    milnor.multiply_mono.cache_clear()
+    res = H.resolve(H.algebra_for("A0", 12), smax=4, pmax=10)
+    x = H.class_of_generator(res, 1, res.gens[1][0])
+    H.yoneda_product(res, x, x)
+    assert res.algebra._right_rows
+    assert milnor.multiply_mono.cache_info().currsize == 0
 
 
 def _two_point_target():
