@@ -18,15 +18,9 @@ def main():
     print(f"  unique: {table.report.unique}; entries: {len(table.entries)}")
 
     print("\n== resolve the generalized algebra and take Hom into the coefficients ==")
-    window = iso.IsotropicWindow(4, -(2 * tmax_cl + 2))
-    coeffs = iso.isotropic_coefficients(table, window)
-
-    def covers(d):
-        decoded = iso.ext_from_degree(d)
-        return decoded is None or window.contains(decoded)
-
-    res = H.resolve(H.algebra_for("A0", 2 * tmax_cl + 2), smax=smax, pmax=2 * tmax_cl)
-    ichart = H.ext_chart_coefficients(res, coeffs, covers=covers)
+    # the window `isoadams isotropic --tmax 44` uses: r_0..r_4, p >= -46
+    window = iso.window_for_depth(-(2 * tmax_cl + 2))
+    ichart = iso.isotropic_chart(window, smax, 2 * tmax_cl)
     print(f"  nonzero cells: {len(ichart.nonzero_cells())}")
     off_line = [c for c, d in ichart.nonzero_cells() if c[1][0] != 2 * c[1][1]]
     print(f"  support off the t = 2u line: {off_line or 'none'}")

@@ -26,7 +26,7 @@ from .homological import (
 )
 from .charts import ExtChart, compare_doubling, compare_equality, vanishing_check
 from .cobar import cobar_ext, dual_coalgebra
-from .isotropic import IsotropicWindow, q_action, solve_action_table, sq_action
+from .isotropic import IsotropicWindow, isotropic_chart, q_action, solve_action_table, sq_action
 
 __all__ = [
     "Bidegree",
@@ -44,6 +44,7 @@ __all__ = [
     "dual_coalgebra",
     "ext_chart_coefficients",
     "ext_chart_field",
+    "isotropic_chart",
     "massey_triple",
     "multiply",
     "multiply_via_duality",

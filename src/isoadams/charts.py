@@ -40,10 +40,6 @@ class ExtChart:
     def nonzero_cells(self) -> list[tuple[Cell, int]]:
         return [(c, d) for c, d in self.sorted_cells() if d]
 
-    def stem(self, cell: Cell) -> int:
-        (s, deg) = cell
-        return deg[0] - s
-
     def class_name_at(self, s: int, deg: Deg, index: int) -> Optional[str]:
         for name, ref in self.classes.items():
             if ref == (s, tuple(deg), index):

@@ -1,16 +1,17 @@
 """Command-line surface: element arithmetic, resolutions, chart
 emission/comparison, Massey products, and the isotropic-vs-classical
-chart identification.
+chart identification.  `isotropic` is the one command that builds the
+isotropic chart; `resolve` and `massey` work over classical, G and A0.
 
 Exit codes: 0 success/match, 1 mismatch, 2 usage error, 3 window
-truncation under --strict.
+truncation under `isotropic --strict`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -23,38 +24,16 @@ EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
 
-@dataclass
-class JobConfig:
-    """Reproducibility record stamped into emitted charts: identical
-    configs yield byte-identical outputs."""
-
-    command: str
-    flavor: str = "classical"
-    tmax: int = 12
-    smax: int = 8
-    qmin: Optional[int] = None
-    qmax: Optional[int] = None
-    nmax: Optional[int] = None
-    fmt: str = "csv"
-    strict: Optional[bool] = None
-
-    @classmethod
-    def from_args(cls, args) -> "JobConfig":
-        # massey has no weight, generator-range or --strict flags
-        return cls(
-            command=args.command,
-            flavor=getattr(args, "flavor", "isotropic"),
-            tmax=args.tmax,
-            smax=args.smax,
-            qmin=getattr(args, "qmin", None),
-            qmax=getattr(args, "qmax", None),
-            nmax=getattr(args, "nmax", None),
-            fmt=args.format,
-            strict=getattr(args, "strict", None),
-        )
-
-    def as_meta(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+def _job_meta(args) -> dict:
+    """Reproducibility record stamped into emitted charts: the command
+    and every flag that shapes the chart, so identical records yield
+    byte-identical outputs."""
+    meta = {"command": args.command, "flavor": getattr(args, "flavor", "isotropic")}
+    for flag in ("tmax", "smax", "qmin", "qmax", "nmax", "pmin", "format", "strict"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            meta["fmt" if flag == "format" else flag] = value
+    return meta
 
 
 def _emit(chart: ExtChart, fmt: str, out: Optional[str]) -> None:
@@ -81,11 +60,10 @@ def _filter_weights(chart: ExtChart, qmin: Optional[int], qmax: Optional[int]) -
         return chart
     keep = {}
     for (s, deg), dim in chart.cells.items():
-        if len(deg) == 2:
-            if qmin is not None and deg[1] < qmin:
-                continue
-            if qmax is not None and deg[1] > qmax:
-                continue
+        if qmin is not None and deg[1] < qmin:
+            continue
+        if qmax is not None and deg[1] > qmax:
+            continue
         keep[(s, deg)] = dim
     return replace(chart, cells=keep)
 
@@ -163,58 +141,14 @@ def _fill_product_table(chart: ExtChart, res: H.FreeResolution) -> None:
             }
 
 
-def _isotropic_charts(
-    smax: int, tmax_classical: int, nmax: Optional[int], pmin: Optional[int]
-) -> tuple[int, Optional[tuple[ExtChart, ExtChart]]]:
-    """(exit code, charts): the isotropic chart plus the classical chart
-    it is compared to.
-
-    The charts are None, after a report on stderr, when the window is
-    invalid (exit 2) or the action table is not unique (exit 1): the
-    isotropic chart is then undefined, so nothing is resolved."""
-    pmax = 2 * tmax_classical
-    if pmin is None:
-        # deep enough for the resolved range, or the shallowest depth the
-        # requested generator range supports
-        pmin = -(pmax + 2) if nmax is None else iso.r_degree(nmax + 1).p + 1
-    try:
-        window = iso.window_for_depth(pmin) if nmax is None else iso.IsotropicWindow(nmax, pmin)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE, None
-    table = iso.solve_action_table(n_max=window.n_max, w_max=tmax_classical)
-    report = table.report
-    if not report.unique:
-        print("action table not unique; the isotropic chart is undefined", file=sys.stderr)
-        print("underdetermined:", report.underdetermined, "inconsistent:", report.inconsistent, file=sys.stderr)
-        return EXIT_MISMATCH, None
-    coeffs = iso.isotropic_coefficients(table, window)
-
-    def covers(d):
-        decoded = iso.ext_from_degree(d)
-        return decoded is None or window.contains(decoded)
-
-    res = H.resolve(H.algebra_for("A0", pmax + 2), smax=smax, pmax=pmax)
-    ichart = H.ext_chart_coefficients(res, coeffs, flavor="isotropic", covers=covers)
-    cchart, _ = _field_chart("classical", smax, tmax_classical)
-    return EXIT_OK, (ichart, cchart)
-
-
 def cmd_resolve(args) -> int:
-    if args.flavor == "isotropic":
-        code, pair = _isotropic_charts(args.smax, args.tmax // 2, args.nmax, args.pmin)
-        if pair is None:
-            return code
-        chart = pair[0]
-    else:
-        chart, _ = _field_chart(args.flavor, args.smax, args.tmax)
+    if args.flavor == "classical" and (args.qmin is not None or args.qmax is not None):
+        print("error: --qmin/--qmax select by the weight u, which the classical chart does not carry", file=sys.stderr)
+        return EXIT_USAGE
+    chart, _ = _field_chart(args.flavor, args.smax, args.tmax)
     chart = _filter_weights(chart, args.qmin, args.qmax)
-    chart.meta["job"] = JobConfig.from_args(args).as_meta()
+    chart.meta["job"] = _job_meta(args)
     _emit(chart, args.format, args.out)
-    truncated_inside = [c for c in chart.truncated if c[1][0] <= args.tmax]
-    if args.strict and truncated_inside:
-        print(f"window-truncated cells: {sorted(truncated_inside)[:10]}", file=sys.stderr)
-        return EXIT_TRUNCATED
     return EXIT_OK
 
 
@@ -276,9 +210,6 @@ def _describe_class(res: H.FreeResolution, chart: ExtChart, s: int, deg, bits: i
 
 
 def cmd_massey(args) -> int:
-    if args.flavor == "isotropic":
-        print("error: massey products are computed on the classical/G/A0 charts", file=sys.stderr)
-        return EXIT_USAGE
     chart, res = _field_chart(args.flavor, args.smax, args.tmax)
     try:
         a = _named_class(res, chart, args.a)
@@ -309,18 +240,32 @@ def cmd_massey(args) -> int:
                 "indeterminacy_rank": len(result.indeterminacy),
             }
         )
-        chart.meta["job"] = JobConfig.from_args(args).as_meta()
+        chart.meta["job"] = _job_meta(args)
         _emit(chart, args.format, args.out)
     return EXIT_OK
 
 
 def cmd_isotropic(args) -> int:
     tmax_classical = args.tmax // 2
-    code, pair = _isotropic_charts(args.smax, tmax_classical, args.nmax, args.pmin)
-    if pair is None:
-        return code
-    ichart, cchart = pair
-    ichart.meta["job"] = JobConfig.from_args(args).as_meta()
+    pmax = 2 * tmax_classical
+    pmin = args.pmin
+    if pmin is None:
+        # deep enough for the resolved range, or the shallowest depth the
+        # requested generator range supports
+        pmin = -(pmax + 2) if args.nmax is None else iso.r_degree(args.nmax + 1).p + 1
+    try:
+        window = iso.window_for_depth(pmin) if args.nmax is None else iso.IsotropicWindow(args.nmax, pmin)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        ichart = iso.isotropic_chart(window, args.smax, pmax)
+    except iso.ActionTableNotUnique as err:
+        print(err, file=sys.stderr)
+        return EXIT_MISMATCH
+    cres = H.resolve(H.algebra_for("classical", tmax_classical + 2), smax=args.smax, pmax=tmax_classical)
+    cchart = H.ext_chart_field(cres)
+    ichart.meta["job"] = _job_meta(args)
     if args.out:
         _emit(_filter_weights(ichart, args.qmin, args.qmax), args.format, args.out)
     rep = charts.compare_doubling(cchart, ichart)
@@ -328,7 +273,7 @@ def cmd_isotropic(args) -> int:
     for line in rep.lines():
         print(line)
     print(f"vanishing regions: {'ok' if van.ok else van.violations}")
-    truncated_inside = [c for c in ichart.truncated if c[1][0] <= 2 * tmax_classical]
+    truncated_inside = [c for c in ichart.truncated if c[1][0] <= pmax]
     if args.strict and truncated_inside:
         print(f"window-truncated cells: {sorted(truncated_inside)[:10]}", file=sys.stderr)
         return EXIT_TRUNCATED
@@ -360,13 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json", "svg", "ascii"], default="csv")
         p.add_argument("--out", type=str, default=None)
 
-    def window_flags(p, tmax_default=12):
-        output_flags(p, tmax_default)
+    def weight_flags(p):
         p.add_argument("--qmin", type=int, default=None)
         p.add_argument("--qmax", type=int, default=None)
-        p.add_argument("--nmax", type=_non_negative, default=None)
-        p.add_argument("--pmin", type=int, default=None)
-        p.add_argument("--strict", action="store_true")
 
     p_mul = sub.add_parser("mul", help="multiply two elements")
     p_mul.add_argument("lhs")
@@ -376,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.set_defaults(func=cmd_mul)
 
     p_res = sub.add_parser("resolve", help="minimal resolution and Ext chart")
-    p_res.add_argument("--flavor", choices=["classical", "G", "A0", "isotropic"], default="classical")
-    window_flags(p_res)
+    p_res.add_argument("--flavor", choices=["classical", "G", "A0"], default="classical")
+    output_flags(p_res)
+    weight_flags(p_res)
     p_res.set_defaults(func=cmd_resolve)
 
     p_cmp = sub.add_parser("compare", help="compare two chart files")
@@ -391,14 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_mas.add_argument("a")
     p_mas.add_argument("b")
     p_mas.add_argument("c")
-    p_mas.add_argument("--flavor", choices=["classical", "G", "A0", "isotropic"], default="classical")
+    p_mas.add_argument("--flavor", choices=["classical", "G", "A0"], default="classical")
     output_flags(p_mas)
     p_mas.set_defaults(func=cmd_massey)
 
     p_iso = sub.add_parser(
         "isotropic", help="isotropic chart and comparison against the classical chart"
     )
-    window_flags(p_iso, tmax_default=44)
+    output_flags(p_iso, tmax_default=44)
+    weight_flags(p_iso)
+    p_iso.add_argument("--nmax", type=_non_negative, default=None)
+    p_iso.add_argument("--pmin", type=int, default=None)
+    p_iso.add_argument("--strict", action="store_true")
     p_iso.set_defaults(func=cmd_isotropic)
 
     return parser

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from . import gf2, milnor
+from . import gf2, homological, milnor
+from .charts import ExtChart
 from .homological import WindowExceededError
 from .milnor import Bidegree, Mono
 from .modules import FiniteModule
@@ -107,6 +108,12 @@ class IsotropicWindow:
     def contains(self, I: ExtMono) -> bool:
         return all(i <= self.n_max for i in I) and self.p_min <= ext_degree(I).p
 
+    def covers(self, deg: Bidegree) -> bool:
+        """Whether the window holds the full exterior algebra at this
+        bidegree: no monomial outside the window sits there."""
+        I = ext_from_degree(deg)
+        return I is None or self.contains(I)
+
 
 def window_for_depth(p_min: int) -> IsotropicWindow:
     """Smallest complete window reaching topological degree p_min."""
@@ -151,20 +158,14 @@ class ActionTable:
     report: SolveReport
     _memo: dict = field(default_factory=dict, repr=False)
 
-    def p_target(self, weight: int, i: int) -> Optional[int]:
-        gap = 2**i - weight
-        if gap <= 0 or gap & (gap - 1):
-            return None
-        return gap.bit_length() - 1  # weight 0 gives back i itself
-
     def act_p_on_generator(self, r: tuple[int, ...], i: int) -> HElement:
         if not r:
             return frozenset([(i,)])
-        w = sum(rj * (2**j - 1) for j, rj in enumerate(r, start=1))
+        w = _weight(r)
         if w > self.w_max or i > self.n_max:
             raise WindowExceededError(f"P^{r} on r_{i} outside solved window")
         if (r, i) in self.entries:
-            return frozenset([(self.p_target(w, i),)])
+            return frozenset([(_p_target(w, i),)])
         return H_ZERO
 
     def act_p(self, r: tuple[int, ...], I: ExtMono) -> HElement:
@@ -198,18 +199,6 @@ class ActionTable:
             out = q_action(j, out)
         return out
 
-    def act(self, m: Mono, x: HElement) -> HElement:
-        out: set[ExtMono] = set()
-        for I in x:
-            out ^= self.act_mono(m, I)
-        return frozenset(out)
-
-    def act_element(self, a: milnor.Element, x: HElement) -> HElement:
-        out: set[ExtMono] = set()
-        for m in a.terms:
-            out ^= self.act(m, x)
-        return frozenset(out)
-
 
 @lru_cache(maxsize=None)
 def _p_splits(r: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -222,6 +211,15 @@ def _p_splits(r: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...
 
 def _weight(r: tuple[int, ...]) -> int:
     return sum(rj * (2**j - 1) for j, rj in enumerate(r, start=1))
+
+
+def _p_target(weight: int, i: int) -> Optional[int]:
+    """The k with 2^k = 2^i - weight: the only r_k that P^R r_i can hit
+    when weight(R) = weight (see ActionTable), or None."""
+    gap = 2**i - weight
+    if gap <= 0 or gap & (gap - 1):
+        return None
+    return gap.bit_length() - 1  # weight 0 gives back i itself
 
 
 def solve_action_table(n_max: int, w_max: int) -> ActionTable:
@@ -243,9 +241,7 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
         if not r:
             return i
         if (r, i) in solved:
-            w = _weight(r)
-            gap = 2**i - w
-            return gap.bit_length() - 1
+            return _p_target(_weight(r), i)
         return None
 
     def generator_value(h: int, k: int) -> bool:
@@ -258,8 +254,7 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
         index = {r: n for n, r in enumerate(r_list)}
         squares = [h for h in (2**a for a in range(w.bit_length() + 1)) if h <= w]
         for i in range(n_max + 1):
-            gap = 2**i - w
-            has_target = gap > 0 and not (gap & (gap - 1))
+            target = _p_target(w, i)
             rows: list[int] = []
             rhs_bits: list[int] = []
 
@@ -285,7 +280,7 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
                 for r in r_list:
                     # P^R Q_k = Q_k P^R + sum_j Q_{k+j} P^{R - 2^k e_j}
                     lhs: list[tuple[int, ...]] = []
-                    if has_target and k == (gap.bit_length() - 1):
+                    if k == target:
                         lhs.append(r)
                     rhs = False
                     for j in range(1, len(r) + 1):
@@ -299,14 +294,14 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
                     if lhs or rhs:
                         add_equation(lhs, rhs)
 
-            n_unknown = len(r_list) if has_target else 0
-            if not has_target:
+            if target is None:
                 # no admissible target: all constants vanish; equations
                 # must agree
                 if any(rhs_bits):
                     report.inconsistent.append((w, i))
                 report.solution_dims[(w, i)] = 0
                 continue
+            n_unknown = len(r_list)
             b = 0
             for n, bit in enumerate(rhs_bits):
                 b |= bit << n
@@ -349,6 +344,32 @@ def isotropic_coefficients(table: ActionTable, window: IsotropicWindow) -> Finit
         return frozenset(J for J in table.act_mono(m, I) if window.contains(J))
 
     return FiniteModule(keys, ext_degree, act, "isotropic-window")
+
+
+class ActionTableNotUnique(ValueError):
+    """The solved action table is not unique, so the isotropic chart is
+    undefined."""
+
+
+def isotropic_chart(window: IsotropicWindow, smax: int, pmax: int) -> ExtChart:
+    """The isotropic Adams E2 chart: Ext over the generalized algebra with
+    coefficients in the window's exterior module, for s <= smax and
+    topological degree p <= pmax.  Cells the window cannot hold in full
+    are flagged truncated.
+
+    A P^R in a differential of degree <= pmax has weight <= pmax / 2, so
+    the action table is solved to that weight; a non-unique table raises
+    ActionTableNotUnique before anything is resolved."""
+    table = solve_action_table(n_max=window.n_max, w_max=pmax // 2)
+    report = table.report
+    if not report.unique:
+        raise ActionTableNotUnique(
+            "action table not unique; the isotropic chart is undefined\n"
+            f"underdetermined: {report.underdetermined} inconsistent: {report.inconsistent}"
+        )
+    coeffs = isotropic_coefficients(table, window)
+    res = homological.resolve(homological.algebra_for("A0", pmax + 2), smax=smax, pmax=pmax)
+    return homological.ext_chart_coefficients(res, coeffs, covers=window.covers)
 
 
 # ---------------------------------------------------------------------------

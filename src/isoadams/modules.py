@@ -37,18 +37,6 @@ class FiniteModule:
     def degrees(self) -> list[Bidegree]:
         return sorted({self.degree_of(k) for k in self.keys})
 
-    def act(self, mono: Mono, element: frozenset) -> frozenset:
-        out: set = set()
-        for k in element:
-            out ^= self.act_mono(mono, k)
-        return frozenset(out)
-
-    def act_element(self, a: milnor.Element, element: frozenset) -> frozenset:
-        out: set = set()
-        for m in a.terms:
-            out ^= self.act(m, element)
-        return frozenset(out)
-
 
 def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "trivial") -> FiniteModule:
     """Direct sum of shifted copies of the ground field: positive-degree

@@ -189,17 +189,10 @@ def test_criterion_7_ext_engine_vs_cobar():
 def test_criterion_8_main_theorem_desk_scale():
     t0 = time.time()
     smax, tmax_cl = 8, 22  # covers classical stems <= 14 in every computed filtration
-    table = iso.solve_action_table(n_max=4, w_max=tmax_cl)
-    assert table.report.unique, "action table must be unique for the primary form of this criterion"
-    window = iso.IsotropicWindow(4, -(2 * tmax_cl + 2))
-    coeffs = iso.isotropic_coefficients(table, window)
-
-    def covers(d):
-        decoded = iso.ext_from_degree(d)
-        return decoded is None or window.contains(decoded)
-
-    res = H.resolve(H.algebra_for("A0", 2 * tmax_cl + 2), smax=smax, pmax=2 * tmax_cl)
-    ichart = H.ext_chart_coefficients(res, coeffs, covers=covers)
+    # the window `isoadams isotropic --tmax 44` uses; isotropic_chart
+    # raises unless the action table is unique
+    window = iso.window_for_depth(-(2 * tmax_cl + 2))
+    ichart = iso.isotropic_chart(window, smax, 2 * tmax_cl)
     for (s, deg), dim in ichart.nonzero_cells():
         assert deg[0] == 2 * deg[1], f"support off the t = 2u line at {(s, deg)}"
     cchart = H.ext_chart_field(H.resolve(H.algebra_for("classical", tmax_cl + 2), smax=smax, pmax=tmax_cl))

@@ -202,17 +202,46 @@ def test_isotropic_non_unique_action_table_is_a_mismatch(monkeypatch, tmp_path, 
 
     monkeypatch.setattr(iso, "solve_action_table", ambiguous)
     monkeypatch.setattr(H, "resolve", no_resolve)
-    for command in (["isotropic"], ["resolve", "--flavor", "isotropic"]):
-        out_file = tmp_path / "iso.csv"
-        code, out, err = run_cli(command + ["--tmax", "8", "--smax", "3", "--out", str(out_file)], capsys)
-        assert code == 1, command
-        assert "not unique" in err and "(2, 0)" in err, command
-        assert "verdict" not in out and not out_file.exists(), command
+    out_file = tmp_path / "iso.csv"
+    code, out, err = run_cli(["isotropic", "--tmax", "8", "--smax", "3", "--out", str(out_file)], capsys)
+    assert code == 1
+    assert "not unique" in err and "(2, 0)" in err
+    assert "verdict" not in out and not out_file.exists()
+
+
+def test_isotropic_job_stamps_pmin(tmp_path, capsys):
+    # --pmin narrows the window, so it changes the chart and must change
+    # the record that claims to reproduce it
+    jobs, truncated = [], []
+    for pmin in ("-9", "-5"):
+        out_file = tmp_path / f"iso{pmin}.json"
+        code, _, _ = run_cli(
+            ["isotropic", "--tmax", "16", "--smax", "4", "--nmax", "2", "--pmin", pmin,
+             "--format", "json", "--out", str(out_file)], capsys)
+        assert code == 0
+        chart = json.loads(out_file.read_text())
+        jobs.append(chart["meta"]["job"])
+        truncated.append(chart["truncated"])
+    assert truncated[0] != truncated[1]
+    assert [job["pmin"] for job in jobs] == [-9, -5]
+    assert jobs[0] != jobs[1]
 
 
 def test_isotropic_tmax_zero_runs_that_window(capsys):
     code, out, _ = run_cli(["isotropic", "--tmax", "0", "--smax", "2"], capsys)
     assert code == 0 and "checked 3 cells" in out
+
+
+# the isotropic chart has one command, `isotropic`, and the classical
+# chart has no weight to filter on
+REMOVED_PATHS = [
+    ["resolve", "--flavor", "isotropic"],
+    ["resolve", "--nmax", "2"],
+    ["resolve", "--pmin", "-4"],
+    ["resolve", "--strict"],
+    ["massey", "h0", "h1", "h0", "--flavor", "isotropic"],
+    ["resolve", "--flavor", "classical", "--tmax", "6", "--smax", "2", "--qmax", "0"],
+]
 
 
 @pytest.mark.parametrize(
@@ -223,15 +252,15 @@ def test_isotropic_tmax_zero_runs_that_window(capsys):
         ["isotropic", "--smax", "-1"],
         ["massey", "h0", "h1", "h0", "--tmax", "-2"],
         ["isotropic", "--nmax", "-5"],
-        ["resolve", "--flavor", "isotropic", "--nmax", "-5"],
         ["isotropic", "--tmax", "8", "--pmin", "-3", "--nmax", "0"],
         ["isotropic", "--tmax", "8", "--pmin", "5"],
-        ["resolve", "--flavor", "isotropic", "--tmax", "8", "--pmin", "5"],
+        *REMOVED_PATHS,
     ],
 )
 def test_negative_window_is_usage_error(argv, capsys):
     # a negative count fails in the parser, a window without a complete
-    # or nonempty exterior range before anything is solved
+    # or nonempty exterior range before anything is solved; so does a
+    # removed flavor or flag, and a weight filter on the classical chart
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -240,7 +269,11 @@ def test_negative_window_is_usage_error(argv, capsys):
     assert code == 2 and out.out == ""
     errors = [line for line in out.err.splitlines() if "error:" in line]
     assert len(errors) == 1
-    assert re.search(r"error: (argument --\w+: must be >= 0|window (empty|not complete))", errors[0])
+    if argv in REMOVED_PATHS:
+        expected = r"error: (unrecognized arguments: --\w+|argument --flavor: invalid choice: 'isotropic'|--qmin/--qmax .* classical chart)"
+    else:
+        expected = r"error: (argument --\w+: must be >= 0|window (empty|not complete))"
+    assert re.search(expected, errors[0])
 
 
 def test_pmax_flag_is_gone(capsys):

@@ -61,6 +61,7 @@ def test_top_level_entry_points_match_internals():
     assert isoadams.ext_chart_field is H.ext_chart_field
     assert isoadams.ext_chart_coefficients is H.ext_chart_coefficients
     assert isoadams.solve_action_table is iso.solve_action_table
+    assert isoadams.isotropic_chart is iso.isotropic_chart
     assert iso.WindowExceededError is H.WindowExceededError
 
 
@@ -465,17 +466,7 @@ def test_exterior_decoders_agree_with_enumeration():
 
 
 def test_isotropic_chart_matches_doubled_classical_small():
-    table = iso.solve_action_table(n_max=3, w_max=7)
-    assert table.report.unique
-    win = iso.IsotropicWindow(3, -14)
-    coeffs = iso.isotropic_coefficients(table, win)
-
-    def covers(d):
-        J = iso.ext_from_degree(d)
-        return J is None or win.contains(J)
-
-    res = H.resolve(H.algebra_for("A0", 14), smax=8, pmax=12)
-    ichart = H.ext_chart_coefficients(res, coeffs, covers=covers)
+    ichart = iso.isotropic_chart(iso.IsotropicWindow(3, -14), smax=8, pmax=12)
     for (s, deg), dim in ichart.nonzero_cells():
         assert deg[0] == 2 * deg[1]
     cres = H.resolve(H.algebra_for("classical", 8), smax=8, pmax=6)
@@ -620,14 +611,9 @@ def test_hom_chart_matches_full_generator_scan(n_max, tmax_cl):
     assert table.report.unique
     win = iso.IsotropicWindow(n_max, iso.r_degree(n_max + 1).p + 1)
     coeffs = iso.isotropic_coefficients(table, win)
-
-    def covers(d):
-        J = iso.ext_from_degree(d)
-        return J is None or win.contains(J)
-
     res = H.resolve(H.algebra_for("A0", 2 * tmax_cl + 2), smax=smax, pmax=2 * tmax_cl)
-    chart = H.ext_chart_coefficients(res, coeffs, covers=covers)
-    cells, truncated = _reference_hom_chart(res, coeffs, covers)
+    chart = H.ext_chart_coefficients(res, coeffs, covers=win.covers)
+    cells, truncated = _reference_hom_chart(res, coeffs, win.covers)
     assert chart.cells == cells
     assert chart.truncated == truncated
     assert cells
