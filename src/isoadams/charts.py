@@ -236,6 +236,8 @@ def from_json(text: str) -> ExtChart:
     for n, obj in enumerate(_field(payload, "cells", list, "the chart")):
         where = f"cell {n}"
         cell = (_field(obj, "s", int, where), _parse_deg(obj, grading, where))
+        if cell in chart.cells:
+            raise ValueError(f"chart JSON: {where} repeats an earlier cell")
         chart.cells[cell] = _field(obj, "dim", int, where)
     for n, obj in enumerate(_entries(payload, "truncated")):
         where = f"truncated cell {n}"
@@ -264,19 +266,23 @@ def from_csv(text: str, flavor: str = "chart") -> ExtChart:
     if lines[0].strip() != "s,t,u,dim":
         raise ValueError("bad CSV header; expected s,t,u,dim")
     cells: dict[Cell, int] = {}
-    grading = 1
+    grading = 0  # set by the first row: 1 without u, 2 with it
     for n, line in enumerate(lines[1:], start=2):
         fields = [x.strip() for x in line.split(",")]
         if len(fields) != 4:
             raise ValueError(f"CSV row {n} has {len(fields)} fields; expected s,t,u,dim")
         s_, t_, u_, d_ = fields
         deg: Deg = (int(t_),) if u_ == "" else (int(t_), int(u_))
-        if len(deg) == 2:
-            grading = 2
-        cells[(int(s_), deg)] = int(d_)
+        if grading and len(deg) != grading:
+            raise ValueError(f"CSV row {n} {'has' if u_ else 'lacks'} u, unlike the rows before it")
+        grading = len(deg)
+        cell = (int(s_), deg)
+        if cell in cells:
+            raise ValueError(f"CSV row {n} repeats the cell of an earlier row")
+        cells[cell] = int(d_)
     smax = max((s for s, _ in cells), default=0)
     tmax = max((d[0] for _, d in cells), default=0)
-    chart = ExtChart(flavor, grading, smax, tmax, cells)
+    chart = ExtChart(flavor, grading or 1, smax, tmax, cells)
     return chart
 
 

@@ -6,7 +6,12 @@ One store per fact: resolution and chain maps build their rows from the
 same packed right-multiplication table (`WindowedAlgebra.right_rows`),
 the only cache of algebra products on that path, and each cell (F_s)_deg
 has one layout record (`FreeResolution._cell`) from which its basis,
-block placement and bit decoding are all read.
+block placement and bit decoding are all read.  Over the generalized
+algebra the rows come from packed P-products (`milnor.packed_right_rows`),
+one per pair of P-parts, shifted into the block layout of the Milnor
+basis; no product is formed as a set of monomials on that path, and
+`WindowedAlgebra.multiply` stays as the reference the rows are tested
+against.
 
 Degrees are tuples: (t,) for the singly graded classical algebra,
 (p, q) for the bigraded ones.  Resolutions are built cell by cell in
@@ -87,15 +92,18 @@ class WindowedAlgebra:
         key = (n, deg)
         got = self._right_rows.get(key)
         if got is None:
-            index = self.index(out_deg)
-            rows = []
-            for m in self.basis(deg):
-                row = 0
-                for t in self.monomial_product(m, n):
-                    row ^= 1 << index[t]
-                rows.append(row)
-            got = self._right_rows[key] = tuple(rows)
+            got = self._right_rows[key] = self._build_right_rows(n, deg, out_deg)
         return got
+
+    def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
+        index = self.index(out_deg)
+        rows = []
+        for m in self.basis(deg):
+            row = 0
+            for t in self.monomial_product(m, n):
+                row ^= 1 << index[t]
+            rows.append(row)
+        return tuple(rows)
 
     def cells_at(self, p: int) -> list[Deg]:
         if self.grading == 1:
@@ -151,14 +159,25 @@ class GeneralizedAlgebra(WindowedAlgebra):
     grading = 2
     unit = milnor.UNIT_MONO
 
+    def __init__(self, max_p: int):
+        super().__init__(max_p)
+        # S -> {R: P^R P^S packed over milnor.p_exponents_of_weight}
+        self._p_rows: dict = {}
+
     def basis(self, deg: Deg) -> tuple:
         self.check_window(deg)
         p, q = deg
         return milnor.basis(p, q) if p >= 0 else ()
 
     def monomial_product(self, m1, m2) -> frozenset:
-        # uncached: right_rows keeps every product the resolution uses
+        # uncached, and off the resolve path: the reference for the rows
         return milnor.multiply_mono.__wrapped__(m1, m2)
+
+    def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
+        """The rows from packed P-products (milnor.packed_right_rows)."""
+        self.check_window(deg)
+        self.check_window(out_deg)
+        return milnor.packed_right_rows(n, deg, out_deg, self._p_rows)
 
 
 class ExteriorMilnorAlgebra(WindowedAlgebra):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import gf2, homological, milnor
@@ -157,19 +156,19 @@ class ActionTable:
     entries: frozenset[tuple[tuple[int, ...], int]]  # (R, i) with c = 1
     report: SolveReport
     _memo: dict = field(default_factory=dict, repr=False)
+    # i -> ((S, k), ...): the entries P^S r_i = r_k, with S = () first
+    _by_generator: dict = field(init=False, repr=False)
 
-    def act_p_on_generator(self, r: tuple[int, ...], i: int) -> HElement:
-        if not r:
-            return frozenset([(i,)])
-        w = _weight(r)
-        if w > self.w_max or i > self.n_max:
-            raise WindowExceededError(f"P^{r} on r_{i} outside solved window")
-        if (r, i) in self.entries:
-            return frozenset([(_p_target(w, i),)])
-        return H_ZERO
+    def __post_init__(self) -> None:
+        by_generator: dict = {i: [((), i)] for i in range(self.n_max + 1)}
+        for s, i in sorted(self.entries):
+            by_generator[i].append((s, _p_target(milnor.p_weight(s), i)))
+        self._by_generator = {i: tuple(v) for i, v in by_generator.items()}
 
     def act_p(self, r: tuple[int, ...], I: ExtMono) -> HElement:
-        """Cartan extension of the generator table to monomials."""
+        """P^R r_I by the Cartan formula: with I = (i, rest), the sum over
+        the solved entries P^S r_i = r_k with S <= R componentwise (and
+        S = (), k = i) of r_k P^{R-S} r_rest."""
         if not r:
             return frozenset([I])
         if not I:
@@ -178,16 +177,17 @@ class ActionTable:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        if milnor.p_weight(r) > self.w_max or I[-1] > self.n_max:
+            raise WindowExceededError(f"P^{r} on r_{I} outside solved window")
         head, rest = I[0], I[1:]
         out: set[ExtMono] = set()
-        for s, t in _p_splits(r):
-            left = self.act_p_on_generator(s, head) if s else frozenset([(head,)])
-            if not left:
+        for s, k in self._by_generator[head]:
+            if len(s) > len(r) or any(x > y for x, y in zip(s, r)):
                 continue
-            right = self.act_p(t, rest) if rest else (frozenset([()]) if not t else H_ZERO)
-            for a in left:
-                for b in right:
-                    out ^= ext_product(a, b)
+            t = milnor.trim(y - x for x, y in itertools.zip_longest(s, r, fillvalue=0))
+            right = self.act_p(t, rest) if rest else (H_ZERO if t else H_ONE)
+            for b in right:
+                out ^= ext_product((k,), b)
         result = frozenset(out)
         self._memo[key] = result
         return result
@@ -198,19 +198,6 @@ class ActionTable:
         for j in e:
             out = q_action(j, out)
         return out
-
-
-@lru_cache(maxsize=None)
-def _p_splits(r: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Componentwise splits S + T = R (the coproduct of P^R)."""
-    splits = [((), ())]
-    for rj in r:
-        splits = [(s + (x,), t + (rj - x,)) for s, t in splits for x in range(rj + 1)]
-    return tuple((milnor.trim(s), milnor.trim(t)) for s, t in splits)
-
-
-def _weight(r: tuple[int, ...]) -> int:
-    return sum(rj * (2**j - 1) for j, rj in enumerate(r, start=1))
 
 
 def _p_target(weight: int, i: int) -> Optional[int]:
@@ -241,7 +228,7 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
         if not r:
             return i
         if (r, i) in solved:
-            return _p_target(_weight(r), i)
+            return _p_target(milnor.p_weight(r), i)
         return None
 
     def generator_value(h: int, k: int) -> bool:

@@ -207,6 +207,28 @@ def basis(p: int, q: int) -> tuple[Mono, ...]:
     return tuple(sorted(out, key=mono_key))
 
 
+@lru_cache(maxsize=None)
+def basis_blocks(p: int, q: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The layout of basis(p, q) as {E: (offset, w)}, in sorted E order.
+
+    All monomials of one bidegree share their degree, so `mono_key`
+    sorts them by E and then by R: basis(p, q) is one block per exterior
+    part E, and the block of E is {E} x p_exponents_of_weight(w), with w
+    the weight left to the P-part, starting at position `offset`.  The
+    dict is cached and shared; callers must not change it.
+    """
+    out: dict[tuple[int, ...], tuple[int, int]] = {}
+    for offset, (e, _) in enumerate(basis(p, q)):
+        if e not in out:
+            out[e] = (offset, q - mono_degree((e, ())).q)
+    return out
+
+
+def p_weight(r: tuple[int, ...]) -> int:
+    """The weight sum r_j (2^j - 1) of P^r, half its degree."""
+    return sum(rj * (2**j - 1) for j, rj in enumerate(r, start=1))
+
+
 def exterior_from_degree(p: int, q: int) -> Optional[tuple[int, ...]]:
     """The index set E of the unique exterior monomial Q^E of bidegree
     (q)[p], or None when no such monomial exists.
@@ -434,6 +456,60 @@ def multiply_mono(a: Mono, b: Mono) -> frozenset[Mono]:
         for t in p_product(r1, s):
             out ^= {(eg, t)}
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _p_positions(w: int) -> dict[tuple[int, ...], int]:
+    return {r: n for n, r in enumerate(p_exponents_of_weight(w))}
+
+
+def packed_p_product(r: tuple[int, ...], s: tuple[int, ...]) -> int:
+    """P^r P^s as bits over p_exponents_of_weight(p_weight(r) +
+    p_weight(s)), straight from the matrix terms; uncached, unlike
+    `p_product`."""
+    position = _p_positions(p_weight(r) + p_weight(s))
+    bits = 0
+    for t in _matrix_product_terms(r, s):
+        bits ^= 1 << position[t]
+    return bits
+
+
+def packed_right_rows(n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows: dict) -> tuple[int, ...]:
+    """Rows m*n for m in basis(*deg), each packed as bits over
+    basis(*out_deg), where out_deg = deg + |n| as (p, q) pairs.
+
+    With the block layout of `basis_blocks`, the row of (Q^E P^R)(Q^F P^S)
+    is the XOR, over the terms Q^G P^{R1} of P^R Q^F with G and E
+    disjoint, of the packed P^{R1} P^S shifted to the block of E u G.
+    `p_rows` keeps the packed P-products as {S: {R1: bits}}, each
+    formed on first use.
+    """
+    f, s = n
+    out_blocks = basis_blocks(*out_deg)
+    by_r1 = p_rows.get(s)
+    if by_r1 is None:
+        by_r1 = p_rows[s] = {}
+    rows = []
+    for e, (_, w) in basis_blocks(*deg).items():
+        # G -> offset of the block of E u G, or None when G meets E
+        offsets: dict = {}
+        for r in p_exponents_of_weight(w):
+            row = 0
+            for g, r1 in _p_past_qs(r, f) if f else (((), r),):
+                offset = offsets.get(g, -1)
+                if offset == -1:
+                    offset = None
+                    if set(e).isdisjoint(g):
+                        offset = out_blocks[tuple(sorted(e + g))][0]
+                    offsets[g] = offset
+                if offset is None:
+                    continue
+                packed = by_r1.get(r1)
+                if packed is None:
+                    packed = by_r1[r1] = packed_p_product(r1, s)
+                row ^= packed << offset
+            rows.append(row)
+    return tuple(rows)
 
 
 def multiply(a: Element, b: Element) -> Element:

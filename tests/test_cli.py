@@ -349,6 +349,50 @@ def test_compare_incomplete_json_chart_is_usage_error(case, tmp_path, capsys):
     assert code == 0 and "verdict: MATCH" in out
 
 
+def _stray_row(text):
+    header, *rows = text.splitlines()
+    return "\n".join([header, *rows, "1,5,,3"]) + "\n"
+
+
+def _cell_given_twice(text):
+    # the first row again with dim 7, ahead of its own row
+    header, first, *rows = text.splitlines()
+    s, t, u, _ = first.split(",")
+    return "\n".join([header, f"{s},{t},{u},7", first, *rows]) + "\n"
+
+
+def _json_cell_given_twice(text):
+    payload = json.loads(text)
+    payload["cells"].insert(0, dict(payload["cells"][0], dim=7))
+    return json.dumps(payload)
+
+
+AMBIGUOUS_CHARTS = {
+    "csv-mixed-u": ("g.csv", _stray_row),
+    "csv-cell-twice": ("g.csv", _cell_given_twice),
+    "json-cell-twice": ("g.json", _json_cell_given_twice),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AMBIGUOUS_CHARTS))
+def test_compare_ambiguous_chart_is_usage_error(case, tmp_path, capsys):
+    # each input reads as the doubled chart if the odd row is dropped or
+    # overwritten, so it must be refused, not compared
+    cl = tmp_path / "cl.csv"
+    run_cli(["resolve", "--flavor", "classical", "--tmax", "12", "--out", str(cl)], capsys)
+    name, spoil = AMBIGUOUS_CHARTS[case]
+    good = tmp_path / name
+    fmt = ["--format", "json"] if name.endswith(".json") else []
+    run_cli(["resolve", "--flavor", "G", "--tmax", "24", *fmt, "--out", str(good)], capsys)
+    code, out, _ = run_cli(["compare", str(cl), str(good), "--mode", "doubling"], capsys)
+    assert code == 0 and "verdict: MATCH" in out
+    bad = tmp_path / ("bad" + good.suffix)
+    bad.write_text(spoil(good.read_text()))
+    code, out, err = run_cli(["compare", str(cl), str(bad), "--mode", "doubling"], capsys)
+    assert code == 2 and out == "", case
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1, case
+
+
 def test_compare_doubling_needs_matching_gradings(tmp_path, capsys):
     cl = tmp_path / "cl.csv"
     cl.write_text("s,t,u,dim\n0,0,,1\n")

@@ -515,11 +515,38 @@ def test_a0_resolve_and_lifts_keep_no_milnor_product_cache():
     # right_rows is the only store of the products the resolution and
     # its chain maps use; milnor.multiply_mono's cache stays untouched
     milnor.multiply_mono.cache_clear()
+    milnor.p_product.cache_clear()
     res = H.resolve(H.algebra_for("A0", 12), smax=4, pmax=10)
     x = H.class_of_generator(res, 1, res.gens[1][0])
     H.yoneda_product(res, x, x)
     assert res.algebra._right_rows
     assert milnor.multiply_mono.cache_info().currsize == 0
+    assert milnor.p_product.cache_info().currsize == 0
+
+
+def test_a0_right_rows_match_multiply():
+    # every packed row an A0 resolve builds equals the row formed
+    # monomial by monomial through WindowedAlgebra.multiply
+    res = H.resolve(H.algebra_for("A0", 20), smax=8, pmax=20)
+    algebra = res.algebra
+    meets = multi_term = 0
+    for (n, deg), rows in algebra._right_rows.items():
+        out_deg = H.add_deg(deg, milnor.mono_degree(n))
+        index = algebra.index(out_deg)
+        expected = []
+        for m in algebra.basis(deg):
+            row = 0
+            for t in algebra.multiply(m, n):
+                row ^= 1 << index[t]
+            expected.append(row)
+        assert rows == tuple(expected), (n, deg)
+        f, s = n
+        for e, r in algebra.basis(deg):
+            terms = milnor._p_past_qs(r, f)
+            meets += any(set(e) & set(g) for g, _ in terms)
+            multi_term += any(len(milnor.p_product(r1, s)) > 1 for _, r1 in terms)
+    # the window reaches terms with G meeting E and multi-term P-products
+    assert meets and multi_term
 
 
 def _two_point_target():

@@ -145,9 +145,48 @@ def test_action_associativity_audit(table, window):
         assert frozenset(lhs) == frozenset(rhs)
 
 
+def _act_p_by_cartan_splits(table, r, I):
+    """P^R r_I expanded over every componentwise split S + T = R (the
+    coproduct of P^R), with P^S r_i read off the entries: the reference
+    for ActionTable.act_p."""
+    if not r:
+        return frozenset([I])
+    if not I:
+        return iso.H_ZERO
+    head, rest = I[0], I[1:]
+    splits = [((), ())]
+    for rj in r:
+        splits = [(s + (x,), t + (rj - x,)) for s, t in splits for x in range(rj + 1)]
+    out = set()
+    for s, t in splits:
+        s, t = milnor.trim(s), milnor.trim(t)
+        if not s:
+            left = (head,)
+        elif (s, head) in table.entries:
+            left = (iso._p_target(milnor.p_weight(s), head),)
+        else:
+            continue
+        right = _act_p_by_cartan_splits(table, t, rest) if rest else (iso.H_ZERO if t else iso.H_ONE)
+        for b in right:
+            out ^= iso.ext_product(left, b)
+    return frozenset(out)
+
+
+def test_act_p_matches_cartan_splits(table, window):
+    checked = 0
+    for w in range(table.w_max + 1):
+        for r in milnor.p_exponents_of_weight(w):
+            for I in window.basis():
+                assert table.act_p(r, I) == _act_p_by_cartan_splits(table, r, I), (r, I)
+                checked += bool(table.act_p(r, I))
+    assert checked > 50  # nonzero actions among the 968 pairs
+
+
 def test_window_exceeded(table):
     with pytest.raises(iso.WindowExceededError):
-        table.act_p_on_generator((13,), 4)  # weight beyond w_max
+        table.act_p((13,), (4,))  # weight beyond w_max
+    with pytest.raises(iso.WindowExceededError):
+        table.act_p((1,), (2, 5))  # generator beyond n_max
 
 
 def test_smash_trivial_is_coefficients(table, window):

@@ -357,6 +357,27 @@ def test_basis_small_counts():
     assert mono([2], []) in monos and mono([0], [0, 1]) in monos
 
 
+def test_basis_is_blocks_of_p_exponents():
+    # the packed right-multiplication rows rely on this layout: one block
+    # per exterior part E in sorted E order, each {E} x the P-exponents
+    # of the weight left to the P-part
+    nonempty = 0
+    for p in range(0, 81):
+        for q in range(0, p + 1):
+            monos = M.basis(p, q)
+            if not monos:
+                assert M.basis_blocks(p, q) == {}
+                continue
+            nonempty += 1
+            exteriors = sorted({e for e, _ in monos})
+            weights = [q - M.mono_degree((e, ())).q for e in exteriors]
+            expected = [(e, r) for e, w in zip(exteriors, weights) for r in M.p_exponents_of_weight(w)]
+            assert list(monos) == expected, (p, q)
+            offsets = [sum(len(M.p_exponents_of_weight(w)) for w in weights[:k]) for k in range(len(weights))]
+            assert M.basis_blocks(p, q) == dict(zip(exteriors, zip(offsets, weights))), (p, q)
+    assert nonempty == 195
+
+
 def test_p_exponents_partition_counts():
     # weights of xi_j are 2^j - 1; counts match partitions into such parts
     def _count(w, parts):
