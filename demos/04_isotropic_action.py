@@ -51,7 +51,7 @@ def main():
 
     print("\n== associativity audit on random triples ==")
     rng = random.Random(1)
-    window = iso.IsotropicWindow(4, -40)
+    window = iso.IsotropicWindow(-40)
     monos = [m for p in range(0, 13) for q in range(p + 1) for m in milnor.basis(p, q)]
     basis = window.basis()
     for _ in range(200):

@@ -19,7 +19,7 @@ def main():
 
     print("\n== resolve the generalized algebra and take Hom into the coefficients ==")
     # the window `isoadams isotropic --tmax 44` uses: r_0..r_4, p >= -46
-    window = iso.window_for_depth(-(2 * tmax_cl + 2))
+    window = iso.IsotropicWindow(-(2 * tmax_cl + 2))
     ichart = iso.isotropic_chart(window, smax, 2 * tmax_cl)
     print(f"  nonzero cells: {len(ichart.nonzero_cells())}")
     off_line = [c for c, d in ichart.nonzero_cells() if c[1][0] != 2 * c[1][1]]

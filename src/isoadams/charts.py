@@ -88,7 +88,7 @@ class CompareReport:
 
 def compare_equality(a: ExtChart, b: ExtChart) -> CompareReport:
     report = CompareReport("equality")
-    cells = set(a.cells) | set(b.cells)
+    cells = set(a.cells) | set(b.cells) | a.truncated | b.truncated
     for cell in sorted(cells):
         if cell in a.truncated or cell in b.truncated:
             report.skipped_truncated.append(cell)
@@ -120,13 +120,17 @@ def compare_doubling(classical: ExtChart, target: ExtChart) -> CompareReport:
             report.checked += 1
             if da != db:
                 report.mismatches.append((tg_cell, da, db))
-    for (s, deg), dimension in sorted(target.cells.items()):
-        if len(deg) == 2 and deg[0] != 2 * deg[1] and dimension:
-            if (s, deg) in target.truncated:
-                report.skipped_truncated.append((s, deg))
-                continue
+    # off the line every truncated cell is skipped, every other nonzero
+    # cell is a mismatch
+    for cell in sorted(set(target.cells) | target.truncated):
+        s, deg = cell
+        if deg[0] == 2 * deg[1]:
+            continue
+        if cell in target.truncated:
+            report.skipped_truncated.append(cell)
+        elif target.cells[cell]:
             report.checked += 1
-            report.mismatches.append(((s, deg), 0, dimension))
+            report.mismatches.append((cell, 0, target.cells[cell]))
     return report
 
 
@@ -290,13 +294,20 @@ def from_csv(text: str, flavor: str = "chart") -> ExtChart:
 # renderings
 
 
+def _stem(chart: ExtChart, s: int, deg: Deg) -> int:
+    """Adams x coordinate: t - s, or u - s on the doubled line t = 2u."""
+    if chart.grading == 2 and deg[0] == 2 * deg[1]:
+        return deg[1] - s
+    return deg[0] - s
+
+
 def to_ascii(chart: ExtChart) -> str:
     """Adams-convention grid: columns are stems, rows are filtrations."""
     by_pos: dict[tuple[int, int], int] = {}
     for (s, deg), dimension in chart.cells.items():
         if not dimension:
             continue
-        stem = deg[0] - s if chart.grading == 1 else deg[1] - s if deg[0] == 2 * deg[1] else deg[0] - s
+        stem = _stem(chart, s, deg)
         by_pos[(stem, s)] = by_pos.get((stem, s), 0) + dimension
     if not by_pos:
         return "(empty chart)\n"
@@ -326,7 +337,7 @@ def to_svg(chart: ExtChart) -> str:
     for (s, deg), dimension in chart.sorted_cells():
         if not dimension:
             continue
-        stem = deg[0] - s if chart.grading == 1 else deg[1] - s if deg[0] == 2 * deg[1] else deg[0] - s
+        stem = _stem(chart, s, deg)
         max_stem = max(max_stem, stem)
         for k in range(dimension):
             dots.append((stem, s, k, deg))
@@ -360,8 +371,7 @@ def to_svg(chart: ExtChart) -> str:
             fill = "#222"
         parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{fill}"/>')
     for name, (s, deg, index) in sorted(chart.classes.items()):
-        stem = deg[0] - s if chart.grading == 1 else deg[1] - s
-        x, y = xy(stem, s, index)
+        x, y = xy(_stem(chart, s, deg), s, index)
         parts.append(f'<text x="{x + 4}" y="{y - 4}" font-size="8" fill="#333">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -29,7 +29,7 @@ def _job_meta(args) -> dict:
     and every flag that shapes the chart, so identical records yield
     byte-identical outputs."""
     meta = {"command": args.command, "flavor": getattr(args, "flavor", "isotropic")}
-    for flag in ("tmax", "smax", "qmin", "qmax", "nmax", "pmin", "format", "strict"):
+    for flag in ("tmax", "smax", "qmin", "qmax", "pmin", "format", "strict"):
         value = getattr(args, flag, None)
         if value is not None:
             meta["fmt" if flag == "format" else flag] = value
@@ -248,13 +248,9 @@ def cmd_massey(args) -> int:
 def cmd_isotropic(args) -> int:
     tmax_classical = args.tmax // 2
     pmax = 2 * tmax_classical
-    pmin = args.pmin
-    if pmin is None:
-        # deep enough for the resolved range, or the shallowest depth the
-        # requested generator range supports
-        pmin = -(pmax + 2) if args.nmax is None else iso.r_degree(args.nmax + 1).p + 1
     try:
-        window = iso.window_for_depth(pmin) if args.nmax is None else iso.IsotropicWindow(args.nmax, pmin)
+        # by default deep enough for the resolved range
+        window = iso.IsotropicWindow(-(pmax + 2) if args.pmin is None else args.pmin)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -273,9 +269,8 @@ def cmd_isotropic(args) -> int:
     for line in rep.lines():
         print(line)
     print(f"vanishing regions: {'ok' if van.ok else van.violations}")
-    truncated_inside = [c for c in ichart.truncated if c[1][0] <= pmax]
-    if args.strict and truncated_inside:
-        print(f"window-truncated cells: {sorted(truncated_inside)[:10]}", file=sys.stderr)
+    if args.strict and ichart.truncated:
+        print(f"window-truncated cells: {sorted(ichart.truncated)[:10]}", file=sys.stderr)
         return EXIT_TRUNCATED
     if not (rep.ok and van.ok):
         return EXIT_MISMATCH
@@ -342,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     output_flags(p_iso, tmax_default=44)
     weight_flags(p_iso)
-    p_iso.add_argument("--nmax", type=_non_negative, default=None)
     p_iso.add_argument("--pmin", type=int, default=None)
     p_iso.add_argument("--strict", action="store_true")
     p_iso.set_defaults(func=cmd_isotropic)

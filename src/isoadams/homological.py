@@ -31,7 +31,7 @@ from typing import Optional
 from . import adem, gf2, milnor
 from .charts import ExtChart, name_h_classes
 from .milnor import Bidegree
-from .modules import FiniteModule
+from .modules import FiniteModule, trivial_module
 
 Deg = tuple[int, ...]
 
@@ -217,33 +217,6 @@ def algebra_for(flavor: str, max_p: int) -> WindowedAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# resolution targets (the module being resolved)
-
-
-class TrivialTarget:
-    """The ground field as a module: one basis key at degree zero."""
-
-    def basis_at(self, deg: Deg) -> tuple:
-        return ((),) if all(x == 0 for x in deg) else ()
-
-    def act(self, algebra: WindowedAlgebra, mon, key) -> frozenset:
-        return frozenset([key]) if mon == algebra.unit else frozenset()
-
-
-class FiniteTarget:
-    """Adapter resolving a FiniteModule (bigraded algebras only)."""
-
-    def __init__(self, module: FiniteModule):
-        self.module = module
-
-    def basis_at(self, deg: Deg) -> tuple:
-        return self.module.basis_at(Bidegree(*deg))
-
-    def act(self, algebra: WindowedAlgebra, mon, key) -> frozenset:
-        return self.module.act_mono(mon, key)
-
-
-# ---------------------------------------------------------------------------
 # the resolution
 
 
@@ -252,12 +225,13 @@ class FreeResolution:
     algebra: WindowedAlgebra
     smax: int
     pmax: int
+    # the module resolved
+    target: FiniteModule
     # gens[s] lists generator degrees of F_s; diff[s][i] maps generator
     # indices of F_{s-1} to algebra coefficients, diff[0][i] maps into
     # the target module
     gens: list[list[Deg]] = field(default_factory=list)
     diff: list[list[dict]] = field(default_factory=list)
-    target: object = field(default_factory=TrivialTarget)
     # s -> runs (degree, first, stop) of equal-degree generators of F_s
     _run_cache: dict = field(default_factory=dict, repr=False)
     # (s, deg) -> (blocks, size, place) of F_s at deg (see _cell)
@@ -349,7 +323,7 @@ class FreeResolution:
                     for m in basis:
                         row = 0
                         for key in keys:
-                            for out in self.target.act(self.algebra, m, key):
+                            for out in self.target.act_mono(m, key):
                                 row ^= 1 << cod_index[out]
                         rows.append(row)
             return rows, len(cod)
@@ -425,11 +399,12 @@ def resolve(
     algebra: WindowedAlgebra,
     smax: int,
     pmax: int,
-    target: Optional[object] = None,
+    target: Optional[FiniteModule] = None,
 ) -> FreeResolution:
-    """Minimal resolution of the target module (the ground field by
-    default) out to homological degree smax+1 and topological degree
-    pmax.
+    """Minimal resolution of the target module out to homological
+    degree smax+1 and topological degree pmax.  The default target is
+    the ground field: one key at the algebra's zero degree, on which
+    only `algebra.unit` acts.
 
     At each cell, stage s eliminates the rows of d_s once, with pivots
     at each row's highest set bit.  The carried basis of ker d_{s-1}
@@ -444,7 +419,9 @@ def resolve(
     the old rows, and they sit at the end of the cell basis."""
     if pmax > algebra.max_p:
         raise WindowExceededError("algebra window too small for the requested resolution")
-    res = FreeResolution(algebra, smax, pmax, target=target or TrivialTarget())
+    if target is None:
+        target = trivial_module([(0,) * algebra.grading], "ground field", unit=algebra.unit)
+    res = FreeResolution(algebra, smax, pmax, target)
     levels = smax + 2
     res.gens = [[] for _ in range(levels)]
     res.diff = [[] for _ in range(levels)]
@@ -476,33 +453,30 @@ def resolve(
 # Ext charts
 
 
-def ext_chart_field(res: FreeResolution, flavor: Optional[str] = None, name_classes: bool = True) -> ExtChart:
+def ext_chart_field(res: FreeResolution) -> ExtChart:
     """With ground-field coefficients and a minimal resolution, Ext
     dimensions are generator counts and the Hom differential vanishes."""
-    chart = ExtChart(flavor or res.algebra.flavor, res.algebra.grading, res.smax, res.pmax)
+    chart = ExtChart(res.algebra.flavor, res.algebra.grading, res.smax, res.pmax)
     for s in range(res.smax + 1):
         for deg in res.gens[s]:
             chart.cells[(s, deg)] = chart.cells.get((s, deg), 0) + 1
-    if name_classes:
-        name_h_classes(chart)
+    name_h_classes(chart)
     return chart
 
 
-def ext_chart_coefficients(
-    res: FreeResolution, coefficients: FiniteModule, flavor: str = "isotropic",
-    covers=None,
-) -> ExtChart:
-    """Cohomology of Hom(resolution, coefficients).
+def ext_chart_coefficients(res: FreeResolution, coefficients: FiniteModule, covers=None) -> ExtChart:
+    """Cohomology of Hom(resolution, coefficients), the isotropic chart
+    when the coefficients are the isotropic window, at topological
+    degree t <= res.pmax.
 
     `covers(bidegree)` reports whether the coefficient module faithfully
     represents that bidegree of the infinite coefficient algebra; cells
-    needing unrepresented bidegrees are flagged window-truncated, as are
-    cells above the resolved topological range.
+    needing unrepresented bidegrees are flagged window-truncated.
     """
     if res.algebra.grading != 2:
         raise ValueError("coefficient charts need a bigraded algebra")
     covers = covers or (lambda deg: True)
-    chart = ExtChart(flavor, 2, res.smax, res.pmax)
+    chart = ExtChart("isotropic", 2, res.smax, res.pmax)
 
     hom_bases: dict = {}
     # (p, q) -> (covers(bidegree), coefficient keys there)
@@ -570,7 +544,8 @@ def ext_chart_coefficients(
     for s in range(res.smax + 1):
         for gdeg, _, _ in res.runs(s):
             for hdeg in hdegs:
-                cells.add((gdeg[0] - hdeg.p, gdeg[1] - hdeg.q))
+                if gdeg[0] - hdeg.p <= res.pmax:
+                    cells.add((gdeg[0] - hdeg.p, gdeg[1] - hdeg.q))
 
     for cell in sorted(cells):
         for s in range(res.smax + 1):
@@ -578,7 +553,7 @@ def ext_chart_coefficients(
             if not dom:
                 continue
             _, trunc_up = hom_basis(s + 1, cell)
-            truncated = trunc_here or trunc_up or cell[0] > res.pmax
+            truncated = trunc_here or trunc_up
             if s > 0:
                 _, trunc_down = hom_basis(s - 1, cell)
                 truncated = truncated or trunc_down
@@ -718,8 +693,8 @@ class ChainMap:
         return bits
 
 
-def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, level_s: int, elt: dict) -> int:
-    """Pair the generator-dual cocycle against an element of F_{level_s}:
+def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, elt: dict) -> int:
+    """Pair the generator-dual cocycle against an element of F_{cls.s}:
     picks unit coefficients at the dual'd generators."""
     gens = res.gens_at(cls.s, cls.deg)
     out = 0
@@ -740,7 +715,7 @@ def yoneda_product(res: FreeResolution, x: ChartClass, y: ChartClass) -> ChartCl
     lift = ChainMap.lift(res, y)
     bits = 0
     for n, gi in enumerate(res.gens_at(s, deg)):
-        if _evaluate_cocycle(res, x, x.s, lift.value(x.s, gi)):
+        if _evaluate_cocycle(res, x, lift.value(x.s, gi)):
             bits |= 1 << n
     return ChartClass(s, deg, bits)
 
@@ -786,7 +761,7 @@ def massey_triple(
     hom = ChainMap.homotopy(res, b, c, rng=rng)
     bits = 0
     for n, gi in enumerate(res.gens_at(s, deg)):
-        if _evaluate_cocycle(res, a, a.s, hom.value(a.s, gi)):
+        if _evaluate_cocycle(res, a, hom.value(a.s, gi)):
             bits |= 1 << n
     # indeterminacy: a . Ext^{s_b+s_c-1} + Ext^{s_a+s_b-1} . c
     vectors = []

@@ -80,46 +80,37 @@ def q_action(j: int, x: HElement | ExtMono) -> HElement:
 
 @dataclass(frozen=True)
 class IsotropicWindow:
-    """All exterior monomials r_I, I within {0..n_max}, of topological
-    degree p_min <= p (every r_I has p <= 0).  Window-complete: any
-    monomial of the full exterior algebra in that range uses only
-    r_0..r_{n_max}."""
+    """All exterior monomials r_I of topological degree p_min <= p
+    (every r_I has p <= 0).  Complete by construction: r_I has p at
+    most that of each r_i in it, so the window uses only r_0..r_{n_max},
+    n_max the last generator inside (at least 0)."""
 
-    n_max: int
     p_min: int
 
     def __post_init__(self) -> None:
         if self.p_min > 0:
             raise ValueError(f"window empty: p_min must be <= 0, got {self.p_min}")
-        # r_{n_max+1} alone (the least negative escapee) must fall
-        # outside the range, and with it every monomial involving it
-        if r_degree(self.n_max + 1).p >= self.p_min:
-            raise ValueError("window not complete: raise n_max or p_min")
+
+    @property
+    def n_max(self) -> int:
+        n = 0
+        while r_degree(n + 1).p >= self.p_min:
+            n += 1
+        return n
 
     def basis(self) -> tuple[ExtMono, ...]:
+        n_max = self.n_max
         out = []
-        for bits in range(2 ** (self.n_max + 1)):
-            I = tuple(i for i in range(self.n_max + 1) if (bits >> i) & 1)
+        for bits in range(2 ** (n_max + 1)):
+            I = tuple(i for i in range(n_max + 1) if (bits >> i) & 1)
             if self.p_min <= ext_degree(I).p:
                 out.append(I)
         return tuple(sorted(out))
 
-    def contains(self, I: ExtMono) -> bool:
-        return all(i <= self.n_max for i in I) and self.p_min <= ext_degree(I).p
-
     def covers(self, deg: Bidegree) -> bool:
         """Whether the window holds the full exterior algebra at this
         bidegree: no monomial outside the window sits there."""
-        I = ext_from_degree(deg)
-        return I is None or self.contains(I)
-
-
-def window_for_depth(p_min: int) -> IsotropicWindow:
-    """Smallest complete window reaching topological degree p_min."""
-    n = 0
-    while r_degree(n + 1).p >= p_min:
-        n += 1
-    return IsotropicWindow(n, p_min)
+        return deg.p >= self.p_min or ext_from_degree(deg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +313,12 @@ def sq_action(j: int, x: HElement | ExtMono, table: ActionTable) -> HElement:
 
 def isotropic_coefficients(table: ActionTable, window: IsotropicWindow) -> FiniteModule:
     """The coefficient module over the generalized algebra for Ext
-    computations: basis r_I in the window, action from the table."""
+    computations: basis r_I in the window, action from the table.  The
+    action never leaves the window: operations raise p, and P^R and Q_j
+    only lower or drop indices."""
     if table.n_max < window.n_max:
         raise ValueError("table does not cover the window")
-    keys = window.basis()
-
-    def act(m: Mono, I: ExtMono) -> frozenset:
-        return frozenset(J for J in table.act_mono(m, I) if window.contains(J))
-
-    return FiniteModule(keys, ext_degree, act, "isotropic-window")
+    return FiniteModule(window.basis(), ext_degree, table.act_mono, "isotropic-window")
 
 
 class ActionTableNotUnique(ValueError):
@@ -384,8 +372,6 @@ def smash_module(N: FiniteModule, table: ActionTable, window: IsotropicWindow) -
             if not ns:
                 continue
             for h in hs:
-                if not window.contains(h):
-                    continue
                 for nn in ns:
                     out ^= {(h, nn)}
         return frozenset(out)

@@ -1,9 +1,11 @@
-"""Finite graded GF(2) modules over the Milnor-basis algebras.
+"""Finite graded GF(2) modules over the windowed algebras.
 
-A module is a finite list of basis keys with bidegrees plus an action
-callback taking a Milnor basis monomial and a key to a GF(2) set of
-keys.  Elements are frozensets of keys.  This is the shape consumed by
-the Hom/Ext machinery and by the smash-product construction.
+A module is a finite list of basis keys with degrees plus an action
+callback taking an algebra basis monomial and a key to a GF(2) set of
+keys.  Elements are frozensets of keys.  This is the one module type:
+`resolve` takes it as its target (the ground field is a trivial module
+acted on by the algebra's unit), and the Hom/Ext machinery and the
+smash-product construction consume it.
 """
 
 from __future__ import annotations
@@ -38,16 +40,18 @@ class FiniteModule:
         return sorted({self.degree_of(k) for k in self.keys})
 
 
-def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "trivial") -> FiniteModule:
-    """Direct sum of shifted copies of the ground field: positive-degree
-    monomials act as zero."""
+def trivial_module(
+    degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "trivial", unit: Mono = milnor.UNIT_MONO
+) -> FiniteModule:
+    """Direct sum of shifted copies of the ground field: the unit
+    monomial acts as the identity, positive-degree monomials as zero."""
     keys = tuple(enumerate(degs))
 
     def deg(k):
         return k[1]
 
     def act(m: Mono, k) -> frozenset:
-        return frozenset([k]) if m == milnor.UNIT_MONO else frozenset()
+        return frozenset([k]) if m == unit else frozenset()
 
     return FiniteModule(keys, deg, act, name)
 

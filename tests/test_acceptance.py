@@ -198,7 +198,7 @@ def test_criterion_8_main_theorem_desk_scale():
     smax, tmax_cl = 8, 22  # covers classical stems <= 14 in every computed filtration
     # the window `isoadams isotropic --tmax 44` uses; isotropic_chart
     # raises unless the action table is unique
-    window = iso.window_for_depth(-(2 * tmax_cl + 2))
+    window = iso.IsotropicWindow(-(2 * tmax_cl + 2))
     ichart = iso.isotropic_chart(window, smax, 2 * tmax_cl)
     for (s, deg), dim in ichart.nonzero_cells():
         assert deg[0] == 2 * deg[1], f"support off the t = 2u line at {(s, deg)}"
@@ -227,7 +227,7 @@ def test_criterion_9_injectivity_and_hom_lemmas():
         assert rep.ok, rep.failures
     rep3 = iso.baer_injectivity_check(3, ideal_samples=200, seed=5, exhaustive=False)
     assert rep3.ok and rep3.ideals_checked >= 200
-    window = iso.IsotropicWindow(3, -20)
+    window = iso.IsotropicWindow(-20)
     table = iso.solve_action_table(3, 8)
     rng = random.Random(99)
     pool = [Bidegree(2 * q, q) for q in range(4)] + [Bidegree(2 * q + 1, q) for q in range(3)]

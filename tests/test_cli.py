@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -180,13 +181,29 @@ def test_isotropic_weight_filter_only_filters_output(tmp_path, capsys):
 
 
 def test_isotropic_tiny_window_safe_region(capsys):
-    code, out, _ = run_cli(["isotropic", "--tmax", "12", "--smax", "4", "--nmax", "0"], capsys)
+    # the window r_0 alone (p >= -2) truncates cells, which the
+    # comparison skips and reports
+    code, out, _ = run_cli(["isotropic", "--tmax", "12", "--smax", "4", "--pmin", "-2"], capsys)
     assert code == 0 and "verdict: MATCH" in out
+    assert re.search(r"^  skipped \d+ truncated cells$", out, re.M)
+
+
+def test_isotropic_lists_off_line_truncated_cells_as_skipped(capsys):
+    # at p >= 0 the window is the unit alone; (1,(1,0)) and (2,(2,0)) lie
+    # off the t = 2u line and are truncated, and must not pass unreported
+    code, out, _ = run_cli(["isotropic", "--pmin", "0", "--tmax", "4", "--smax", "2"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "compare mode=doubling: checked 9 cells",
+        "  skipped 2 truncated cells",
+        "verdict: MATCH",
+        "vanishing regions: ok",
+    ]
 
 
 def test_isotropic_strict_truncation_exit(capsys):
     code, _, err = run_cli(
-        ["isotropic", "--tmax", "12", "--smax", "4", "--nmax", "0", "--strict"], capsys)
+        ["isotropic", "--tmax", "12", "--smax", "4", "--pmin", "-2", "--strict"], capsys)
     assert code == 3 and "window-truncated" in err
 
 
@@ -216,7 +233,7 @@ def test_isotropic_job_stamps_pmin(tmp_path, capsys):
     for pmin in ("-9", "-5"):
         out_file = tmp_path / f"iso{pmin}.json"
         code, _, _ = run_cli(
-            ["isotropic", "--tmax", "16", "--smax", "4", "--nmax", "2", "--pmin", pmin,
+            ["isotropic", "--tmax", "16", "--smax", "4", "--pmin", pmin,
              "--format", "json", "--out", str(out_file)], capsys)
         assert code == 0
         chart = json.loads(out_file.read_text())
@@ -237,6 +254,7 @@ def test_isotropic_tmax_zero_runs_that_window(capsys):
 REMOVED_PATHS = [
     ["resolve", "--flavor", "isotropic"],
     ["resolve", "--nmax", "2"],
+    ["isotropic", "--nmax", "2"],
     ["resolve", "--pmin", "-4"],
     ["resolve", "--strict"],
     ["massey", "h0", "h1", "h0", "--flavor", "isotropic"],
@@ -251,16 +269,15 @@ REMOVED_PATHS = [
         ["resolve", "--smax", "-1"],
         ["isotropic", "--smax", "-1"],
         ["massey", "h0", "h1", "h0", "--tmax", "-2"],
-        ["isotropic", "--nmax", "-5"],
-        ["isotropic", "--tmax", "8", "--pmin", "-3", "--nmax", "0"],
+        ["isotropic", "--tmax", "8", "--pmin", "1"],
         ["isotropic", "--tmax", "8", "--pmin", "5"],
         *REMOVED_PATHS,
     ],
 )
 def test_negative_window_is_usage_error(argv, capsys):
-    # a negative count fails in the parser, a window without a complete
-    # or nonempty exterior range before anything is solved; so does a
-    # removed flavor or flag, and a weight filter on the classical chart
+    # a negative count fails in the parser, a window without a nonempty
+    # exterior range before anything is solved; so does a removed flavor
+    # or flag, and a weight filter on the classical chart
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -272,13 +289,13 @@ def test_negative_window_is_usage_error(argv, capsys):
     if argv in REMOVED_PATHS:
         expected = r"error: (unrecognized arguments: --\w+|argument --flavor: invalid choice: 'isotropic'|--qmin/--qmax .* classical chart)"
     else:
-        expected = r"error: (argument --\w+: must be >= 0|window (empty|not complete))"
+        expected = r"error: (argument --\w+: must be >= 0|window empty)"
     assert re.search(expected, errors[0])
 
 
 def test_pmax_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["isotropic", "--tmax", "16", "--smax", "4", "--nmax", "2", "--pmax", "-1"])
+        cli.main(["isotropic", "--tmax", "16", "--smax", "4", "--pmax", "-1"])
     assert exc.value.code == 2 and "--pmax" in capsys.readouterr().err
 
 
@@ -425,6 +442,43 @@ def test_trace_harness_wraps_live_names():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_readme_synopsis_lists_the_parser_flags():
+    # each subcommand line of README's synopsis names exactly the flags
+    # the parser accepts, so a removed flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    synopsis = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    listed: dict = {}
+    command: set = set()  # flags above the first command line go nowhere
+    for line in synopsis.splitlines():
+        head = re.match(r"isoadams (\w+)", line)
+        if head:
+            command = listed.setdefault(head.group(1), set())
+        command |= set(re.findall(r"--[a-z]+", line))
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert listed == accepted
+
+
+def test_svg_class_labels_sit_at_their_dots(tmp_path, capsys):
+    # labels, dots and the ascii grid share one stem function; v0 at
+    # (s, t, u) = (1, 1, 0) lies off the t = 2u line, in stem 0
+    out_file = tmp_path / "a0.svg"
+    code, _, _ = run_cli(
+        ["resolve", "--flavor", "A0", "--tmax", "8", "--smax", "3", "--format", "svg", "--out", str(out_file)],
+        capsys)
+    assert code == 0
+    svg = out_file.read_text()
+    dots = {(int(x), int(y)) for x, y in re.findall(r'<circle cx="(\d+)" cy="(\d+)"', svg)}
+    labels = {name: (int(x), int(y)) for x, y, name in re.findall(r'<text x="(\d+)" y="(\d+)" font-size="8"[^>]*>(\w+)<', svg)}
+    assert {"v0", "h0", "h1"} <= set(labels)
+    for name, (x, y) in labels.items():
+        assert (x - 4, y + 4) in dots, name
+    assert labels["v0"][0] == 30 + 4  # stem 0, one column right of x = 10
 
 
 def test_chart_roundtrip_json_csv(tmp_path, capsys):

@@ -48,10 +48,28 @@ def test_resolution_of_nontrivial_module():
     from isoadams.milnor import Bidegree
     from isoadams.modules import trivial_module
 
-    module = trivial_module([Bidegree(0, 0), Bidegree(1, 0)])
-    res = H.resolve(H.ExteriorMilnorAlgebra(0, 10), smax=4, pmax=8, target=H.FiniteTarget(module))
+    algebra = H.ExteriorMilnorAlgebra(0, 10)
+    module = trivial_module([Bidegree(0, 0), Bidegree(1, 0)], unit=algebra.unit)
+    res = H.resolve(algebra, smax=4, pmax=8, target=module)
     for s in range(5):
         assert sorted(res.gens[s]) == [(s, 0), (s + 1, 0)]
+    # the exterior unit acts, so d_0 is onto each copy of the field
+    for deg in ((0, 0), (1, 0)):
+        rows, cod = res.diff_rows(0, deg)
+        assert gf2.rank_ints(rows, len(cod)) == len(cod) == 1
+
+
+@pytest.mark.parametrize("flavor", ["classical", "G", "A0"])
+def test_default_target_is_the_ground_field(flavor):
+    # one FiniteModule key at the algebra's zero degree, fixed by the unit
+    res = H.resolve(H.algebra_for(flavor, 4), smax=1, pmax=2)
+    zero = (0,) * res.algebra.grading
+    (key,) = res.target.keys
+    assert res.target.basis_at(zero) == (key,)
+    assert res.target.act_mono(res.algebra.unit, key) == frozenset([key])
+    rows, cod = res.diff_rows(0, zero)
+    assert rows == [1] and cod == (key,)
+    assert res.gens[0] == [zero]
 
 
 def test_top_level_entry_points_match_internals():
@@ -425,6 +443,10 @@ def test_chart_compare_detects_defects():
     b.cells[(2, (5,))] = 7
     rep2 = charts.compare_equality(a, b)
     assert not rep2.ok and rep2.mismatches[0][0] == (2, (5,))
+    # a truncated cell is skipped and reported even where neither chart
+    # has a nonzero dimension
+    b.truncated.add((3, (7,)))
+    assert (3, (7,)) in charts.compare_equality(a, b).skipped_truncated
 
 
 def test_vanishing_regions():
@@ -466,7 +488,7 @@ def test_exterior_decoders_agree_with_enumeration():
 
 
 def test_isotropic_chart_matches_doubled_classical_small():
-    ichart = iso.isotropic_chart(iso.IsotropicWindow(3, -14), smax=8, pmax=12)
+    ichart = iso.isotropic_chart(iso.IsotropicWindow(-14), smax=8, pmax=12)
     for (s, deg), dim in ichart.nonzero_cells():
         assert deg[0] == 2 * deg[1]
     cres = H.resolve(H.algebra_for("classical", 8), smax=8, pmax=6)
@@ -500,7 +522,7 @@ def _reference_diff_rows(res, s, deg):
         row = 0
         if s == 0:
             for key in res.diff[0][i]["target"]:
-                for out in res.target.act(res.algebra, m, key):
+                for out in res.target.act_mono(m, key):
                     row ^= 1 << index[out]
         else:
             for j, coeffs in res.diff[s][i].items():
@@ -549,21 +571,23 @@ def test_a0_right_rows_match_multiply():
     assert meets and multi_term
 
 
-def _two_point_target():
+def _two_point_target(algebra):
     from isoadams.milnor import Bidegree
     from isoadams.modules import trivial_module
 
-    return H.FiniteTarget(trivial_module([Bidegree(0, 0), Bidegree(3, 1)]))
+    return trivial_module([Bidegree(0, 0), Bidegree(3, 1)], unit=algebra.unit)
+
+
+def _resolve_two_point_target(algebra, smax, pmax):
+    return H.resolve(algebra, smax=smax, pmax=pmax, target=_two_point_target(algebra))
 
 
 ROW_CASES = {
     "classical": lambda: H.resolve(H.algebra_for("classical", 14), smax=5, pmax=12),
     "G": lambda: H.resolve(H.algebra_for("G", 18), smax=4, pmax=16),
     "A0": lambda: H.resolve(H.algebra_for("A0", 14), smax=5, pmax=13),
-    "A0-finite-target": lambda: H.resolve(H.algebra_for("A0", 9), smax=3, pmax=8, target=_two_point_target()),
-    "exterior-finite-target": lambda: H.resolve(
-        H.ExteriorMilnorAlgebra(1, 10), smax=4, pmax=9, target=_two_point_target()
-    ),
+    "A0-finite-target": lambda: _resolve_two_point_target(H.algebra_for("A0", 9), smax=3, pmax=8),
+    "exterior-finite-target": lambda: _resolve_two_point_target(H.ExteriorMilnorAlgebra(1, 10), smax=4, pmax=9),
 }
 
 
@@ -613,6 +637,7 @@ def _reference_hom_chart(res, coefficients, covers):
         for s in range(res.smax + 1)
         for gdeg in res.gens[s]
         for hdeg in coefficients.degrees()
+        if gdeg[0] - hdeg.p <= res.pmax
     }
     cells, truncated = {}, set()
     for cell in sorted(candidates):
@@ -620,7 +645,7 @@ def _reference_hom_chart(res, coefficients, covers):
             dom, here = hom_basis(s, cell)
             if not dom:
                 continue
-            if here or hom_basis(s + 1, cell)[1] or (s > 0 and hom_basis(s - 1, cell)[1]) or cell[0] > res.pmax:
+            if here or hom_basis(s + 1, cell)[1] or (s > 0 and hom_basis(s - 1, cell)[1]):
                 truncated.add((s, cell))
                 continue
             dim = len(dom) - delta_rank(s, cell) - (delta_rank(s - 1, cell) if s else 0)
@@ -631,12 +656,13 @@ def _reference_hom_chart(res, coefficients, covers):
 
 @pytest.mark.parametrize("n_max, tmax_cl", [(2, 10), (3, 7)])
 def test_hom_chart_matches_full_generator_scan(n_max, tmax_cl):
-    # n_max = 2 is the window of `isotropic --nmax 2`, which truncates
-    # cells inside t <= 20
+    # the deepest window on r_0..r_{n_max}; n_max = 2 (`isotropic --pmin
+    # -14`) truncates cells inside t <= 20
     smax = 6
     table = iso.solve_action_table(n_max=n_max, w_max=tmax_cl)
     assert table.report.unique
-    win = iso.IsotropicWindow(n_max, iso.r_degree(n_max + 1).p + 1)
+    win = iso.IsotropicWindow(iso.r_degree(n_max + 1).p + 1)
+    assert win.n_max == n_max
     coeffs = iso.isotropic_coefficients(table, win)
     res = H.resolve(H.algebra_for("A0", 2 * tmax_cl + 2), smax=smax, pmax=2 * tmax_cl)
     chart = H.ext_chart_coefficients(res, coeffs, covers=win.covers)
@@ -644,8 +670,9 @@ def test_hom_chart_matches_full_generator_scan(n_max, tmax_cl):
     assert chart.cells == cells
     assert chart.truncated == truncated
     assert cells
+    assert all(c[1][0] <= res.pmax for c in truncated)
     if n_max == 2:
-        assert any(c[1][0] <= res.pmax for c in truncated)
+        assert truncated
 
 
 def _apply(res, images, elt):

@@ -15,7 +15,7 @@ def table():
 
 @pytest.fixture(scope="module")
 def window():
-    return iso.IsotropicWindow(4, -40)
+    return iso.IsotropicWindow(-40)
 
 
 def test_generator_degrees():
@@ -25,23 +25,43 @@ def test_generator_degrees():
 
 
 def test_offset_is_minus_size():
-    for I in iso.IsotropicWindow(4, -62).basis():
+    for I in iso.IsotropicWindow(-62).basis():
         assert iso.ext_degree(I).offset == -len(I)
 
 
 def test_bidegrees_are_multiplicity_free():
-    window = iso.IsotropicWindow(5, -126)
+    window = iso.IsotropicWindow(-126)
     degs = [iso.ext_degree(I) for I in window.basis()]
     assert len(degs) == len(set(degs))
     for I in window.basis():
         assert iso.ext_from_degree(iso.ext_degree(I)) == I
 
 
-def test_window_completeness_guard():
-    with pytest.raises(ValueError):
-        iso.IsotropicWindow(1, -40)  # r_2 at p = -7 would be inside
-    w = iso.window_for_depth(-40)
-    assert w.n_max == 4
+def test_window_basis_matches_brute_force():
+    # the window is its depth: n_max is derived, and the basis is every
+    # exterior monomial on r_0..r_7 down to p_min (r_7 sits at p = -255)
+    subsets = [tuple(i for i in range(8) if (bits >> i) & 1) for bits in range(2**8)]
+    for p_min in range(-130, 1):
+        window = iso.IsotropicWindow(p_min)
+        expected = sorted(I for I in subsets if iso.ext_degree(I).p >= p_min)
+        assert list(window.basis()) == expected, p_min
+        assert iso.r_degree(window.n_max + 1).p < p_min, p_min
+    assert iso.IsotropicWindow(-40).n_max == 4
+    with pytest.raises(ValueError, match="window empty"):
+        iso.IsotropicWindow(1)
+
+
+def test_solved_action_stays_in_window(table):
+    # the coefficient module applies the table without a window filter:
+    # every A0 monomial of weight q <= w_max sends each window key into
+    # the window basis (Q^E adds |E| to p - 2q, and |E| <= 4 here)
+    monos = [m for q in range(table.w_max + 1) for p in range(2 * q, 2 * q + 5) for m in milnor.basis(p, q)]
+    for p_min in (-40, -20, -9, -2, 0):
+        keys = set(iso.IsotropicWindow(p_min).basis())
+        for m in monos:
+            for I in keys:
+                assert table.act_mono(m, I) <= keys, (p_min, m, I)
+    assert any(table.act_mono(m, (2, 3)) - {(2, 3)} for m in monos)
 
 
 def test_q_action_examples():
@@ -222,7 +242,7 @@ def test_baer_sampled_n3():
 
 
 def test_hom_comparison_examples(table):
-    w = iso.IsotropicWindow(3, -20)
+    w = iso.IsotropicWindow(-20)
     t = iso.solve_action_table(3, 8)
     hc = iso.hom_comparison_check(trivial_module(), trivial_module(), t, w)
     assert hc.ok and hc.dim_linear == 1
@@ -232,7 +252,7 @@ def test_hom_comparison_examples(table):
 
 
 def test_hom_comparison_random_modules():
-    w = iso.IsotropicWindow(3, -20)
+    w = iso.IsotropicWindow(-20)
     t = iso.solve_action_table(3, 8)
     rng = random.Random(7)
     pool = [Bidegree(2 * q, q) for q in range(4)] + [Bidegree(2 * q + 1, q) for q in range(3)]
