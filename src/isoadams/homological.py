@@ -7,9 +7,10 @@ same packed right-multiplication table (`WindowedAlgebra.right_rows`),
 the only cache of algebra products on that path, and each cell (F_s)_deg
 has one layout record (`FreeResolution._cell`) from which its basis,
 block placement and bit decoding are all read.  Over the generalized
-algebra the rows come from packed P-products (`milnor.packed_right_rows`),
-one per pair of P-parts, shifted into the block layout of the Milnor
-basis; no product is formed as a set of monomials on that path, and
+algebra and its opposite the rows come from packed P-products
+(`milnor.packed_rows`, right and left rows), one per pair of P-parts,
+shifted into the block layout of the Milnor basis; no product is
+formed as a set of monomials on that path, and
 `WindowedAlgebra.multiply` stays as the reference the rows are tested
 against.
 
@@ -158,6 +159,7 @@ class GeneralizedAlgebra(WindowedAlgebra):
     flavor = "A0"
     grading = 2
     unit = milnor.UNIT_MONO
+    opposite = False
 
     def __init__(self, max_p: int):
         super().__init__(max_p)
@@ -174,10 +176,23 @@ class GeneralizedAlgebra(WindowedAlgebra):
         return milnor.multiply_mono.__wrapped__(m1, m2)
 
     def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
-        """The rows from packed P-products (milnor.packed_right_rows)."""
+        """The rows from packed P-products (milnor.packed_rows)."""
         self.check_window(deg)
         self.check_window(out_deg)
-        return milnor.packed_right_rows(n, deg, out_deg, self._p_rows)
+        return milnor.packed_rows(n, deg, out_deg, self._p_rows, left=self.opposite)
+
+
+class OppositeGeneralizedAlgebra(GeneralizedAlgebra):
+    """The opposite algebra A0^op, with product m1 *op m2 = m2 m1.  A
+    right A0-module, such as the dual of a finite module, is a left
+    A0^op-module, and resolves over it; its rows m *op n are the left
+    rows n m of A0."""
+
+    flavor = "A0op"
+    opposite = True
+
+    def monomial_product(self, m1, m2) -> frozenset:
+        return super().monomial_product(m2, m1)
 
 
 class ExteriorMilnorAlgebra(WindowedAlgebra):
@@ -465,9 +480,10 @@ def ext_chart_field(res: FreeResolution) -> ExtChart:
 
 
 def ext_chart_coefficients(res: FreeResolution, coefficients: FiniteModule, covers=None) -> ExtChart:
-    """Cohomology of Hom(resolution, coefficients), the isotropic chart
-    when the coefficients are the isotropic window, at topological
-    degree t <= res.pmax.
+    """Cohomology of Hom(resolution, coefficients) at topological degree
+    t <= res.pmax.  With the isotropic window as coefficients this is the
+    Hom route to the isotropic chart, kept as a cross-check of
+    `isotropic.isotropic_chart`.
 
     `covers(bidegree)` reports whether the coefficient module faithfully
     represents that bidegree of the infinite coefficient algebra; cells

@@ -326,15 +326,46 @@ class ActionTableNotUnique(ValueError):
     undefined."""
 
 
+def dual_window_module(table: ActionTable, window: IsotropicWindow) -> FiniteModule:
+    """D H_w = Hom(H_w, F2) for the window module H_w, a right module
+    over the generalized algebra through (phi a)(x) = phi(a x), so a left
+    module over its opposite.  The key J is the functional dual to r_J,
+    at the degree of Q_J, minus ext_degree(J).
+
+    phi_J m is the sum of the phi_K with J in m r_K.  Each bidegree holds
+    at most one exterior monomial, so the only candidate is the K at
+    ext_degree(J) - |m|."""
+    keys = window.basis()
+    inside = frozenset(keys)
+
+    def act(m: Mono, J: ExtMono) -> frozenset:
+        K = ext_from_degree(ext_degree(J) - milnor.mono_degree(m))
+        if K in inside and J in table.act_mono(m, K):
+            return frozenset([K])
+        return frozenset()
+
+    return FiniteModule(keys, q_monomial_degree, act, "dual-isotropic-window")
+
+
 def isotropic_chart(window: IsotropicWindow, smax: int, pmax: int) -> ExtChart:
     """The isotropic Adams E2 chart: Ext over the generalized algebra with
     coefficients in the window's exterior module, for s <= smax and
-    topological degree p <= pmax.  Cells the window cannot hold in full
-    are flagged truncated.
+    topological degree p <= pmax.
 
-    A P^R in a differential of degree <= pmax has weight <= pmax / 2, so
-    the action table is solved to that weight; a non-unique table raises
-    ActionTableNotUnique before anything is resolved."""
+    By duality for finite modules, Ext_{A0}(F2, H_w) = Ext_{A0^op}(D H_w,
+    F2), so the chart counts the generators of a minimal resolution of
+    the dual window module over the opposite algebra.  A P^R acting in
+    degree <= pmax has weight <= pmax / 2, so the action table is solved
+    to that weight; a non-unique table raises ActionTableNotUnique before
+    anything is resolved.
+
+    Cells where the window may differ from the whole exterior module are
+    flagged truncated, and their dimensions dropped.  With Q = H / H_w,
+    Ext^s(F2, H_w) = Ext^s(F2, H) at t once Hom(F_{s-1}, Q) and
+    Hom(F_s, Q) vanish there (the long exact sequence of 0 -> H_w -> H ->
+    Q -> 0), with F the minimal resolution of F2 over A0.  Q sits below
+    p_min and the generators of F_s have p >= s, so that holds when t.p
+    <= max(s - 1, 0) - p_min."""
     table = solve_action_table(n_max=window.n_max, w_max=pmax // 2)
     report = table.report
     if not report.unique:
@@ -342,9 +373,16 @@ def isotropic_chart(window: IsotropicWindow, smax: int, pmax: int) -> ExtChart:
             "action table not unique; the isotropic chart is undefined\n"
             f"underdetermined: {report.underdetermined} inconsistent: {report.inconsistent}"
         )
-    coeffs = isotropic_coefficients(table, window)
-    res = homological.resolve(homological.algebra_for("A0", pmax + 2), smax=smax, pmax=pmax)
-    return homological.ext_chart_coefficients(res, coeffs, covers=window.covers)
+    algebra = homological.OppositeGeneralizedAlgebra(pmax + 2)
+    res = homological.resolve(algebra, smax=smax, pmax=pmax, target=dual_window_module(table, window))
+    chart = ExtChart("isotropic", 2, smax, pmax)
+    for s in range(smax + 1):
+        for p in range(max(s - 1, 0) - window.p_min + 1, pmax + 1):
+            chart.truncated.update((s, deg) for deg in algebra.cells_at(p))
+        for deg in res.gens[s]:
+            if (s, deg) not in chart.truncated:
+                chart.cells[(s, deg)] = chart.cells.get((s, deg), 0) + 1
+    return chart
 
 
 # ---------------------------------------------------------------------------

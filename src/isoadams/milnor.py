@@ -474,33 +474,39 @@ def packed_p_product(r: tuple[int, ...], s: tuple[int, ...]) -> int:
     return bits
 
 
-def packed_right_rows(n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows: dict) -> tuple[int, ...]:
-    """Rows m*n for m in basis(*deg), each packed as bits over
-    basis(*out_deg), where out_deg = deg + |n| as (p, q) pairs.
+def packed_rows(
+    n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows: dict, left: bool = False
+) -> tuple[int, ...]:
+    """Rows m*n (right rows) or, with `left`, n*m (left rows) for m in
+    basis(*deg), each packed as bits over basis(*out_deg), where out_deg
+    = deg + |n| as (p, q) pairs.
 
-    With the block layout of `basis_blocks`, the row of (Q^E P^R)(Q^F P^S)
-    is the XOR, over the terms Q^G P^{R1} of P^R Q^F with G and E
-    disjoint, of the packed P^{R1} P^S shifted to the block of E u G.
-    `p_rows` keeps the packed P-products as {S: {R1: bits}}, each
-    formed on first use.
+    With the block layout of `basis_blocks`, the row of a product
+    (Q^E P^R)(Q^F P^S) is the XOR, over the terms Q^G P^{R1} of P^R Q^F
+    with G and E disjoint, of the packed P^{R1} P^S shifted to the block
+    of E u G.  Right rows take the left factor from the basis and n as
+    the right one; left rows the other way round.  `p_rows` keeps the
+    packed P-products as {S: {R1: bits}}, right factor first, each formed
+    on first use.
     """
-    f, s = n
     out_blocks = basis_blocks(*out_deg)
-    by_r1 = p_rows.get(s)
-    if by_r1 is None:
-        by_r1 = p_rows[s] = {}
     rows = []
     for e, (_, w) in basis_blocks(*deg).items():
-        # G -> offset of the block of E u G, or None when G meets E
+        # G -> offset of the block of E u G (E the left factor's Q-part,
+        # fixed in a block), or None when G meets E
         offsets: dict = {}
         for r in p_exponents_of_weight(w):
+            (e_left, r_left), (f, s) = (n, (e, r)) if left else ((e, r), n)
+            by_r1 = p_rows.get(s)
+            if by_r1 is None:
+                by_r1 = p_rows[s] = {}
             row = 0
-            for g, r1 in _p_past_qs(r, f) if f else (((), r),):
+            for g, r1 in _p_past_qs(r_left, f) if f else (((), r_left),):
                 offset = offsets.get(g, -1)
                 if offset == -1:
                     offset = None
-                    if set(e).isdisjoint(g):
-                        offset = out_blocks[tuple(sorted(e + g))][0]
+                    if set(e_left).isdisjoint(g):
+                        offset = out_blocks[tuple(sorted(e_left + g))][0]
                     offsets[g] = offset
                 if offset is None:
                     continue

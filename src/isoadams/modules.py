@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
-from . import milnor
 from .milnor import Bidegree, Mono
 
 Key = Hashable
@@ -40,11 +39,11 @@ class FiniteModule:
         return sorted({self.degree_of(k) for k in self.keys})
 
 
-def trivial_module(
-    degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "trivial", unit: Mono = milnor.UNIT_MONO
-) -> FiniteModule:
+def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "trivial", *, unit: Mono) -> FiniteModule:
     """Direct sum of shifted copies of the ground field: the unit
-    monomial acts as the identity, positive-degree monomials as zero."""
+    monomial acts as the identity, positive-degree monomials as zero.
+    The unit is the algebra's own (`algebra.unit`), which differs between
+    the Milnor and the word or P-part bases, so it has no default."""
     keys = tuple(enumerate(degs))
 
     def deg(k):
@@ -56,6 +55,8 @@ def trivial_module(
     return FiniteModule(keys, deg, act, name)
 
 
-def random_trivial_module(rng: random.Random, size: int, degree_pool: list[Bidegree], name: str = "random") -> FiniteModule:
+def random_trivial_module(
+    rng: random.Random, size: int, degree_pool: list[Bidegree], name: str = "random", *, unit: Mono
+) -> FiniteModule:
     degs = [rng.choice(degree_pool) for _ in range(size)]
-    return trivial_module(degs, name)
+    return trivial_module(degs, name, unit=unit)

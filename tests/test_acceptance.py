@@ -235,8 +235,8 @@ def test_criterion_9_injectivity_and_hom_lemmas():
 
     checked = 0
     for _ in range(100):
-        N = random_trivial_module(rng, 3, pool)
-        Np = random_trivial_module(rng, 3, pool)
+        N = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
+        Np = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
         hc = iso.hom_comparison_check(N, Np, table, window)
         assert hc.ok, (N.degrees(), Np.degrees())
         checked += 1
@@ -305,24 +305,32 @@ def test_criterion_10_bracket_with_indeterminacy():
     report(10, "<h0,h1^2,h0> in Ext^{3,6}: engine (canonical and perturbed homotopy) and cobar oracle agree, indeterminacy rank 1")
 
 
+# The peak resident memory of the command alone.  Linux carries the
+# peak of the process that spawned it over exec into ru_maxrss, so the
+# high-water mark of its own address space (VmHWM) is read where there
+# is one.
 PEAK_RSS_SCRIPT = (
     "import resource, sys\n"
     "from isoadams import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print('peak_rss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    "try:\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        kb = next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+    "except (OSError, StopIteration):\n"
+    "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print('peak_rss_kb', kb)\n"
     "sys.exit(code)\n"
 )
 
 
-@pytest.mark.slow
-def test_identification_to_classical_t40():
-    # the t <= 40 rung: `isoadams isotropic --tmax 80 --smax 14`, in its
-    # own process so that its peak resident memory is its own
+def run_isotropic_alone(*args):
+    """`isoadams isotropic ARGS` in its own process, so that its peak
+    resident memory is its own: (stdout lines, elapsed s, peak RSS MB)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     t0 = time.time()
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_SCRIPT, "isotropic", "--tmax", "80", "--smax", "14"],
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "isotropic", *args],
         capture_output=True, text=True, env=env,
     )
     elapsed = time.time() - t0
@@ -330,6 +338,27 @@ def test_identification_to_classical_t40():
     assert "verdict: MATCH" in out, proc.stderr
     assert "vanishing regions: ok" in out
     assert proc.returncode == 0
-    peak_mb = int(out[-1].split()[1]) / 1024
+    return out, elapsed, int(out[-1].split()[1]) / 1024
+
+
+@pytest.mark.slow
+def test_identification_to_classical_t40(hom_route_chart, tmp_path):
+    # the t <= 40 rung, `isoadams isotropic --tmax 80 --smax 14`, and the
+    # Hom route at the same window, cell for cell
+    out_file = tmp_path / "iso.json"
+    _, elapsed, peak_mb = run_isotropic_alone(
+        "--tmax", "80", "--smax", "14", "--format", "json", "--out", str(out_file))
     assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
-    report("8 (t <= 40)", f"isotropic chart = doubled classical chart to classical t <= 40, s <= 14, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
+    dual = charts.from_json(out_file.read_text())
+    hom = hom_route_chart(iso.IsotropicWindow(-82), 14, 80)
+    assert dual.cells == {c: d for c, d in hom.cells.items() if d}
+    assert not dual.truncated and not hom.truncated
+    report("8 (t <= 40)", f"isotropic chart = doubled classical chart to classical t <= 40, s <= 14, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB; the dual and Hom routes agree on every cell")
+
+
+@pytest.mark.slow
+def test_identification_to_classical_t48():
+    # the t <= 48 rung: `isoadams isotropic --tmax 96 --smax 16`
+    _, elapsed, peak_mb = run_isotropic_alone("--tmax", "96", "--smax", "16")
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
+    report("8 (t <= 48)", f"isotropic chart = doubled classical chart to classical t <= 48, s <= 16, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")

@@ -189,13 +189,14 @@ def test_isotropic_tiny_window_safe_region(capsys):
 
 
 def test_isotropic_lists_off_line_truncated_cells_as_skipped(capsys):
-    # at p >= 0 the window is the unit alone; (1,(1,0)) and (2,(2,0)) lie
-    # off the t = 2u line and are truncated, and must not pass unreported
+    # at p >= 0 the window is the unit alone; every cell with t > max(s -
+    # 1, 0), on the t = 2u line or off it, is truncated and must not pass
+    # unreported
     code, out, _ = run_cli(["isotropic", "--pmin", "0", "--tmax", "4", "--smax", "2"], capsys)
     assert code == 0
     assert out.splitlines() == [
-        "compare mode=doubling: checked 9 cells",
-        "  skipped 2 truncated cells",
+        "compare mode=doubling: checked 3 cells",
+        "  skipped 23 truncated cells",
         "verdict: MATCH",
         "vanishing regions: ok",
     ]
@@ -224,6 +225,17 @@ def test_isotropic_non_unique_action_table_is_a_mismatch(monkeypatch, tmp_path, 
     assert code == 1
     assert "not unique" in err and "(2, 0)" in err
     assert "verdict" not in out and not out_file.exists()
+
+
+def test_isotropic_does_not_build_the_hom_chart(monkeypatch, capsys):
+    # the chart comes from the dual window module; the Hom chart is a
+    # cross-check in the tests only
+    def no_hom_chart(*args, **kwargs):
+        raise AssertionError("built the Hom chart")
+
+    monkeypatch.setattr(H, "ext_chart_coefficients", no_hom_chart)
+    code, out, _ = run_cli(["isotropic", "--tmax", "16", "--smax", "4"], capsys)
+    assert code == 0 and "verdict: MATCH" in out.splitlines()
 
 
 def test_isotropic_job_stamps_pmin(tmp_path, capsys):

@@ -59,6 +59,31 @@ def test_resolution_of_nontrivial_module():
         assert gf2.rank_ints(rows, len(cod)) == len(cod) == 1
 
 
+TWO_DEGREE_TARGETS = {
+    # algebra, two degrees where a trivial module sits
+    "classical": (lambda: H.algebra_for("classical", 10), [(0,), (3,)]),
+    "G": (lambda: H.algebra_for("G", 10), [(0, 0), (4, 2)]),
+    "A0": (lambda: H.algebra_for("A0", 10), [(0, 0), (3, 1)]),
+    "exterior": (lambda: H.ExteriorMilnorAlgebra(1, 10), [(0, 0), (1, 0)]),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(TWO_DEGREE_TARGETS))
+def test_trivial_target_d0_full_rank(flavor):
+    # each algebra's own unit acts as the identity on a trivial module,
+    # so d_0 maps onto the target in each of its degrees
+    from isoadams.modules import trivial_module
+
+    make, degs = TWO_DEGREE_TARGETS[flavor]
+    algebra = make()
+    target = trivial_module(degs, unit=algebra.unit)
+    res = H.resolve(algebra, smax=2, pmax=8, target=target)
+    for deg in degs:
+        rows, cod = res.diff_rows(0, deg)
+        assert len(cod) == len(target.basis_at(deg)) == 1
+        assert gf2.rank_ints(rows, len(cod)) == len(cod), deg
+
+
 @pytest.mark.parametrize("flavor", ["classical", "G", "A0"])
 def test_default_target_is_the_ground_field(flavor):
     # one FiniteModule key at the algebra's zero degree, fixed by the unit
@@ -546,11 +571,12 @@ def test_a0_resolve_and_lifts_keep_no_milnor_product_cache():
     assert milnor.p_product.cache_info().currsize == 0
 
 
-def test_a0_right_rows_match_multiply():
-    # every packed row an A0 resolve builds equals the row formed
-    # monomial by monomial through WindowedAlgebra.multiply
-    res = H.resolve(H.algebra_for("A0", 20), smax=8, pmax=20)
-    algebra = res.algebra
+def _rows_against_multiply(algebra, left):
+    """Check every packed row the algebra keeps against the row formed
+    monomial by monomial through its multiply.  Returns how many rows
+    reach a term Q^G P^{R1} of P^R Q^F whose G meets E, and a multi-term
+    P-product P^{R1} P^S, for the A0 product (Q^E P^R)(Q^F P^S): m n for
+    right rows, n m for the left rows of the opposite algebra."""
     meets = multi_term = 0
     for (n, deg), rows in algebra._right_rows.items():
         out_deg = H.add_deg(deg, milnor.mono_degree(n))
@@ -562,12 +588,36 @@ def test_a0_right_rows_match_multiply():
                 row ^= 1 << index[t]
             expected.append(row)
         assert rows == tuple(expected), (n, deg)
-        f, s = n
-        for e, r in algebra.basis(deg):
+        for m in algebra.basis(deg):
+            (e, r), (f, s) = (n, m) if left else (m, n)
             terms = milnor._p_past_qs(r, f)
             meets += any(set(e) & set(g) for g, _ in terms)
             multi_term += any(len(milnor.p_product(r1, s)) > 1 for _, r1 in terms)
+    return meets, multi_term
+
+
+def test_a0_right_rows_match_multiply():
+    # every packed row an A0 resolve builds equals the row formed
+    # monomial by monomial through WindowedAlgebra.multiply
+    res = H.resolve(H.algebra_for("A0", 20), smax=8, pmax=20)
+    meets, multi_term = _rows_against_multiply(res.algebra, left=False)
     # the window reaches terms with G meeting E and multi-term P-products
+    assert meets and multi_term
+
+
+def test_a0op_left_rows_match_multiply():
+    # every packed left row built over the opposite algebra, m *op n =
+    # n m, equals the row formed through its multiply.  The differentials
+    # of the dual window module have P-part coefficients only, so F2 is
+    # resolved over the same algebra too: its Q-part coefficients reach
+    # the terms where G meets F
+    pmax = 20
+    window = iso.IsotropicWindow(-(pmax + 2))
+    table = iso.solve_action_table(n_max=window.n_max, w_max=pmax // 2)
+    algebra = H.OppositeGeneralizedAlgebra(pmax + 2)
+    H.resolve(algebra, smax=6, pmax=pmax, target=iso.dual_window_module(table, window))
+    H.resolve(algebra, smax=8, pmax=pmax)
+    meets, multi_term = _rows_against_multiply(algebra, left=True)
     assert meets and multi_term
 
 

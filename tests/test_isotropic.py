@@ -210,7 +210,7 @@ def test_window_exceeded(table):
 
 
 def test_smash_trivial_is_coefficients(table, window):
-    N = trivial_module()
+    N = trivial_module(unit=milnor.UNIT_MONO)
     sm = iso.smash_module(N, table, window)
     assert len(sm.keys) == len(window.basis())
     n0 = N.keys[0]
@@ -218,7 +218,7 @@ def test_smash_trivial_is_coefficients(table, window):
 
 
 def test_smash_underlying_space(table, window):
-    N = trivial_module([Bidegree(0, 0), Bidegree(2, 1)])
+    N = trivial_module([Bidegree(0, 0), Bidegree(2, 1)], unit=milnor.UNIT_MONO)
     sm = iso.smash_module(N, table, window)
     assert len(sm.keys) == 2 * len(window.basis())
     for (J, n) in sm.keys:
@@ -244,10 +244,11 @@ def test_baer_sampled_n3():
 def test_hom_comparison_examples(table):
     w = iso.IsotropicWindow(-20)
     t = iso.solve_action_table(3, 8)
-    hc = iso.hom_comparison_check(trivial_module(), trivial_module(), t, w)
+    ground = trivial_module(unit=milnor.UNIT_MONO)
+    hc = iso.hom_comparison_check(ground, ground, t, w)
     assert hc.ok and hc.dim_linear == 1
-    shifted = trivial_module([Bidegree(2, 1)])
-    hc2 = iso.hom_comparison_check(trivial_module(), shifted, t, w)
+    shifted = trivial_module([Bidegree(2, 1)], unit=milnor.UNIT_MONO)
+    hc2 = iso.hom_comparison_check(ground, shifted, t, w)
     assert hc2.ok and hc2.dim_linear == 0
 
 
@@ -257,7 +258,23 @@ def test_hom_comparison_random_modules():
     rng = random.Random(7)
     pool = [Bidegree(2 * q, q) for q in range(4)] + [Bidegree(2 * q + 1, q) for q in range(3)]
     for _ in range(40):
-        N = random_trivial_module(rng, 3, pool)
-        Np = random_trivial_module(rng, 3, pool)
+        N = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
+        Np = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
         hc = iso.hom_comparison_check(N, Np, t, w)
         assert hc.ok
+
+
+@pytest.mark.parametrize("pmax, smax", [(32, 6), (16, 4)])
+@pytest.mark.parametrize("p_min", [None, 0, -2, -5, -9, -14, -20])
+def test_dual_route_matches_hom_route(hom_route_chart, pmax, smax, p_min):
+    # the chart from the dual window module against the Hom chart: the
+    # truncation bound contains every cell the Hom chart flags, and the
+    # two agree on every cell neither flags
+    window = iso.IsotropicWindow(-(pmax + 2) if p_min is None else p_min)
+    dual = iso.isotropic_chart(window, smax, pmax)
+    hom = hom_route_chart(window, smax, pmax)
+    assert hom.truncated <= dual.truncated
+    unflagged = {c: d for c, d in hom.cells.items() if d and c not in dual.truncated}
+    assert {c: d for c, d in dual.cells.items() if d} == unflagged
+    if p_min is None:
+        assert dual.cells == hom.cells and not dual.truncated and not hom.truncated
