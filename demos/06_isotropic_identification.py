@@ -17,7 +17,7 @@ def main():
     table = iso.solve_action_table(n_max=4, w_max=tmax_cl)
     print(f"  unique: {table.report.unique}; entries: {len(table.entries)}")
 
-    print("\n== resolve the generalized algebra and take Hom into the coefficients ==")
+    print("\n== resolve the dual window module over A0^op ==")
     # the window `isoadams isotropic --tmax 44` uses: r_0..r_4, p >= -46
     window = iso.IsotropicWindow(-(2 * tmax_cl + 2))
     ichart = iso.isotropic_chart(window, smax, 2 * tmax_cl)

@@ -11,10 +11,17 @@ weight:
     Q_i  : p = 2^(i+1) - 1,  q = 2^i - 1
     xi_j : p = 2^(j+1) - 2,  q = 2^j - 1   (per unit exponent, j >= 1)
 
-Two independent multiplication routes are provided: `multiply` (matrix
-product formula for the P-parts plus commutator shuffles for the Q's)
-and `multiply_via_duality` (pairing against the dual coproduct), which
-must agree everywhere.
+Two independent multiplication routes are provided, which must agree
+everywhere:
+
+- `multiply`: the matrix product formula for the P-parts plus
+  commutator shuffles for the Q's.  The formula enumerates only the
+  matrices with an odd coefficient, pruning each entry by Lucas's
+  condition as it is placed.
+- `multiply_via_duality`: the pairing <xy, w> = <x (x) y, psi(w)>.  The
+  dual coproduct psi(w) is built by multiplying out the generator
+  coproducts on packed exponents (tau bits and fixed-width xi fields
+  in one int per tensor term); nothing of the product formula is used.
 """
 
 from __future__ import annotations
@@ -261,136 +268,156 @@ def dual_product(x: DualMono, y: DualMono) -> frozenset[DualMono]:
     return frozenset([(tuple(sorted(ex + ey)), trim(r))])
 
 
-def _xi_mono(j: int, e: int) -> DualMono:
-    if j == 0 or e == 0:
-        return UNIT_MONO
-    r = [0] * j
-    r[j - 1] = e
-    return ((), tuple(r))
+# dual_coproduct works on packed tensor terms.  For a dual monomial w
+# with largest generator index n and field width W, a term left (x) right
+# is one int: the tau bits of the left factor at bits 0..n, those of the
+# right factor at bits n+1..2n+1, then n W-bit fields holding the left
+# exponents of xi_1..xi_n and n more holding the right ones.  Every
+# exponent in a partial product of w is at most p(w)/2, since each xi_j
+# has degree at least 2, so W = (p(w)//2).bit_length() keeps each field
+# from carrying into the next.  A generator factor is a table of
+# (tau bits, packed term): multiplying a term by one of its entries is
+# zero when their tau bits meet and the int sum otherwise.
+
+
+def _xi_field(j: int, right: bool, n: int, width: int) -> int:
+    """The bit offset of the exponent field of xi_j (j >= 1)."""
+    return 2 * (n + 1) + ((n if right else 0) + j - 1) * width
 
 
 @lru_cache(maxsize=None)
-def _gen_coproduct(kind: str, k: int, e: int) -> frozenset[tuple[DualMono, DualMono]]:
-    """Coproduct of tau_k (kind 'tau', e ignored) or xi_k^e with e a
-    2-power.  The exponent base is xi_{k-i}; the 2-power climbs on the
-    left tensor factor (Frobenius in char 2)."""
-    if kind == "tau":
-        terms = [(((k,), ()), UNIT_MONO)]
-        terms += [(_xi_mono(k - i, 2**i), ((i,), ())) for i in range(k + 1)]
-        return frozenset(terms)
-    return frozenset((_xi_mono(k - i, (2**i) * e), _xi_mono(i, e)) for i in range(k + 1))
+def _tau_factor(k: int, n: int, width: int) -> tuple[tuple[int, int], ...]:
+    """psi(tau_k) = tau_k (x) 1 + sum_i xi_{k-i}^{2^i} (x) tau_i, packed."""
+    out = [(1 << k, 1 << k)]
+    for i in range(k + 1):
+        tau = 1 << (n + 1 + i)
+        xi = (1 << i) << _xi_field(k - i, False, n, width) if i < k else 0
+        out.append((tau, tau + xi))
+    return tuple(out)
 
 
-def _tensor_mul(
-    a: frozenset[tuple[DualMono, DualMono]], b: frozenset[tuple[DualMono, DualMono]]
-) -> frozenset[tuple[DualMono, DualMono]]:
-    out: set[tuple[DualMono, DualMono]] = set()
-    for l1, r1 in a:
-        for l2, r2 in b:
-            for left in dual_product(l1, l2):
-                for right in dual_product(r1, r2):
-                    pair = (left, right)
-                    out ^= {pair}
-    return frozenset(out)
+@lru_cache(maxsize=None)
+def _xi_factor(k: int, c: int, n: int, width: int) -> tuple[tuple[int, int], ...]:
+    """psi(xi_k^{2^c}) = sum_i xi_{k-i}^{2^{i+c}} (x) xi_i^{2^c}, packed;
+    the 2-power climbs on the left factor (Frobenius in char 2)."""
+    out = []
+    for i in range(k + 1):
+        left = (1 << (i + c)) << _xi_field(k - i, False, n, width) if i < k else 0
+        right = (1 << c) << _xi_field(i, True, n, width) if i else 0
+        out.append((0, left + right))
+    return tuple(out)
+
+
+def _times(terms: set[int], factor: tuple[tuple[int, int], ...]) -> set[int]:
+    """The packed terms times a generator factor, coefficients mod 2."""
+    out: set[int] = set()
+    for tau, packed in factor:
+        # t -> t + packed is injective, so each entry's image is a set
+        out ^= {t + packed for t in terms if not t & tau}
+    return out
+
+
+@lru_cache(maxsize=None)
+def _dual_mono(taus: int, xis: int, width: int) -> DualMono:
+    """Unpack tau bits and xi exponent fields; one shared tuple each."""
+    e = tuple(i for i in range(taus.bit_length()) if taus >> i & 1)
+    r = []
+    field = (1 << width) - 1
+    while xis:
+        r.append(xis & field)
+        xis >>= width
+    return (e, tuple(r))
 
 
 @lru_cache(maxsize=None)
 def dual_coproduct(x: DualMono) -> frozenset[tuple[DualMono, DualMono]]:
     """Multiplicative extension of the generator coproducts."""
     e, r = x
-    out = frozenset([(UNIT_MONO, UNIT_MONO)])
-    for i in e:
-        out = _tensor_mul(out, _gen_coproduct("tau", i, 0))
+    n = max(len(r), e[-1] if e else 0)
+    width = (mono_degree(x).p // 2).bit_length()
+    terms = {0}
+    for k in e:
+        terms = _times(terms, _tau_factor(k, n, width))
     for j, rj in enumerate(r, start=1):
-        c = 0
-        while rj:
-            if rj & 1:
-                out = _tensor_mul(out, _gen_coproduct("xi", j, 2**c))
-            rj >>= 1
-            c += 1
-    return out
+        for c in range(rj.bit_length()):
+            if rj >> c & 1:
+                terms = _times(terms, _xi_factor(j, c, n, width))
+    side = n + 1
+    taus = (1 << side) - 1
+    fields = (1 << n * width) - 1
+    out = []
+    for t in terms:
+        xis = t >> 2 * side
+        out.append((_dual_mono(t & taus, xis & fields, width), _dual_mono(t >> side & taus, xis >> n * width, width)))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # the product formula
 
 
-def _matrices(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
-    """All matrices X with row condition R(X) = r and column condition
-    S(X) = s, as (inner rows, derived first column); the derived first
-    row is reconstructed from the column deficits.
+def _matrix_product_terms(r: tuple[int, ...], s: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """T(X) for each matrix X with R(X) = r and S(X) = s whose
+    coefficient b(X) is odd.
 
-    inner[i-1][j-1] = x_ij for i, j >= 1; first_col[i-1] = x_i0.
+    By Lucas, b(X) is odd iff the binary digits of the entries on each
+    antidiagonal are disjoint, and then t_n, their sum, is their OR.  So
+    the enumeration keeps one OR per antidiagonal and skips any entry
+    whose bits meet it: x_ij as it is placed, x_i0 when its row ends and
+    x_0j, the column's deficit, at the end.
     """
     nr, nc = len(r), len(s)
-    results = []
-    inner_rows: list[tuple[int, ...]] = []
-    first_col: list[int] = []
+    diag = [0] * (nr + nc + 1)
+    col_left = list(s)
+    out: list[tuple[int, ...]] = []
 
-    def rec_row(i: int, col_used: list[int]):
-        if i > nr:
-            results.append((tuple(inner_rows), tuple(first_col)))
-            return
-        budget = r[i - 1]
-
-        def rec_entry(j: int, left: int, row_acc: list[int]):
-            if j > nc:
-                inner_rows.append(tuple(row_acc))
-                first_col.append(left)
-                rec_row(i + 1, col_used)
-                first_col.pop()
-                inner_rows.pop()
+    def finish():
+        t = diag[1:]
+        for j, x in enumerate(col_left):
+            if x & t[j]:
                 return
-            cap = min(left >> j, s[j - 1] - col_used[j - 1])
-            for x in range(cap + 1):
-                col_used[j - 1] += x
-                row_acc.append(x)
-                rec_entry(j + 1, left - (x << j), row_acc)
-                row_acc.pop()
-                col_used[j - 1] -= x
+            t[j] |= x
+        while t and not t[-1]:
+            t.pop()
+        out.append(tuple(t))
 
-        rec_entry(1, budget, [])
-
-    rec_row(1, [0] * nc)
-    return tuple(results)
-
-
-def _matrix_product_terms(r: tuple[int, ...], s: tuple[int, ...]):
-    """Yield T(X) for each matrix whose coefficient b(X) is odd."""
-    nc = len(s)
-    for inner, first_col in _matrices(r, s):
-        col_sums = [sum(row[j] for row in inner) for j in range(nc)]
-        first_row = [s[j] - col_sums[j] for j in range(nc)]
-        # diagonal multinomial coefficients via Lucas: odd iff the
-        # binary digits of the entries on each antidiagonal are disjoint
-        nr = len(inner)
-        nmax = nr + nc
-        ok = True
-        tvec = [0] * nmax
-        for n in range(1, nmax + 1):
-            acc = 0
-            total = 0
-            for i in range(0, n + 1):
-                j = n - i
-                if i == 0:
-                    x = first_row[j - 1] if 1 <= j <= nc else 0
-                elif j == 0:
-                    x = first_col[i - 1] if 1 <= i <= nr else 0
-                elif i <= nr and j <= nc:
-                    x = inner[i - 1][j - 1]
-                else:
-                    x = 0
-                if x:
-                    if acc & x:
-                        ok = False
-                        break
-                    acc |= x
-                    total += x
-            if not ok:
+    def place(i: int, j: int, left: int):
+        # x_ij onwards in row i, with `left` of r_i not yet placed
+        if j > nc:
+            d = diag[i]
+            if left & d:
+                return
+            diag[i] = d | left
+            if i < nr:
+                place(i + 1, 1, r[i])
+            else:
+                finish()
+            diag[i] = d
+            return
+        n = i + j
+        d = diag[n]
+        c = col_left[j - 1]
+        cap = left >> j if left >> j < c else c
+        # x runs over the submasks of `free` (the bits d leaves free),
+        # largest first; those above cap are passed over
+        free = ~d & ((1 << cap.bit_length()) - 1)
+        x = free
+        while True:
+            if x <= cap:
+                diag[n] = d | x
+                col_left[j - 1] = c - x
+                place(i, j + 1, left - (x << j))
+            if not x:
                 break
-            tvec[n - 1] = total
-        if ok:
-            yield trim(tvec)
+            x = (x - 1) & free
+        col_left[j - 1] = c
+        diag[n] = d
+
+    if nr:
+        place(1, 1, r[0])
+    else:
+        finish()
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -529,7 +556,8 @@ def multiply(a: Element, b: Element) -> Element:
 
 def multiply_via_duality(a: Element, b: Element) -> Element:
     """Product determined by <xy, w> = <x (x) y, psi(w)> over dual
-    monomials w; independent oracle for `multiply`."""
+    monomials w, each pair of monomials of x and y looked up in psi(w);
+    independent oracle for `multiply`."""
     by_deg_a: dict[Bidegree, set[Mono]] = {}
     for m in a.terms:
         by_deg_a.setdefault(mono_degree(m), set()).add(m)
@@ -540,12 +568,10 @@ def multiply_via_duality(a: Element, b: Element) -> Element:
     for da, ta in by_deg_a.items():
         for db, tb in by_deg_b.items():
             d = da + db
+            pairs = [(x, y) for x in ta for y in tb]
             for w in dual_basis(d.p, d.q):
-                c = 0
-                for left, right in dual_coproduct(w):
-                    if left in ta and right in tb:
-                        c ^= 1
-                if c:
+                psi = dual_coproduct(w)
+                if sum(pair in psi for pair in pairs) & 1:
                     out ^= {w}
     return Element(out)
 
@@ -747,6 +773,46 @@ class MilnorMatrix(NamedTuple):
         """T(X): t_n = sum_{i+j=n} x_ij."""
         n = max((i + j for i, j, _ in self.entries), default=0)
         return trim(sum(x for i, j, x in self.entries if i + j == d) for d in range(1, n + 1))
+
+
+def _matrices(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
+    """All matrices X with row condition R(X) = r and column condition
+    S(X) = s, as (inner rows, derived first column); the derived first
+    row is reconstructed from the column deficits.
+
+    inner[i-1][j-1] = x_ij for i, j >= 1; first_col[i-1] = x_i0.
+    """
+    nr, nc = len(r), len(s)
+    results = []
+    inner_rows: list[tuple[int, ...]] = []
+    first_col: list[int] = []
+
+    def rec_row(i: int, col_used: list[int]):
+        if i > nr:
+            results.append((tuple(inner_rows), tuple(first_col)))
+            return
+        budget = r[i - 1]
+
+        def rec_entry(j: int, left: int, row_acc: list[int]):
+            if j > nc:
+                inner_rows.append(tuple(row_acc))
+                first_col.append(left)
+                rec_row(i + 1, col_used)
+                first_col.pop()
+                inner_rows.pop()
+                return
+            cap = min(left >> j, s[j - 1] - col_used[j - 1])
+            for x in range(cap + 1):
+                col_used[j - 1] += x
+                row_acc.append(x)
+                rec_entry(j + 1, left - (x << j), row_acc)
+                row_acc.pop()
+                col_used[j - 1] -= x
+
+        rec_entry(1, budget, [])
+
+    rec_row(1, [0] * nc)
+    return tuple(results)
 
 
 def enumerate_matrices(r: Iterable[int], s: Iterable[int]) -> list[MilnorMatrix]:

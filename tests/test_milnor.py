@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -130,6 +131,21 @@ def test_b_mod2_vs_factorial():
             assert M.b_mod2(x) == b_factorial(x)
 
 
+def test_pruned_matrix_terms_match_enumeration():
+    # the product formula enumerates only matrices with odd b(X); it must
+    # list T(X) exactly as often as the full enumeration filtered by b_mod2
+    exps = [r for w in range(25) for r in M.p_exponents_of_weight(w)]
+    pairs = 0
+    for r in exps:
+        for s in exps:
+            if M.p_weight(r) + M.p_weight(s) > 24:
+                continue
+            want = Counter(x.diagonal() for x in M.enumerate_matrices(r, s) if M.b_mod2(x))
+            assert Counter(M._matrix_product_terms(r, s)) == want, (r, s)
+            pairs += 1
+    assert pairs == 5_894
+
+
 # ---------------------------------------------------------------------------
 # products
 
@@ -187,6 +203,29 @@ def test_oracle_equivalence_small():
             assert M.multiply(ea, eb) == M.multiply_via_duality(ea, eb)
 
 
+def test_duality_oracle_is_independent(monkeypatch):
+    # the oracle must use nothing of the product formula, and the product
+    # formula nothing of the dual coproduct
+    def forbidden(*args):
+        raise AssertionError("the duality oracle reached the product formula")
+
+    samples = [(mono([0], [1]), mono([1], [2])), (mono([], [3, 1]), mono([0, 2], [])), (mono([1], [0, 1]), mono([], [5]))]
+    formula = (M.multiply_mono, M.p_product, M._p_past_qs)
+    for cached in formula:
+        cached.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "_matrix_product_terms", forbidden)
+        oracle = [M.multiply_via_duality(Element([a]), Element([b])) for a, b in samples]
+    for cached in formula:
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0), cached
+    M.dual_coproduct.cache_clear()
+    products = [M.multiply(Element([a]), Element([b])) for a, b in samples]
+    info = M.dual_coproduct.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert products == oracle and all(products)
+
+
 def test_associativity_sample():
     rng = random.Random(23)
     monos = all_monos(24)
@@ -223,6 +262,56 @@ def test_dual_coproduct_examples():
     assert M.dual_coproduct(xi2) == frozenset(
         [(xi2, unit), (mono([], [2]), xi1), (unit, xi2)]
     )
+
+
+def reference_dual_coproduct(w):
+    """psi(w) multiplied out from psi(xi_k) = sum_i xi_{k-i}^{2^i} (x) xi_i
+    and psi(tau_k) = tau_k (x) 1 + sum_i xi_{k-i}^{2^i} (x) tau_i with
+    `dual_product` on each side; psi(xi_k^{2^c}) by repeated squaring."""
+
+    def xi(j, e):
+        return mono([], [0] * (j - 1) + [e]) if j else M.UNIT_MONO
+
+    def times(a, b):
+        out = set()
+        for l1, r1 in a:
+            for l2, r2 in b:
+                for left in M.dual_product(l1, l2):
+                    for right in M.dual_product(r1, r2):
+                        out ^= {(left, right)}
+        return out
+
+    e, r = w
+    out = {(M.UNIT_MONO, M.UNIT_MONO)}
+    for k in e:
+        tau = {(mono([k], []), M.UNIT_MONO)} | {(xi(k - i, 2**i), mono([i], [])) for i in range(k + 1)}
+        out = times(out, tau)
+    for k, rk in enumerate(r, start=1):
+        power = {(xi(k - i, 2**i), xi(i, 1)) for i in range(k + 1)}
+        while rk:
+            if rk & 1:
+                out = times(out, power)
+            power = times(power, power)
+            rk >>= 1
+    return frozenset(out)
+
+
+def test_dual_coproduct_matches_reference():
+    for w in all_monos(24):
+        assert M.dual_coproduct(w) == reference_dual_coproduct(w), w
+
+
+@pytest.mark.parametrize(
+    "w",
+    [mono([0, 3], [300, 257]), mono([], [256]), mono([1], [0, 0, 257]), mono([2, 4], [1, 300])],
+)
+def test_dual_coproduct_wide_exponents(w):
+    # exponents past 255 need fields wider than a byte: the width follows
+    # the degree of w, and no exponent field carries into the next
+    got = M.dual_coproduct(w)
+    assert got == reference_dual_coproduct(w)
+    for left, right in got:
+        assert M.mono_degree(left) + M.mono_degree(right) == M.mono_degree(w)
 
 
 def test_dual_coproduct_degree_balance():
