@@ -69,12 +69,14 @@ class DualCoalgebra:
         if self.kind == "exterior":
             # quotient coalgebra: xi-terms are killed, taus primitive
             return _exterior_reduced(m)
-        out = set()
-        for left, right in milnor.dual_coproduct(m):
-            if left == milnor.UNIT_MONO or right == milnor.UNIT_MONO:
-                continue
-            out ^= {(left, right)}
-        return frozenset(out)
+        return _reduced(m)
+
+
+@lru_cache(maxsize=None)
+def _reduced(m: DualMono) -> frozenset[tuple[DualMono, DualMono]]:
+    """psi(m) without the terms 1 (x) m and m (x) 1."""
+    unit = milnor.UNIT_MONO
+    return frozenset((left, right) for left, right in milnor.dual_coproduct(m) if unit not in (left, right))
 
 
 @lru_cache(maxsize=None)
@@ -104,6 +106,7 @@ class CobarComplex:
     _monos: dict = field(default_factory=dict, repr=False)
     _tensors: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, repr=False)
+    _ranks: dict = field(default_factory=dict, repr=False)
 
     @property
     def grading(self) -> int:
@@ -167,18 +170,20 @@ class CobarComplex:
         self._rows[key] = rows
         return rows
 
+    def rank(self, s: int, deg: Deg) -> int:
+        """Rank of the differential on the s-cochains at deg, kept."""
+        key = (s, deg)
+        got = self._ranks.get(key)
+        if got is None:
+            ncod = len(self.tensor_basis(s + 1, deg))
+            got = self._ranks[key] = gf2.rank_ints(self.differential_rows(s, deg), max(ncod, 1))
+        return got
+
     def cohomology_dim(self, s: int, deg: Deg) -> int:
         dom = self.tensor_basis(s, deg)
         if not dom:
             return 0
-        rows = self.differential_rows(s, deg)
-        ncod = len(self.tensor_basis(s + 1, deg))
-        kernel_dim = len(dom) - gf2.rank_ints(rows, max(ncod, 1))
-        image_dim = 0
-        if s > 0:
-            prev = self.differential_rows(s - 1, deg)
-            image_dim = gf2.rank_ints(prev, max(len(dom), 1))
-        return kernel_dim - image_dim
+        return len(dom) - self.rank(s, deg) - (self.rank(s - 1, deg) if s > 0 else 0)
 
     # -- class handling -------------------------------------------------
 
@@ -238,10 +243,10 @@ def _transpose(rows: list[int], ncols: int) -> list[int]:
     return out
 
 
-def cobar_ext(dual: DualCoalgebra, smax: int, pmax: int, flavor: Optional[str] = None) -> ExtChart:
+def cobar_ext(dual: DualCoalgebra, smax: int, pmax: int) -> ExtChart:
     """Ext chart from the reduced cobar complex."""
     cx = CobarComplex(dual, smax, pmax)
-    chart = ExtChart(flavor or f"cobar-{dual.kind}", cx.grading, smax, pmax)
+    chart = ExtChart(f"cobar-{dual.kind}", cx.grading, smax, pmax)
     degs: list[Deg]
     if cx.grading == 1:
         degs = [(t,) for t in range(pmax + 1)]

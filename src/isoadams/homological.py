@@ -9,8 +9,9 @@ has one layout record (`FreeResolution._cell`) from which its basis,
 block placement and bit decoding are all read.  Over the generalized
 algebra and its opposite the rows come from packed P-products
 (`milnor.packed_rows`, right and left rows), one per pair of P-parts,
-shifted into the block layout of the Milnor basis; no product is
-formed as a set of monomials on that path, and
+shifted into the block layout of the Milnor basis; the even algebra G
+is A0's slope-2 part, and its rows are A0's packed rows on that line.
+No product is formed as a set of monomials on these paths, and
 `WindowedAlgebra.multiply` stays as the reference the rows are tested
 against.
 
@@ -131,28 +132,6 @@ class ClassicalAlgebra(WindowedAlgebra):
         return adem.reduce_word(m1 + m2, adem.CLASSICAL)
 
 
-class EvenAlgebra(WindowedAlgebra):
-    """The even subalgebra on the Milnor P-basis; concentrated on the
-    slope-2 line p = 2q."""
-
-    flavor = "G"
-    grading = 2
-    unit: tuple = ()
-
-    def basis(self, deg: Deg) -> tuple:
-        self.check_window(deg)
-        p, q = deg
-        if p != 2 * q or q < 0:
-            return ()
-        return milnor.p_exponents_of_weight(q)
-
-    def monomial_product(self, m1, m2) -> frozenset:
-        return milnor.p_product(m1, m2)
-
-    def cells_at(self, p: int) -> list[Deg]:
-        return [(p, p // 2)] if p % 2 == 0 else []
-
-
 class GeneralizedAlgebra(WindowedAlgebra):
     """The generalized Steenrod algebra in the Milnor basis."""
 
@@ -180,6 +159,21 @@ class GeneralizedAlgebra(WindowedAlgebra):
         self.check_window(deg)
         self.check_window(out_deg)
         return milnor.packed_rows(n, deg, out_deg, self._p_rows, left=self.opposite)
+
+
+class EvenAlgebra(GeneralizedAlgebra):
+    """The even subalgebra G, the slope-2 part of A0: the P^R, which sit
+    on the line p = 2q and span a subalgebra.  Its basis is A0's on that
+    line and empty off it, so its rows are A0's packed rows there."""
+
+    flavor = "G"
+
+    def basis(self, deg: Deg) -> tuple:
+        p, q = deg
+        return super().basis(deg) if p == 2 * q else ()
+
+    def cells_at(self, p: int) -> list[Deg]:
+        return [(p, p // 2)] if p % 2 == 0 else []
 
 
 class OppositeGeneralizedAlgebra(GeneralizedAlgebra):

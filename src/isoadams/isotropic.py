@@ -67,6 +67,12 @@ def h_product(x: HElement, y: HElement) -> HElement:
     return frozenset(out)
 
 
+def exterior_monomials(n_max: int) -> tuple[ExtMono, ...]:
+    """Every exterior monomial on the indices 0..n_max, by size and then
+    lexicographically."""
+    return tuple(I for size in range(n_max + 2) for I in itertools.combinations(range(n_max + 1), size))
+
+
 def q_action(j: int, x: HElement | ExtMono) -> HElement:
     """Q_j acts as the derivation with Q_j r_i = delta_ij."""
     if isinstance(x, tuple):
@@ -99,13 +105,7 @@ class IsotropicWindow:
         return n
 
     def basis(self) -> tuple[ExtMono, ...]:
-        n_max = self.n_max
-        out = []
-        for bits in range(2 ** (n_max + 1)):
-            I = tuple(i for i in range(n_max + 1) if (bits >> i) & 1)
-            if self.p_min <= ext_degree(I).p:
-                out.append(I)
-        return tuple(sorted(out))
+        return tuple(sorted(I for I in exterior_monomials(self.n_max) if self.p_min <= ext_degree(I).p))
 
     def covers(self, deg: Bidegree) -> bool:
         """Whether the window holds the full exterior algebra at this
@@ -210,6 +210,9 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
     multiplication gives a linear equation on the weight-w unknowns;
     commuting Q_k past P^R adds scalar-output equations.  The known
     generator rows enter through S = () (the product with the unit).
+    The square equations' rows are the packed P-products over
+    p_exponents_of_weight(w), the same for every generator; only their
+    right-hand sides depend on i.
     """
     report = SolveReport()
     solved: set[tuple[tuple[int, ...], int]] = set()
@@ -222,67 +225,47 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
             return _p_target(milnor.p_weight(r), i)
         return None
 
-    def generator_value(h: int, k: int) -> bool:
-        # Sq^{2^j} r_k = r_{k-1} iff k == j, where h = 2^{j-1}
-        j = h.bit_length()  # log2(h) + 1
-        return k == j
-
     for w in range(1, w_max + 1):
-        r_list = list(milnor.p_exponents_of_weight(w))
-        index = {r: n for n, r in enumerate(r_list)}
-        squares = [h for h in (2**a for a in range(w.bit_length() + 1)) if h <= w]
+        r_list = milnor.p_exponents_of_weight(w)
+        # (j, S, P^{(h)} P^S, P^S P^{(h)}) for h = 2^{j-1} <= w
+        squares = [
+            (h.bit_length(), s, milnor.packed_p_product((h,), s), milnor.packed_p_product(s, (h,)))
+            for h in (2**a for a in range(w.bit_length()))
+            for s in milnor.p_exponents_of_weight(w - h)
+        ]
         for i in range(n_max + 1):
             target = _p_target(w, i)
             rows: list[int] = []
-            rhs_bits: list[int] = []
-
-            def add_equation(coeffs: Iterable[tuple[int, ...]], rhs: bool):
-                row = 0
-                for t in coeffs:
-                    row ^= 1 << index[t]
-                rows.append(row)
-                rhs_bits.append(1 if rhs else 0)
-
-            for h in squares:
-                j = h.bit_length()
-                for s in milnor.p_exponents_of_weight(w - h):
-                    # (Sq^{2^j} P^S) r_i = Sq^{2^j} (P^S r_i)
-                    k1 = c_value(s, i)
-                    rhs1 = k1 is not None and generator_value(h, k1)
-                    add_equation(milnor.p_product(milnor.trim((h,)), s), rhs1)
-                    # (P^S Sq^{2^j}) r_i = P^S (Sq^{2^j} r_i)
-                    rhs2 = generator_value(h, i) and c_value(s, i - 1) is not None
-                    add_equation(milnor.p_product(s, milnor.trim((h,))), rhs2)
+            b = 0
+            # Sq^{2^j} r_k = r_{k-1} iff k == j
+            for j, s, left, right in squares:
+                # (Sq^{2^j} P^S) r_i = Sq^{2^j} (P^S r_i)
+                if c_value(s, i) == j:
+                    b |= 1 << len(rows)
+                rows.append(left)
+                # (P^S Sq^{2^j}) r_i = P^S (Sq^{2^j} r_i)
+                if i == j and c_value(s, i - 1) is not None:
+                    b |= 1 << len(rows)
+                rows.append(right)
             # Q_k commutation: (P^R Q_k) r_i = P^R (Q_k r_i) = [k==i][R=()]
             for k in range(n_max + 2):
-                for r in r_list:
-                    # P^R Q_k = Q_k P^R + sum_j Q_{k+j} P^{R - 2^k e_j}
-                    lhs: list[tuple[int, ...]] = []
-                    if k == target:
-                        lhs.append(r)
+                for n, r in enumerate(r_list):
                     rhs = False
-                    for j in range(1, len(r) + 1):
-                        if r[j - 1] >= 2**k:
-                            lowered = list(r)
-                            lowered[j - 1] -= 2**k
-                            low = milnor.trim(lowered)
-                            kl = c_value(low, i)
-                            if kl is not None and k + j == kl:
-                                rhs = not rhs
-                    if lhs or rhs:
-                        add_equation(lhs, rhs)
+                    for m, low in milnor.commutator_terms(k, r):
+                        if c_value(low, i) == m:
+                            rhs = not rhs
+                    if k == target or rhs:
+                        b |= rhs << len(rows)
+                        rows.append(1 << n if k == target else 0)
 
             if target is None:
                 # no admissible target: all constants vanish; equations
                 # must agree
-                if any(rhs_bits):
+                if b:
                     report.inconsistent.append((w, i))
                 report.solution_dims[(w, i)] = 0
                 continue
             n_unknown = len(r_list)
-            b = 0
-            for n, bit in enumerate(rhs_bits):
-                b |= bit << n
             x = gf2.solve_ints(rows, n_unknown, b)
             if x is None:
                 report.inconsistent.append((w, i))
@@ -290,7 +273,7 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
                 continue
             dim = n_unknown - gf2.rank_ints(rows, n_unknown)
             report.solution_dims[(w, i)] = dim
-            for r, n in index.items():
+            for n, r in enumerate(r_list):
                 if (x >> n) & 1:
                     solved.add((r, i))
 
@@ -433,9 +416,8 @@ def ideal_monomials(n_max: int, gens: Iterable[ExtMono]) -> frozenset[ExtMono]:
     ideals are exactly the monomial ideals: all supersets of the
     generators' supports.
     """
-    everything = [tuple(sorted(s)) for r in range(n_max + 2) for s in itertools.combinations(range(n_max + 1), r)]
     gen_sets = [set(g) for g in gens]
-    return frozenset(m for m in everything if any(g <= set(m) for g in gen_sets))
+    return frozenset(m for m in exterior_monomials(n_max) if any(g <= set(m) for g in gen_sets))
 
 
 @dataclass
@@ -486,23 +468,18 @@ def _module_maps_from_ideal(n_max: int, ideal: frozenset[ExtMono], shift: Bidegr
     return monos, targets, space
 
 
-def baer_injectivity_check(
-    n_max: int, ideal_samples: int = 50, seed: int = 0, exhaustive: Optional[bool] = None
-) -> BaerReport:
+def baer_injectivity_check(n_max: int, ideal_samples: int = 50, seed: int = 0) -> BaerReport:
     """Extend sampled module maps from homogeneous ideals of the
     exterior algebra on Q_0..Q_{n_max} to the whole algebra via
     psi(1) = sum over A of r_{I_x} phi(x), A the monomials of the ideal
-    whose image has a nonzero unit component; verify the extension."""
+    whose image has a nonzero unit component; verify the extension.
+    For n_max <= 2 every monomial ideal is checked before the samples."""
     rng = random.Random(seed)
     report = BaerReport()
-    all_monos = [
-        tuple(sorted(s)) for r in range(n_max + 2) for s in itertools.combinations(range(n_max + 1), r)
-    ]
-    if exhaustive is None:
-        exhaustive = n_max <= 2
+    all_monos = exterior_monomials(n_max)
 
     ideals: list[frozenset[ExtMono]] = []
-    if exhaustive:
+    if n_max <= 2:
         for r in range(len(all_monos) + 1):
             for gens in itertools.combinations(all_monos, r):
                 ideals.append(ideal_monomials(n_max, gens))
@@ -517,7 +494,7 @@ def baer_injectivity_check(
             continue
         # every shift that can host a nonzero map
         shifts = sorted(
-            {ext_degree(J) - q_monomial_degree(m) for m in ideal for J in _subsets(n_max)}
+            {ext_degree(J) - q_monomial_degree(m) for m in ideal for J in all_monos}
         )
         for shift in shifts:
             monos, targets, space = _module_maps_from_ideal(n_max, ideal, shift)
@@ -555,11 +532,6 @@ def baer_injectivity_check(
                 if not ok:
                     report.failures.append((sorted(ideal), shift))
     return report
-
-
-def _subsets(n_max: int):
-    for r in range(n_max + 2):
-        yield from (tuple(sorted(s)) for s in itertools.combinations(range(n_max + 1), r))
 
 
 # ---------------------------------------------------------------------------

@@ -430,19 +430,33 @@ def p_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int, ..
 
 
 @lru_cache(maxsize=None)
+def commutator_terms(k: int, r: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The correction terms of the commutator rule
+
+        P^r Q_k = Q_k P^r + sum_j Q_{k+j} P^{r - 2^k e_j},
+
+    as the pairs (k + j, r - 2^k e_j) for the j with r_j >= 2^k, in
+    increasing j.  The same sum is Q_k P^r + P^r Q_k."""
+    step = 1 << k
+    out = []
+    for j, rj in enumerate(r, start=1):
+        if rj >= step:
+            lowered = list(r)
+            lowered[j - 1] -= step
+            out.append((k + j, trim(lowered)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _q_past_p(k: int, r: tuple[int, ...]) -> frozenset[tuple[tuple[int, ...], int]]:
     """Q_k P^r rewritten as a sum of P^{r'} Q_m, each with a single Q.
 
-    Iterates the commutator rule Q_k P^r = P^r Q_k + sum_j Q_{k+j}
-    P^{r - 2^k e_j}; the correction terms recurse on strictly smaller r.
+    Iterates the commutator rule; the correction terms recurse on
+    strictly smaller r.
     """
     out: set[tuple[tuple[int, ...], int]] = {(r, k)}
-    step = 2**k
-    for j in range(1, len(r) + 1):
-        if r[j - 1] >= step:
-            lowered = list(r)
-            lowered[j - 1] -= step
-            out ^= _q_past_p(k + j, trim(lowered))
+    for m, lowered in commutator_terms(k, r):
+        out ^= _q_past_p(m, lowered)
     return frozenset(out)
 
 
@@ -452,16 +466,8 @@ def _p_past_qs(r: tuple[int, ...], f: tuple[int, ...]) -> frozenset[Mono]:
     if not f:
         return frozenset([((), r)])
     k, rest = f[0], f[1:]
-    # P^r Q_k = Q_k P^r + sum_j Q_{k+j} P^{r - 2^k e_j}
-    first: list[tuple[int, tuple[int, ...]]] = [(k, r)]
-    step = 2**k
-    for j in range(1, len(r) + 1):
-        if r[j - 1] >= step:
-            lowered = list(r)
-            lowered[j - 1] -= step
-            first.append((k + j, trim(lowered)))
     out: set[Mono] = set()
-    for m, r1 in first:
+    for m, r1 in ((k, r),) + commutator_terms(k, r):
         for e2, r2 in _p_past_qs(r1, rest):
             if m in e2:
                 continue

@@ -225,7 +225,7 @@ def test_criterion_9_injectivity_and_hom_lemmas():
     for n in (0, 1, 2):
         rep = iso.baer_injectivity_check(n, ideal_samples=1, seed=5)
         assert rep.ok, rep.failures
-    rep3 = iso.baer_injectivity_check(3, ideal_samples=200, seed=5, exhaustive=False)
+    rep3 = iso.baer_injectivity_check(3, ideal_samples=200, seed=5)
     assert rep3.ok and rep3.ideals_checked >= 200
     window = iso.IsotropicWindow(-20)
     table = iso.solve_action_table(3, 8)

@@ -558,12 +558,13 @@ def _reference_diff_rows(res, s, deg):
     return dom, rows, len(cod)
 
 
-def test_a0_resolve_and_lifts_keep_no_milnor_product_cache():
+@pytest.mark.parametrize("flavor", ["A0", "G"])
+def test_resolve_and_lifts_keep_no_milnor_product_cache(flavor):
     # right_rows is the only store of the products the resolution and
     # its chain maps use; milnor.multiply_mono's cache stays untouched
     milnor.multiply_mono.cache_clear()
     milnor.p_product.cache_clear()
-    res = H.resolve(H.algebra_for("A0", 12), smax=4, pmax=10)
+    res = H.resolve(H.algebra_for(flavor, 12), smax=4, pmax=10)
     x = H.class_of_generator(res, 1, res.gens[1][0])
     H.yoneda_product(res, x, x)
     assert res.algebra._right_rows

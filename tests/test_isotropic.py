@@ -237,7 +237,7 @@ def test_baer_exhaustive_small():
 
 
 def test_baer_sampled_n3():
-    rep = iso.baer_injectivity_check(3, ideal_samples=200, seed=3, exhaustive=False)
+    rep = iso.baer_injectivity_check(3, ideal_samples=200, seed=3)
     assert rep.ok and rep.ideals_checked >= 200
 
 
@@ -278,3 +278,14 @@ def test_dual_route_matches_hom_route(hom_route_chart, pmax, smax, p_min):
     assert {c: d for c, d in dual.cells.items() if d} == unflagged
     if p_min is None:
         assert dual.cells == hom.cells and not dual.truncated and not hom.truncated
+
+
+def test_isotropic_chart_keeps_no_milnor_product_cache():
+    # the action table and the resolution over the opposite algebra form
+    # their P-products packed; no product is formed as a monomial set
+    milnor.multiply_mono.cache_clear()
+    milnor.p_product.cache_clear()
+    chart = iso.isotropic_chart(iso.IsotropicWindow(-18), 4, 16)
+    assert chart.cells
+    assert milnor.multiply_mono.cache_info().currsize == 0
+    assert milnor.p_product.cache_info().currsize == 0
