@@ -118,16 +118,12 @@ def is_admissible(word: Word, flavor: str) -> bool:
 
 def _adem_pair(a: int, b: int, flavor: str) -> frozenset[Word]:
     """Rewrite one inadmissible pair Sq^a Sq^b (a < 2b)."""
+    if flavor == EVEN:  # the classical relation on (a/2, b/2), doubled
+        return frozenset(tuple(2 * x for x in w) for w in _adem_pair(a // 2, b // 2, CLASSICAL))
     out: set[Word] = set()
-    if flavor == CLASSICAL:
-        for t in range(a // 2 + 1):
-            if binom2(b - t - 1, a - 2 * t):
-                out ^= {(a + b - t,) if t == 0 else (a + b - t, t)}
-    else:  # EVEN: the doubled classical relation
-        r, s = a // 2, b // 2
-        for t in range(r // 2 + 1):
-            if binom2(s - t - 1, r - 2 * t):
-                out ^= {(2 * (r + s - t),) if t == 0 else (2 * (r + s - t), 2 * t)}
+    for t in range(a // 2 + 1):
+        if binom2(b - t - 1, a - 2 * t):
+            out ^= {(a + b - t,) if t == 0 else (a + b - t, t)}
     return frozenset(out)
 
 

@@ -1,6 +1,8 @@
 """Minimal free resolutions over windowed graded GF(2) algebras, Ext
-charts, and one chain-map class (`ChainMap`) serving both Yoneda
-products (chain lifts) and triple Massey products (null-homotopies).
+charts read off their generators (coefficients in a finite module M
+through a resolution of its dual over the opposite algebra), and one
+chain-map class (`ChainMap`) serving both Yoneda products (chain lifts)
+and triple Massey products (null-homotopies).
 
 One store per fact: resolution and chain maps build their rows from the
 same packed right-multiplication table (`WindowedAlgebra.right_rows`),
@@ -32,8 +34,7 @@ from typing import Optional
 
 from . import adem, gf2, milnor
 from .charts import ExtChart, name_h_classes
-from .milnor import Bidegree
-from .modules import FiniteModule, trivial_module
+from .modules import FiniteModule, dual_module, trivial_module
 
 Deg = tuple[int, ...]
 
@@ -462,118 +463,40 @@ def resolve(
 # Ext charts
 
 
-def ext_chart_field(res: FreeResolution) -> ExtChart:
-    """With ground-field coefficients and a minimal resolution, Ext
-    dimensions are generator counts and the Hom differential vanishes."""
-    chart = ExtChart(res.algebra.flavor, res.algebra.grading, res.smax, res.pmax)
+def _generator_chart(res: FreeResolution, flavor: str) -> ExtChart:
+    """Generator counts of a minimal resolution of M: with ground-field
+    coefficients the Hom differential vanishes, so they are Ext(M, F2)."""
+    chart = ExtChart(flavor, res.algebra.grading, res.smax, res.pmax)
     for s in range(res.smax + 1):
         for deg in res.gens[s]:
             chart.cells[(s, deg)] = chart.cells.get((s, deg), 0) + 1
+    return chart
+
+
+def ext_chart_field(res: FreeResolution) -> ExtChart:
+    """Ext(target, F2) of a minimal resolution, with the h-classes named."""
+    chart = _generator_chart(res, res.algebra.flavor)
     name_h_classes(chart)
     return chart
 
 
-def ext_chart_coefficients(res: FreeResolution, coefficients: FiniteModule, covers=None) -> ExtChart:
-    """Cohomology of Hom(resolution, coefficients) at topological degree
-    t <= res.pmax.  With the isotropic window as coefficients this is the
-    Hom route to the isotropic chart, kept as a cross-check of
-    `isotropic.isotropic_chart`.
+def ext_chart_coefficients(coefficients: FiniteModule, smax: int, pmax: int) -> ExtChart:
+    """Ext over the generalized algebra A0 from F2 into a finite module M,
+    for s <= smax and topological degree p <= pmax.
 
-    `covers(bidegree)` reports whether the coefficient module faithfully
-    represents that bidegree of the infinite coefficient algebra; cells
-    needing unrepresented bidegrees are flagged window-truncated.
-    """
-    if res.algebra.grading != 2:
-        raise ValueError("coefficient charts need a bigraded algebra")
-    covers = covers or (lambda deg: True)
-    chart = ExtChart("isotropic", 2, res.smax, res.pmax)
-
-    hom_bases: dict = {}
-    # (p, q) -> (covers(bidegree), coefficient keys there)
-    coefficient_at: dict = {}
-
-    def hom_basis(s: int, cell: Deg):
-        """(basis (gen index, coefficient key), truncated) of Hom(F_s)
-        at the cell; one coefficient degree per run of generators."""
-        key = (s, cell)
-        got = hom_bases.get(key)
-        if got is None:
-            out = []
-            truncated = False
-            for gdeg, first, stop in res.runs(s):
-                hdeg = (gdeg[0] - cell[0], gdeg[1] - cell[1])
-                entry = coefficient_at.get(hdeg)
-                if entry is None:
-                    bideg = Bidegree(*hdeg)
-                    entry = coefficient_at[hdeg] = (covers(bideg), coefficients.basis_at(bideg))
-                ok, hkeys = entry
-                if not ok:
-                    truncated = True
-                if hkeys:
-                    out.extend((i, h) for i in range(first, stop) for h in hkeys)
-            got = (tuple(out), truncated)
-            hom_bases[key] = got
-        return got
-
-    # incoming[s][j]: (i, coefficients) of every generator i of F_s whose
-    # differential has a term on generator j of F_{s-1}
-    incoming: list[list[list]] = [[]]
-    for s in range(1, len(res.diff)):
-        by_source: list[list] = [[] for _ in res.gens[s - 1]]
-        for i, entry in enumerate(res.diff[s]):
-            for j, coeffs in entry.items():
-                by_source[j].append((i, coeffs))
-        incoming.append(by_source)
-
-    rank_cache: dict = {}
-    acted: dict = {}  # (m, h) -> coefficients.act_mono(m, h)
-
-    def delta_rank(s: int, cell: Deg) -> int:
-        """Rank of Hom(F_s) -> Hom(F_{s+1}) at the cell."""
-        key = (s, cell)
-        got = rank_cache.get(key)
-        if got is None:
-            cod, _ = hom_basis(s + 1, cell)
-            cod_index = {c: n for n, c in enumerate(cod)}
-            span = gf2.SpanBuilder()
-            for (j, h) in hom_basis(s, cell)[0]:
-                row = 0
-                for i, coeffs in incoming[s + 1][j]:
-                    for m in coeffs:
-                        out = acted.get((m, h))
-                        if out is None:
-                            out = acted[(m, h)] = coefficients.act_mono(m, h)
-                        for hh in out:
-                            row ^= 1 << cod_index[(i, hh)]
-                span.add(row)
-            got = rank_cache[key] = span.rank
-        return got
-
-    cells: set[Deg] = set()
-    hdegs = coefficients.degrees()
-    for s in range(res.smax + 1):
-        for gdeg, _, _ in res.runs(s):
-            for hdeg in hdegs:
-                if gdeg[0] - hdeg.p <= res.pmax:
-                    cells.add((gdeg[0] - hdeg.p, gdeg[1] - hdeg.q))
-
-    for cell in sorted(cells):
-        for s in range(res.smax + 1):
-            dom, trunc_here = hom_basis(s, cell)
-            if not dom:
-                continue
-            _, trunc_up = hom_basis(s + 1, cell)
-            truncated = trunc_here or trunc_up
-            if s > 0:
-                _, trunc_down = hom_basis(s - 1, cell)
-                truncated = truncated or trunc_down
-            if truncated:
-                chart.truncated.add((s, cell))
-                continue
-            dim = len(dom) - delta_rank(s, cell) - (delta_rank(s - 1, cell) if s > 0 else 0)
-            if dim:
-                chart.cells[(s, cell)] = dim
-    return chart
+    By duality for finite modules, Ext_{A0}(F2, M) = Ext_{A0^op}(D M,
+    F2), so the chart counts the generators of a minimal resolution of
+    the dual module D M over the opposite algebra.  `resolve` visits only
+    the cells 0 <= q <= p/2, so a key of M whose negated bidegree lies
+    outside them (any key with p > 0) raises ValueError rather than
+    dropping out of the chart."""
+    algebra = OppositeGeneralizedAlgebra(pmax + 2)
+    for key in coefficients.keys:
+        p, q = coefficients.degree_of(key)
+        if (-p, -q) not in algebra.cells_at(-p):
+            raise ValueError(f"coefficient key {key!r} at {(p, q)}: Ext needs p <= 0 and p/2 <= q <= 0")
+    res = resolve(algebra, smax=smax, pmax=pmax, target=dual_module(coefficients))
+    return _generator_chart(res, "isotropic")
 
 
 # ---------------------------------------------------------------------------

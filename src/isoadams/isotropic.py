@@ -6,8 +6,8 @@ r_i sits in bidegree (-2^i+1)[-2^{i+1}+1], exactly minus the bidegree of
 Q_i, and Q_j r_i = delta_ij.  Distinct exterior monomials r_I occupy
 distinct bidegrees (the offset p-2q recovers |I| and the weight then
 decodes I in binary), so every bidegree carries at most one basis
-element; that multiplicity-freeness drives both the action solver and
-the Hom machinery.
+element; that multiplicity-freeness drives the action solver.  The
+isotropic chart is `homological.ext_chart_coefficients` of a window.
 
 The generator tables only cover Q_j and the squares Sq^{2^j}; the
 structure constants P^R r_i for general R are obtained weight by weight
@@ -106,11 +106,6 @@ class IsotropicWindow:
 
     def basis(self) -> tuple[ExtMono, ...]:
         return tuple(sorted(I for I in exterior_monomials(self.n_max) if self.p_min <= ext_degree(I).p))
-
-    def covers(self, deg: Bidegree) -> bool:
-        """Whether the window holds the full exterior algebra at this
-        bidegree: no monomial outside the window sits there."""
-        return deg.p >= self.p_min or ext_from_degree(deg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +304,14 @@ class ActionTableNotUnique(ValueError):
     undefined."""
 
 
-def dual_window_module(table: ActionTable, window: IsotropicWindow) -> FiniteModule:
-    """D H_w = Hom(H_w, F2) for the window module H_w, a right module
-    over the generalized algebra through (phi a)(x) = phi(a x), so a left
-    module over its opposite.  The key J is the functional dual to r_J,
-    at the degree of Q_J, minus ext_degree(J).
-
-    phi_J m is the sum of the phi_K with J in m r_K.  Each bidegree holds
-    at most one exterior monomial, so the only candidate is the K at
-    ext_degree(J) - |m|."""
-    keys = window.basis()
-    inside = frozenset(keys)
-
-    def act(m: Mono, J: ExtMono) -> frozenset:
-        K = ext_from_degree(ext_degree(J) - milnor.mono_degree(m))
-        if K in inside and J in table.act_mono(m, K):
-            return frozenset([K])
-        return frozenset()
-
-    return FiniteModule(keys, q_monomial_degree, act, "dual-isotropic-window")
-
-
 def isotropic_chart(window: IsotropicWindow, smax: int, pmax: int) -> ExtChart:
     """The isotropic Adams E2 chart: Ext over the generalized algebra with
     coefficients in the window's exterior module, for s <= smax and
-    topological degree p <= pmax.
-
-    By duality for finite modules, Ext_{A0}(F2, H_w) = Ext_{A0^op}(D H_w,
-    F2), so the chart counts the generators of a minimal resolution of
-    the dual window module over the opposite algebra.  A P^R acting in
-    degree <= pmax has weight <= pmax / 2, so the action table is solved
-    to that weight; a non-unique table raises ActionTableNotUnique before
-    anything is resolved.
+    topological degree p <= pmax, from a minimal resolution of the dual
+    window module (`homological.ext_chart_coefficients`).  A P^R acting
+    in degree <= pmax has weight <= pmax / 2, so the action table is
+    solved to that weight; a non-unique table raises ActionTableNotUnique
+    before anything is resolved.
 
     Cells where the window may differ from the whole exterior module are
     flagged truncated, and their dimensions dropped.  With Q = H / H_w,
@@ -356,15 +327,12 @@ def isotropic_chart(window: IsotropicWindow, smax: int, pmax: int) -> ExtChart:
             "action table not unique; the isotropic chart is undefined\n"
             f"underdetermined: {report.underdetermined} inconsistent: {report.inconsistent}"
         )
-    algebra = homological.OppositeGeneralizedAlgebra(pmax + 2)
-    res = homological.resolve(algebra, smax=smax, pmax=pmax, target=dual_window_module(table, window))
-    chart = ExtChart("isotropic", 2, smax, pmax)
+    chart = homological.ext_chart_coefficients(isotropic_coefficients(table, window), smax, pmax)
     for s in range(smax + 1):
         for p in range(max(s - 1, 0) - window.p_min + 1, pmax + 1):
-            chart.truncated.update((s, deg) for deg in algebra.cells_at(p))
-        for deg in res.gens[s]:
-            if (s, deg) not in chart.truncated:
-                chart.cells[(s, deg)] = chart.cells.get((s, deg), 0) + 1
+            for q in range(p // 2 + 1):
+                chart.truncated.add((s, (p, q)))
+                chart.cells.pop((s, (p, q)), None)
     return chart
 
 

@@ -4,8 +4,8 @@ A module is a finite list of basis keys with degrees plus an action
 callback taking an algebra basis monomial and a key to a GF(2) set of
 keys.  Elements are frozensets of keys.  This is the one module type:
 `resolve` takes it as its target (the ground field is a trivial module
-acted on by the algebra's unit), and the Hom/Ext machinery and the
-smash-product construction consume it.
+acted on by the algebra's unit, Ext with coefficients in M resolves the
+dual module D M), and the smash-product construction consumes it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
-from .milnor import Bidegree, Mono
+from .milnor import Bidegree, Mono, mono_degree
 
 Key = Hashable
 
@@ -37,6 +37,24 @@ class FiniteModule:
 
     def degrees(self) -> list[Bidegree]:
         return sorted({self.degree_of(k) for k in self.keys})
+
+
+def dual_module(M: FiniteModule) -> FiniteModule:
+    """D M = Hom(M, F2) for a module M over the generalized algebra, a
+    right module through (phi a)(x) = phi(a x), so a left module over its
+    opposite.  The key K is the functional dual to K, at minus its degree
+    in M.  phi_J m is the sum of the phi_K with J in m K, for the K of M
+    at deg J - |m|."""
+    degree = {k: Bidegree(*M.degree_of(k)) for k in M.keys}
+
+    def deg(k) -> Bidegree:
+        p, q = degree[k]
+        return Bidegree(-p, -q)
+
+    def act(m: Mono, J) -> frozenset:
+        return frozenset(K for K in M.basis_at(degree[J] - mono_degree(m)) if J in M.act_mono(m, K))
+
+    return FiniteModule(M.keys, deg, act, f"dual({M.name})")
 
 
 def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "trivial", *, unit: Mono) -> FiniteModule:

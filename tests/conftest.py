@@ -1,23 +1,88 @@
 import pytest
 
-from isoadams import homological as H, isotropic as iso
+from isoadams import gf2, homological as H, isotropic as iso
+from isoadams.charts import ExtChart
+from isoadams.milnor import Bidegree
+
+
+def reference_hom_chart(res, coefficients, covers):
+    """(cells, truncated) of Hom(resolution, coefficients), scanning
+    every generator for each (s, cell) and ranking with rank_ints.
+    `covers(bidegree)` says whether the coefficients hold that bidegree
+    in full; cells whose Hom terms need one they do not are flagged."""
+
+    def hom_basis(s, cell):
+        out, truncated = [], False
+        for i, gdeg in enumerate(res.gens[s]):
+            hdeg = Bidegree(gdeg[0] - cell[0], gdeg[1] - cell[1])
+            truncated = truncated or not covers(hdeg)
+            out.extend((i, h) for h in coefficients.basis_at(hdeg))
+        return out, truncated
+
+    def delta_rank(s, cell):
+        dom, _ = hom_basis(s, cell)
+        cod, _ = hom_basis(s + 1, cell)
+        index = {c: n for n, c in enumerate(cod)}
+        rows = []
+        for j, h in dom:
+            row = 0
+            for i, entry in enumerate(res.diff[s + 1]):
+                for m in entry.get(j, ()):
+                    for hh in coefficients.act_mono(m, h):
+                        row ^= 1 << index[(i, hh)]
+            rows.append(row)
+        return gf2.rank_ints(rows, max(len(cod), 1))
+
+    candidates = {
+        (gdeg[0] - hdeg[0], gdeg[1] - hdeg[1])
+        for s in range(res.smax + 1)
+        for gdeg in res.gens[s]
+        for hdeg in coefficients.degrees()
+        if gdeg[0] - hdeg[0] <= res.pmax
+    }
+    cells, truncated = {}, set()
+    for cell in sorted(candidates):
+        for s in range(res.smax + 1):
+            dom, here = hom_basis(s, cell)
+            if not dom:
+                continue
+            if here or hom_basis(s + 1, cell)[1] or (s > 0 and hom_basis(s - 1, cell)[1]):
+                truncated.add((s, cell))
+                continue
+            dim = len(dom) - delta_rank(s, cell) - (delta_rank(s - 1, cell) if s else 0)
+            if dim:
+                cells[(s, cell)] = dim
+    return cells, truncated
 
 
 @pytest.fixture(scope="session")
-def hom_route_chart():
-    """The Hom route to the isotropic chart, as a cross-check of
-    `isotropic_chart`: resolve F2 over A0 and take the cohomology of Hom
-    into the window module, flagging the cells whose Hom terms need a
-    bidegree the window does not hold in full.  One resolution per
-    (smax, pmax) serves every window."""
+def hom_chart():
+    """The Hom route to Ext over A0 with coefficients: resolve F2 over A0
+    and take the cohomology of Hom into the module, as a cross-check of
+    `ext_chart_coefficients`.  One resolution per (smax, pmax) serves
+    every module."""
     resolutions = {}
 
-    def build(window, smax, pmax):
+    def build(coefficients, smax, pmax, covers=lambda deg: True):
         res = resolutions.get((smax, pmax))
         if res is None:
             res = resolutions[(smax, pmax)] = H.resolve(H.algebra_for("A0", pmax + 2), smax=smax, pmax=pmax)
+        chart = ExtChart("isotropic", 2, smax, pmax)
+        chart.cells, chart.truncated = reference_hom_chart(res, coefficients, covers)
+        return chart
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def hom_route_chart(hom_chart):
+    """The Hom route to the isotropic chart of a window: cells whose Hom
+    terms need a bidegree the window does not hold in full, one where a
+    monomial outside the window sits, are flagged truncated."""
+
+    def build(window, smax, pmax):
         table = iso.solve_action_table(n_max=window.n_max, w_max=pmax // 2)
         coeffs = iso.isotropic_coefficients(table, window)
-        return H.ext_chart_coefficients(res, coeffs, covers=window.covers)
+        return hom_chart(coeffs, smax, pmax, lambda deg: deg.p >= window.p_min or iso.ext_from_degree(deg) is None)
 
     return build

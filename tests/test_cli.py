@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from isoadams import cli, homological as H, isotropic as iso
-from isoadams.charts import from_csv, from_json
+from isoadams.charts import ExtChart, from_csv, from_json, to_json
 
 
 def run_cli(args, capsys):
@@ -228,14 +228,25 @@ def test_isotropic_non_unique_action_table_is_a_mismatch(monkeypatch, tmp_path, 
 
 
 def test_isotropic_does_not_build_the_hom_chart(monkeypatch, capsys):
-    # the chart comes from the dual window module; the Hom chart is a
-    # cross-check in the tests only
-    def no_hom_chart(*args, **kwargs):
-        raise AssertionError("built the Hom chart")
+    # the chart comes from a resolution of the dual window module; the
+    # resolution of F2 over A0 that the Hom route needs is built in the
+    # tests only
+    resolve = H.resolve
+    targets = []
 
-    monkeypatch.setattr(H, "ext_chart_coefficients", no_hom_chart)
+    def no_field_over_a0(algebra, smax, pmax, target=None):
+        field = target is None or (
+            len(target.keys) == 1 and tuple(target.degree_of(target.keys[0])) == (0,) * algebra.grading
+        )
+        if field and algebra.flavor != "classical":
+            raise AssertionError(f"resolved F2 over {algebra.flavor}")
+        targets.append((algebra.flavor, field))
+        return resolve(algebra, smax, pmax, target)
+
+    monkeypatch.setattr(H, "resolve", no_field_over_a0)
     code, out, _ = run_cli(["isotropic", "--tmax", "16", "--smax", "4"], capsys)
     assert code == 0 and "verdict: MATCH" in out.splitlines()
+    assert sorted(targets) == [("A0op", False), ("classical", True)]
 
 
 def test_isotropic_job_stamps_pmin(tmp_path, capsys):
@@ -427,6 +438,16 @@ def test_compare_doubling_needs_matching_gradings(tmp_path, capsys):
     cl.write_text("s,t,u,dim\n0,0,,1\n")
     code, _, err = run_cli(["compare", str(cl), str(cl), "--mode", "doubling"], capsys)
     assert code == 2 and "doubling compares" in err
+    # equality pairs cells of one grading only; a header-only CSV has no
+    # grading and pairs with either
+    bigraded = tmp_path / "iso.json"
+    bigraded.write_text(to_json(ExtChart("isotropic", 2, 0, 0, {(0, (0, 0)): 1})))
+    code, out, err = run_cli(["compare", str(cl), str(bigraded)], capsys)
+    assert code == 2 and "one grading" in err and "verdict" not in out
+    empty = tmp_path / "empty.csv"
+    empty.write_text("s,t,u,dim\n")
+    code, out, _ = run_cli(["compare", str(empty), str(bigraded)], capsys)
+    assert code == 1 and "verdict: MISMATCH" in out
 
 
 def test_usage_error_exit_code():

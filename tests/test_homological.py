@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from isoadams import charts, cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.homological import ChartClass
+from isoadams.milnor import Bidegree
+from isoadams.modules import dual_module, random_trivial_module, trivial_module
 
 
 @pytest.fixture(scope="module")
@@ -616,7 +618,7 @@ def test_a0op_left_rows_match_multiply():
     window = iso.IsotropicWindow(-(pmax + 2))
     table = iso.solve_action_table(n_max=window.n_max, w_max=pmax // 2)
     algebra = H.OppositeGeneralizedAlgebra(pmax + 2)
-    H.resolve(algebra, smax=6, pmax=pmax, target=iso.dual_window_module(table, window))
+    H.resolve(algebra, smax=6, pmax=pmax, target=dual_module(iso.isotropic_coefficients(table, window)))
     H.resolve(algebra, smax=8, pmax=pmax)
     meets, multi_term = _rows_against_multiply(algebra, left=True)
     assert meets and multi_term
@@ -656,74 +658,54 @@ def test_diff_rows_match_monomial_products(case):
     assert checked
 
 
-def _reference_hom_chart(res, coefficients, covers):
-    """(cells, truncated) of Hom(resolution, coefficients), scanning
-    every generator for each (s, cell) and ranking with rank_ints."""
-    from isoadams.milnor import Bidegree
-
-    def hom_basis(s, cell):
-        out, truncated = [], False
-        for i, gdeg in enumerate(res.gens[s]):
-            hdeg = Bidegree(gdeg[0] - cell[0], gdeg[1] - cell[1])
-            truncated = truncated or not covers(hdeg)
-            out.extend((i, h) for h in coefficients.basis_at(hdeg))
-        return out, truncated
-
-    def delta_rank(s, cell):
-        dom, _ = hom_basis(s, cell)
-        cod, _ = hom_basis(s + 1, cell)
-        index = {c: n for n, c in enumerate(cod)}
-        rows = []
-        for j, h in dom:
-            row = 0
-            for i, entry in enumerate(res.diff[s + 1]):
-                for m in entry.get(j, ()):
-                    for hh in coefficients.act_mono(m, h):
-                        row ^= 1 << index[(i, hh)]
-            rows.append(row)
-        return gf2.rank_ints(rows, max(len(cod), 1))
-
-    candidates = {
-        (gdeg[0] - hdeg.p, gdeg[1] - hdeg.q)
-        for s in range(res.smax + 1)
-        for gdeg in res.gens[s]
-        for hdeg in coefficients.degrees()
-        if gdeg[0] - hdeg.p <= res.pmax
-    }
-    cells, truncated = {}, set()
-    for cell in sorted(candidates):
-        for s in range(res.smax + 1):
-            dom, here = hom_basis(s, cell)
-            if not dom:
-                continue
-            if here or hom_basis(s + 1, cell)[1] or (s > 0 and hom_basis(s - 1, cell)[1]):
-                truncated.add((s, cell))
-                continue
-            dim = len(dom) - delta_rank(s, cell) - (delta_rank(s - 1, cell) if s else 0)
-            if dim:
-                cells[(s, cell)] = dim
-    return cells, truncated
+def _pool_at_most_zero(pmin):
+    """The bidegrees (p, q) with pmin <= p <= 0 whose negatives resolve
+    visits: p/2 <= q <= 0."""
+    return [Bidegree(p, q) for p in range(pmin, 1) for q in range(-(-p // 2), 1)]
 
 
-@pytest.mark.parametrize("n_max, tmax_cl", [(2, 10), (3, 7)])
-def test_hom_chart_matches_full_generator_scan(n_max, tmax_cl):
-    # the deepest window on r_0..r_{n_max}; n_max = 2 (`isotropic --pmin
-    # -14`) truncates cells inside t <= 20
-    smax = 6
-    table = iso.solve_action_table(n_max=n_max, w_max=tmax_cl)
-    assert table.report.unique
-    win = iso.IsotropicWindow(iso.r_degree(n_max + 1).p + 1)
-    assert win.n_max == n_max
-    coeffs = iso.isotropic_coefficients(table, win)
-    res = H.resolve(H.algebra_for("A0", 2 * tmax_cl + 2), smax=smax, pmax=2 * tmax_cl)
-    chart = H.ext_chart_coefficients(res, coeffs, covers=win.covers)
-    cells, truncated = _reference_hom_chart(res, coeffs, win.covers)
-    assert chart.cells == cells
-    assert chart.truncated == truncated
-    assert cells
-    assert all(c[1][0] <= res.pmax for c in truncated)
-    if n_max == 2:
-        assert truncated
+def _smash_case(p_min):
+    window = iso.IsotropicWindow(p_min)
+    table = iso.solve_action_table(n_max=window.n_max, w_max=8)
+    two_points = trivial_module([Bidegree(0, 0), Bidegree(-3, -1)], unit=milnor.UNIT_MONO)
+    return iso.smash_module(two_points, table, window)
+
+
+COEFFICIENT_CASES = {
+    "two-keys-one-bidegree": lambda: trivial_module([(0, 0), (-3, -1), (-3, -1)], unit=milnor.UNIT_MONO),
+    **{
+        f"random-{seed}": lambda seed=seed: random_trivial_module(
+            random.Random(seed), 3, _pool_at_most_zero(-8), unit=milnor.UNIT_MONO)
+        for seed in range(3)
+    },
+    "smash-5": lambda: _smash_case(-5),
+    "smash-10": lambda: _smash_case(-10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+def test_ext_chart_coefficients_matches_hom_route(hom_chart, case):
+    # the dual-module resolution against the Hom route's full generator
+    # scan, on modules the isotropic window never is: several keys in one
+    # bidegree, and (the smash modules) a nontrivial action with
+    # multiplicity 2
+    M = COEFFICIENT_CASES[case]()
+    dual = H.ext_chart_coefficients(M, 4, 16)
+    hom = hom_chart(M, 4, 16)
+    assert dual.cells == hom.cells and dual.cells
+    assert not dual.truncated and not hom.truncated
+    if case.startswith("smash"):
+        assert max(len(M.basis_at(d)) for d in M.degrees()) == 2
+        assert any(len(M.act_mono(((0,), ()), k)) for k in M.keys)
+
+
+@pytest.mark.parametrize("deg", [Bidegree(2, 1), Bidegree(0, -1), Bidegree(-2, -2)])
+def test_ext_chart_coefficients_refuses_keys_resolve_skips(deg):
+    # resolve visits the cells 0 <= q <= p/2 only, so the dual of a key
+    # outside them would be dropped from the chart without a trace
+    M = trivial_module([Bidegree(0, 0), deg], unit=milnor.UNIT_MONO)
+    with pytest.raises(ValueError, match="Ext needs"):
+        H.ext_chart_coefficients(M, 2, 8)
 
 
 def _apply(res, images, elt):
