@@ -148,7 +148,8 @@ def adem_reduce(word: Word, flavor: str = CLASSICAL) -> WordElement:
 
 def reduce_word(word: Word, flavor: str = CLASSICAL) -> frozenset[Word]:
     """Raw admissible expansion, without the element wrapper; the
-    monomial-product hook for the resolution engine."""
+    reference the classical resolution's packed Sq^a rows are tested
+    against (`ClassicalAlgebra.multiply`), not on the resolve path."""
     return _reduce_word(word, flavor)
 
 

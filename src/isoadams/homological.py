@@ -6,13 +6,17 @@ and triple Massey products (null-homotopies).
 
 One store per fact: resolution and chain maps build their rows from the
 same packed right-multiplication table (`WindowedAlgebra.right_rows`),
-the only cache of algebra products on that path, and each cell (F_s)_deg
-has one layout record (`FreeResolution._cell`) from which its basis,
-block placement and bit decoding are all read.  Over the generalized
-algebra and its opposite the rows come from packed P-products
-(`milnor.packed_rows`, right and left rows), one per pair of P-parts,
-shifted into the block layout of the Milnor basis; the even algebra G
-is A0's slope-2 part, and its rows are A0's packed rows on that line.
+the only cache of algebra products on that path besides the tables the
+rows are built from, and each cell (F_s)_deg has one layout record
+(`FreeResolution._cell`) from which its basis, block placement and bit
+decoding are all read.  Over the classical algebra the rows come from
+packed Sq^a tables (`ClassicalAlgebra.sq_rows`), one per letter and
+source degree, so no Adem word is reduced (`adem.reduce_word`) on the
+resolve path.  Over the generalized algebra and its opposite the rows
+come from packed P-products (`milnor.packed_rows`, right and left rows),
+one per pair of P-parts, shifted into the block layout of the Milnor
+basis; the even algebra G is A0's slope-2 part, and its rows are A0's
+packed rows on that line.
 No product is formed as a set of monomials on these paths, and
 `WindowedAlgebra.multiply` stays as the reference the rows are tested
 against.
@@ -119,11 +123,21 @@ class WindowedAlgebra:
 
 
 class ClassicalAlgebra(WindowedAlgebra):
-    """The classical mod-2 Steenrod algebra on admissible words."""
+    """The classical mod-2 Steenrod algebra on admissible words.
+
+    Its rows come from packed Sq^a tables (`sq_rows`): a product m*n
+    applies the letters of m, right to left, to the unit vector of n.
+    `monomial_product` (Adem reduction of the concatenated word) is the
+    reference the rows are tested against, and is off the resolve path."""
 
     flavor = "classical"
     grading = 1
     unit: tuple = ()
+
+    def __init__(self, max_p: int):
+        super().__init__(max_p)
+        # (a, d) -> Sq^a w for w in basis((d,)), packed over basis((d + a,))
+        self._sq_rows: dict = {}
 
     def basis(self, deg: Deg) -> tuple:
         self.check_window(deg)
@@ -131,6 +145,52 @@ class ClassicalAlgebra(WindowedAlgebra):
 
     def monomial_product(self, m1, m2) -> frozenset:
         return adem.reduce_word(m1 + m2, adem.CLASSICAL)
+
+    def sq_rows(self, a: int, d: int) -> tuple[int, ...]:
+        """Sq^a w for each w in basis((d,)), packed over basis((d + a,)).
+
+        Sq^a w is the admissible word (a,) + w when a >= 2 w[0];
+        otherwise the Adem relation rewrites Sq^a Sq^{w[0]}, and each
+        word of it is applied letter by letter to w[1:], a word of lower
+        degree, so the recursion ends."""
+        key = (a, d)
+        got = self._sq_rows.get(key)
+        if got is None:
+            index = self.index((d + a,))
+            rows = []
+            for w in self.basis((d,)):
+                if not w or a >= 2 * w[0]:
+                    rows.append(1 << index[(a,) + w])
+                    continue
+                tail_deg = d - w[0]
+                tail = 1 << self.index((tail_deg,))[w[1:]]
+                row = 0
+                for rep in adem._adem_pair(a, w[0], adem.CLASSICAL):
+                    row ^= self._apply_word(rep, tail, tail_deg)
+                rows.append(row)
+            got = self._sq_rows[key] = tuple(rows)
+        return got
+
+    def _apply_word(self, word, vec: int, d: int) -> int:
+        """word * vec for vec packed over basis((d,)): the letters act
+        right to left, each through its Sq^a table."""
+        for a in reversed(word):
+            rows = self.sq_rows(a, d)
+            out = 0
+            while vec:
+                low = vec & -vec
+                out ^= rows[low.bit_length() - 1]
+                vec ^= low
+            vec = out
+            d += a
+        return vec
+
+    def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
+        """The rows from packed Sq^a tables (sq_rows)."""
+        self.check_window(out_deg)
+        n_deg = out_deg[0] - deg[0]
+        unit = 1 << self.index((n_deg,))[n]
+        return tuple(self._apply_word(m, unit, n_deg) for m in self.basis(deg))
 
 
 class GeneralizedAlgebra(WindowedAlgebra):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoadams import charts, cobar, gf2, homological as H, isotropic as iso, milnor
+from isoadams import adem, charts, cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree
 from isoadams.modules import dual_module, random_trivial_module, trivial_module
@@ -574,16 +574,24 @@ def test_resolve_and_lifts_keep_no_milnor_product_cache(flavor):
     assert milnor.p_product.cache_info().currsize == 0
 
 
-def _rows_against_multiply(algebra, left):
-    """Check every packed row the algebra keeps against the row formed
-    monomial by monomial through its multiply.  Returns how many rows
-    reach a term Q^G P^{R1} of P^R Q^F whose G meets E, and a multi-term
-    P-product P^{R1} P^S, for the A0 product (Q^E P^R)(Q^F P^S): m n for
-    right rows, n m for the left rows of the opposite algebra."""
-    meets = multi_term = 0
+def test_classical_resolve_and_lifts_keep_no_word_cache():
+    # the classical rows come from packed Sq^a tables: a resolve, a
+    # Yoneda product and a Massey bracket reduce no Adem word
+    adem._reduce_word.cache_clear()
+    res = H.resolve(H.algebra_for("classical", 16), smax=6, pmax=14)
+    h0 = ChartClass(1, (1,), 1)
+    h1 = ChartClass(1, (2,), 1)
+    assert H.yoneda_product(res, h1, h1).bits
+    assert H.massey_triple(res, h0, h1, h0).bits
+    assert adem._reduce_word.cache_info().currsize == 0
+    assert res.algebra._right_rows
+
+
+def _assert_rows_match_multiply(algebra, degree_of):
+    """Every packed row the algebra keeps equals the row formed monomial
+    by monomial through its multiply."""
     for (n, deg), rows in algebra._right_rows.items():
-        out_deg = H.add_deg(deg, milnor.mono_degree(n))
-        index = algebra.index(out_deg)
+        index = algebra.index(H.add_deg(deg, degree_of(n)))
         expected = []
         for m in algebra.basis(deg):
             row = 0
@@ -591,6 +599,43 @@ def _rows_against_multiply(algebra, left):
                 row ^= 1 << index[t]
             expected.append(row)
         assert rows == tuple(expected), (n, deg)
+
+
+def test_classical_right_rows_match_adem_reduction():
+    # the Sq^a tables reduce Sq^b v in full before the letter to the left
+    # of Sq^b acts, where reduce_word rewrites the leftmost inadmissible
+    # pair first, so agreement on every row a deep resolve, its products
+    # and brackets build also checks the confluence of Adem rewriting
+    algebra = H.algebra_for("classical", 32)
+    res = H.resolve(algebra, smax=8, pmax=28)
+    h = [ChartClass(1, (2**i,), 1) for i in range(4)]
+    for x, y in itertools.product(h, repeat=2):
+        H.yoneda_product(res, x, y)
+    assert H.massey_triple(res, h[1], h[0], h[1]).bits
+    H.massey_triple(res, h[2], h[1], h[2], rng=random.Random(0))
+    _assert_rows_match_multiply(algebra, lambda n: (sum(n),))
+    assert len(algebra._right_rows) > 1000
+    for d in range(32):
+        for a in range(1, 33 - d):
+            index = algebra.index((d + a,))
+            expected = []
+            for w in algebra.basis((d,)):
+                row = 0
+                for t in adem.reduce_word((a,) + w):
+                    row ^= 1 << index[t]
+                expected.append(row)
+            assert algebra.sq_rows(a, d) == tuple(expected), (a, d)
+
+
+def _rows_against_multiply(algebra, left):
+    """Check every packed row the algebra keeps against the row formed
+    monomial by monomial through its multiply.  Returns how many rows
+    reach a term Q^G P^{R1} of P^R Q^F whose G meets E, and a multi-term
+    P-product P^{R1} P^S, for the A0 product (Q^E P^R)(Q^F P^S): m n for
+    right rows, n m for the left rows of the opposite algebra."""
+    _assert_rows_match_multiply(algebra, milnor.mono_degree)
+    meets = multi_term = 0
+    for n, deg in algebra._right_rows:
         for m in algebra.basis(deg):
             (e, r), (f, s) = (n, m) if left else (m, n)
             terms = milnor._p_past_qs(r, f)
