@@ -13,10 +13,11 @@ decoding are all read.  Over the classical algebra the rows come from
 packed Sq^a tables (`ClassicalAlgebra.sq_rows`), one per letter and
 source degree, so no Adem word is reduced (`adem.reduce_word`) on the
 resolve path.  Over the generalized algebra and its opposite the rows
-come from packed P-products (`milnor.packed_rows`, right and left rows),
-one per pair of P-parts, shifted into the block layout of the Milnor
-basis; the even algebra G is A0's slope-2 part, and its rows are A0's
-packed rows on that line.
+(`milnor.packed_rows`, right and left rows) come from P-product tables
+(`milnor.p_product_table`), one per fixed P-part and weight of the
+other factor, shifted into the block layout of the Milnor basis; the
+even algebra G is A0's slope-2 part, and its rows are A0's packed rows
+on that line.
 No product is formed as a set of monomials on these paths, and
 `WindowedAlgebra.multiply` stays as the reference the rows are tested
 against.
@@ -103,14 +104,7 @@ class WindowedAlgebra:
         return got
 
     def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
-        index = self.index(out_deg)
-        rows = []
-        for m in self.basis(deg):
-            row = 0
-            for t in self.monomial_product(m, n):
-                row ^= 1 << index[t]
-            rows.append(row)
-        return tuple(rows)
+        raise NotImplementedError
 
     def cells_at(self, p: int) -> list[Deg]:
         if self.grading == 1:
@@ -203,7 +197,9 @@ class GeneralizedAlgebra(WindowedAlgebra):
 
     def __init__(self, max_p: int):
         super().__init__(max_p)
-        # S -> {R: P^R P^S packed over milnor.p_exponents_of_weight}
+        # (left, factor, w) -> milnor.p_product_table(factor, w, left):
+        # P^factor P^R (left) or P^R P^factor for every R of weight w,
+        # each packed over milnor.p_exponents_of_weight(p_weight(factor) + w)
         self._p_rows: dict = {}
 
     def basis(self, deg: Deg) -> tuple:
@@ -216,7 +212,7 @@ class GeneralizedAlgebra(WindowedAlgebra):
         return milnor.multiply_mono.__wrapped__(m1, m2)
 
     def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
-        """The rows from packed P-products (milnor.packed_rows)."""
+        """The rows from P-product tables (milnor.packed_rows)."""
         self.check_window(deg)
         self.check_window(out_deg)
         return milnor.packed_rows(n, deg, out_deg, self._p_rows, left=self.opposite)
@@ -248,31 +244,6 @@ class OppositeGeneralizedAlgebra(GeneralizedAlgebra):
 
     def monomial_product(self, m1, m2) -> frozenset:
         return super().monomial_product(m2, m1)
-
-
-class ExteriorMilnorAlgebra(WindowedAlgebra):
-    """The exterior subalgebra on Milnor operations Q_0..Q_n; bidegrees
-    are multiplicity-free."""
-
-    flavor = "exterior"
-    grading = 2
-    unit: tuple = ()
-
-    def __init__(self, n_max: int, max_p: int):
-        super().__init__(max_p)
-        self.n_max = n_max
-
-    def basis(self, deg: Deg) -> tuple:
-        self.check_window(deg)
-        mono = milnor.exterior_from_degree(*deg)
-        if mono is None or (mono and mono[-1] > self.n_max):
-            return ()
-        return (mono,)
-
-    def monomial_product(self, m1, m2) -> frozenset:
-        if set(m1) & set(m2):
-            return frozenset()
-        return frozenset([tuple(sorted(m1 + m2))])
 
 
 def algebra_for(flavor: str, max_p: int) -> WindowedAlgebra:

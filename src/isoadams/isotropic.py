@@ -205,9 +205,10 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
     multiplication gives a linear equation on the weight-w unknowns;
     commuting Q_k past P^R adds scalar-output equations.  The known
     generator rows enter through S = () (the product with the unit).
-    The square equations' rows are the packed P-products over
-    p_exponents_of_weight(w), the same for every generator; only their
-    right-hand sides depend on i.
+    The square equations' rows are the tables of P^{(h)} P^S and
+    P^S P^{(h)} over the S of weight w - h (`milnor.p_product_table`),
+    packed over p_exponents_of_weight(w) and the same for every
+    generator; only their right-hand sides depend on i.
     """
     report = SolveReport()
     solved: set[tuple[tuple[int, ...], int]] = set()
@@ -223,11 +224,12 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
     for w in range(1, w_max + 1):
         r_list = milnor.p_exponents_of_weight(w)
         # (j, S, P^{(h)} P^S, P^S P^{(h)}) for h = 2^{j-1} <= w
-        squares = [
-            (h.bit_length(), s, milnor.packed_p_product((h,), s), milnor.packed_p_product(s, (h,)))
-            for h in (2**a for a in range(w.bit_length()))
-            for s in milnor.p_exponents_of_weight(w - h)
-        ]
+        squares = []
+        for h in (2**a for a in range(w.bit_length())):
+            lefts = milnor.p_product_table((h,), w - h, True)
+            rights = milnor.p_product_table((h,), w - h, False)
+            for s, left, right in zip(milnor.p_exponents_of_weight(w - h), lefts, rights):
+                squares.append((h.bit_length(), s, left, right))
         for i in range(n_max + 1):
             target = _p_target(w, i)
             rows: list[int] = []

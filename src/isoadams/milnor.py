@@ -17,7 +17,10 @@ everywhere:
 - `multiply`: the matrix product formula for the P-parts plus
   commutator shuffles for the Q's.  The formula enumerates only the
   matrices with an odd coefficient, pruning each entry by Lucas's
-  condition as it is placed.
+  condition as it is placed.  This pairwise `p_product` serves
+  `multiply_mono`; the resolve paths and the action-table solver use
+  `p_product_table`, the same formula with one factor fixed, which
+  yields its products with every P^R of one weight in one enumeration.
 - `multiply_via_duality`: the pairing <xy, w> = <x (x) y, psi(w)>.  The
   dual coproduct psi(w) is built by multiplying out the generator
   coproducts on packed exponents (tau bits and fixed-width xi fields
@@ -211,7 +214,9 @@ def basis(p: int, q: int) -> tuple[Mono, ...]:
             continue
         for r in p_exponents_of_weight(wr):
             out.append((e, r))
-    return tuple(sorted(out, key=mono_key))
+    # every monomial here has bidegree (q)[p], so sorting on (E, R) is
+    # the mono_key order
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
@@ -496,15 +501,115 @@ def _p_positions(w: int) -> dict[tuple[int, ...], int]:
     return {r: n for n, r in enumerate(p_exponents_of_weight(w))}
 
 
-def packed_p_product(r: tuple[int, ...], s: tuple[int, ...]) -> int:
-    """P^r P^s as bits over p_exponents_of_weight(p_weight(r) +
-    p_weight(s)), straight from the matrix terms; uncached, unlike
-    `p_product`."""
-    position = _p_positions(p_weight(r) + p_weight(s))
-    bits = 0
-    for t in _matrix_product_terms(r, s):
-        bits ^= 1 << position[t]
-    return bits
+def p_product_table(factor: tuple[int, ...], w: int, left: bool) -> tuple[int, ...]:
+    """P^factor P^R (with `left`) or P^R P^factor for every R in
+    p_exponents_of_weight(w), in that order, each packed as bits over
+    p_exponents_of_weight(p_weight(factor) + w); uncached, unlike
+    `p_product`.
+
+    This is Milnor's formula with one factor fixed.  A left factor R
+    fixes the rows i >= 1 of the matrix, r_i = sum_j 2^j x_ij; a right
+    factor S fixes the columns j >= 1, s_j = sum_i x_ij.  These lines are
+    placed entry by entry, each closed by its remainder at position 0,
+    as in `_matrix_product_terms`.  The other factor is free: an entry x
+    at position m of line k adds x (left) or 2^k x (right) to slot m of
+    its exponent, and so costs that times 2^m - 1 of its weight w; its
+    own margin (row 0 or column 0) then closes the weight left.  Lucas
+    pruning per antidiagonal applies throughout, and each leaf flips one
+    bit of one table entry.
+    """
+    lines = len(factor)
+    # slots m with 2^m - 1 <= w: no entry lies on a position beyond them
+    slots = (w + 1).bit_length() - 1
+    # diag[n] is the OR of antidiagonal n, n >= 1
+    diag = [0] * (lines + slots + 1)
+    free = [0] * slots
+    position = _p_positions(p_weight(factor) + w)
+    free_position = _p_positions(w)
+    table = [0] * len(free_position)
+
+    def leaf():
+        t = diag[1:]
+        while t and not t[-1]:
+            t.pop()
+        r = free[:]
+        while r and not r[-1]:
+            r.pop()
+        table[free_position[tuple(r)]] ^= 1 << position[tuple(t)]
+
+    def close(m: int, budget: int):
+        # x on position m of the free margin, with `budget` of w left
+        if not budget:
+            leaf()
+            return
+        d = diag[m]
+        if m == 1:
+            if not budget & d:
+                diag[1] = d | budget
+                free[0] += budget
+                leaf()
+                free[0] -= budget
+                diag[1] = d
+            return
+        cap = budget // ((1 << m) - 1)
+        mask = ~d & ((1 << cap.bit_length()) - 1)
+        x = mask
+        while True:
+            if x <= cap:
+                diag[m] = d | x
+                free[m - 1] += x
+                close(m - 1, budget - x * ((1 << m) - 1))
+                free[m - 1] -= x
+            if not x:
+                break
+            x = (x - 1) & mask
+        diag[m] = d
+
+    def place(k: int, m: int, remain: int, budget: int):
+        # x on position m of line k, with `remain` of the line not yet
+        # placed and `budget` of w left
+        if m > slots:
+            d = diag[k]
+            if remain & d:
+                return
+            diag[k] = d | remain
+            if k < lines:
+                place(k + 1, 1, factor[k], budget)
+            else:
+                close(slots, budget)
+            diag[k] = d
+            return
+        n = k + m
+        d = diag[n]
+        if left:
+            step, cap = 1, remain >> m
+        else:
+            step, cap = 1 << k, remain
+        unit = ((1 << m) - 1) * step
+        if budget // unit < cap:
+            cap = budget // unit
+        if not cap:
+            # nor can any later position of the line take an entry
+            place(k, slots + 1, remain, budget)
+            return
+        mask = ~d & ((1 << cap.bit_length()) - 1)
+        x = mask
+        while True:
+            if x <= cap:
+                diag[n] = d | x
+                free[m - 1] += x * step
+                place(k, m + 1, remain - (x << m if left else x), budget - x * unit)
+                free[m - 1] -= x * step
+            if not x:
+                break
+            x = (x - 1) & mask
+        diag[n] = d
+
+    if lines:
+        place(1, 1, factor[0], w)
+    else:
+        close(slots, w)
+    return tuple(table)
 
 
 def packed_rows(
@@ -516,39 +621,63 @@ def packed_rows(
 
     With the block layout of `basis_blocks`, the row of a product
     (Q^E P^R)(Q^F P^S) is the XOR, over the terms Q^G P^{R1} of P^R Q^F
-    with G and E disjoint, of the packed P^{R1} P^S shifted to the block
-    of E u G.  Right rows take the left factor from the basis and n as
-    the right one; left rows the other way round.  `p_rows` keeps the
-    packed P-products as {S: {R1: bits}}, right factor first, each formed
-    on first use.
+    with G and E disjoint, of P^{R1} P^S shifted to the block of E u G.
+    The P-products come from the per-weight tables of
+    `p_product_table`, kept in `p_rows` as {(left, factor, w): table}
+    and each formed on first use.  Left rows fix n = Q^E P^R on the
+    left: a block of basis(*deg) is Q^F times every P^S of one weight,
+    so each term of P^R Q^F adds the whole table of P^{R1} shifted to
+    its block.  Right rows fix P^S on the right and read each P^{R1}
+    P^S from the table of P^S at R1's weight by R1's position.
     """
     out_blocks = basis_blocks(*out_deg)
-    rows = []
-    for e, (_, w) in basis_blocks(*deg).items():
-        # G -> offset of the block of E u G (E the left factor's Q-part,
-        # fixed in a block), or None when G meets E
-        offsets: dict = {}
-        for r in p_exponents_of_weight(w):
-            (e_left, r_left), (f, s) = (n, (e, r)) if left else ((e, r), n)
-            by_r1 = p_rows.get(s)
-            if by_r1 is None:
-                by_r1 = p_rows[s] = {}
-            row = 0
-            for g, r1 in _p_past_qs(r_left, f) if f else (((), r_left),):
-                offset = offsets.get(g, -1)
-                if offset == -1:
-                    offset = None
-                    if set(e_left).isdisjoint(g):
-                        offset = out_blocks[tuple(sorted(e_left + g))][0]
-                    offsets[g] = offset
-                if offset is None:
+    rows: list[int] = []
+    if left:
+        e_n, r_n = n
+        for f, (_, w) in basis_blocks(*deg).items():
+            block = None
+            for g, r1 in _p_past_qs(r_n, f) if f else (((), r_n),):
+                if not set(e_n).isdisjoint(g):
                     continue
-                packed = by_r1.get(r1)
-                if packed is None:
-                    packed = by_r1[r1] = packed_p_product(r1, s)
-                row ^= packed << offset
+                offset = out_blocks[tuple(sorted(e_n + g))][0]
+                table = _p_table(p_rows, True, r1, w)
+                if block is None:
+                    block = [t << offset for t in table] if offset else table
+                else:
+                    block = [b ^ (t << offset) for b, t in zip(block, table)]
+            rows.extend(block or [0] * len(p_exponents_of_weight(w)))
+        return tuple(rows)
+    f, s = n
+    s_weight = p_weight(s)
+    for e, (_, w) in basis_blocks(*deg).items():
+        # G -> (offset of the block of E u G, table of P^S at R1's
+        # weight, R1's positions), or None when G meets E
+        reads: dict = {}
+        for r in p_exponents_of_weight(w):
+            row = 0
+            for g, r1 in _p_past_qs(r, f) if f else (((), r),):
+                read = reads.get(g, 0)
+                if read == 0:
+                    read = None
+                    if set(e).isdisjoint(g):
+                        offset, w_out = out_blocks[tuple(sorted(e + g))]
+                        w1 = w_out - s_weight
+                        read = (offset, _p_table(p_rows, False, s, w1), _p_positions(w1))
+                    reads[g] = read
+                if read is not None:
+                    offset, table, positions = read
+                    row ^= table[positions[r1]] << offset
             rows.append(row)
     return tuple(rows)
+
+
+def _p_table(p_rows: dict, left: bool, factor: tuple[int, ...], w: int) -> tuple[int, ...]:
+    """p_product_table(factor, w, left), kept in p_rows."""
+    key = (left, factor, w)
+    got = p_rows.get(key)
+    if got is None:
+        got = p_rows[key] = p_product_table(factor, w, left)
+    return got
 
 
 def multiply(a: Element, b: Element) -> Element:

@@ -1,8 +1,44 @@
 import pytest
 
-from isoadams import gf2, homological as H, isotropic as iso
+from isoadams import gf2, homological as H, isotropic as iso, milnor
 from isoadams.charts import ExtChart
 from isoadams.milnor import Bidegree
+
+
+class ExteriorMilnorAlgebra(H.WindowedAlgebra):
+    """The exterior subalgebra on Milnor operations Q_0..Q_n; bidegrees
+    are multiplicity-free.  Its rows are formed monomial by monomial
+    through `monomial_product`."""
+
+    flavor = "exterior"
+    grading = 2
+    unit: tuple = ()
+
+    def __init__(self, n_max: int, max_p: int):
+        super().__init__(max_p)
+        self.n_max = n_max
+
+    def basis(self, deg):
+        self.check_window(deg)
+        mono = milnor.exterior_from_degree(*deg)
+        if mono is None or (mono and mono[-1] > self.n_max):
+            return ()
+        return (mono,)
+
+    def monomial_product(self, m1, m2):
+        if set(m1) & set(m2):
+            return frozenset()
+        return frozenset([tuple(sorted(m1 + m2))])
+
+    def _build_right_rows(self, n, deg, out_deg):
+        index = self.index(out_deg)
+        rows = []
+        for m in self.basis(deg):
+            row = 0
+            for t in self.monomial_product(m, n):
+                row ^= 1 << index[t]
+            rows.append(row)
+        return tuple(rows)
 
 
 def reference_hom_chart(res, coefficients, covers):

@@ -9,6 +9,8 @@ from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree
 from isoadams.modules import dual_module, random_trivial_module, trivial_module
 
+from conftest import ExteriorMilnorAlgebra
+
 
 @pytest.fixture(scope="module")
 def classical_res():
@@ -37,7 +39,7 @@ def koszul_exterior_oracle(smax):
 
 
 def test_exterior_koszul_pattern():
-    res = H.resolve(H.ExteriorMilnorAlgebra(0, 12), smax=6, pmax=12)
+    res = H.resolve(ExteriorMilnorAlgebra(0, 12), smax=6, pmax=12)
     assert [res.gens[s] for s in range(7)] == koszul_exterior_oracle(6)
     # each differential is multiplication by Q_0
     for s in range(1, 6):
@@ -50,7 +52,7 @@ def test_resolution_of_nontrivial_module():
     from isoadams.milnor import Bidegree
     from isoadams.modules import trivial_module
 
-    algebra = H.ExteriorMilnorAlgebra(0, 10)
+    algebra = ExteriorMilnorAlgebra(0, 10)
     module = trivial_module([Bidegree(0, 0), Bidegree(1, 0)], unit=algebra.unit)
     res = H.resolve(algebra, smax=4, pmax=8, target=module)
     for s in range(5):
@@ -66,7 +68,7 @@ TWO_DEGREE_TARGETS = {
     "classical": (lambda: H.algebra_for("classical", 10), [(0,), (3,)]),
     "G": (lambda: H.algebra_for("G", 10), [(0, 0), (4, 2)]),
     "A0": (lambda: H.algebra_for("A0", 10), [(0, 0), (3, 1)]),
-    "exterior": (lambda: H.ExteriorMilnorAlgebra(1, 10), [(0, 0), (1, 0)]),
+    "exterior": (lambda: ExteriorMilnorAlgebra(1, 10), [(0, 0), (1, 0)]),
 }
 
 
@@ -501,7 +503,7 @@ def test_exterior_decoders_agree_with_enumeration():
             table[(d.p, d.q)] = E
     pmax = max(p for p, _ in table)
     qmax = max(q for _, q in table)
-    algebras = [H.ExteriorMilnorAlgebra(n, pmax) for n in range(7)]
+    algebras = [ExteriorMilnorAlgebra(n, pmax) for n in range(7)]
     duals = [cobar.DualCoalgebra("exterior", n) for n in range(7)]
     for p in range(-2, pmax + 1):
         for q in range(-2, qmax + 2):
@@ -685,7 +687,7 @@ ROW_CASES = {
     "G": lambda: H.resolve(H.algebra_for("G", 18), smax=4, pmax=16),
     "A0": lambda: H.resolve(H.algebra_for("A0", 14), smax=5, pmax=13),
     "A0-finite-target": lambda: _resolve_two_point_target(H.algebra_for("A0", 9), smax=3, pmax=8),
-    "exterior-finite-target": lambda: _resolve_two_point_target(H.ExteriorMilnorAlgebra(1, 10), smax=4, pmax=9),
+    "exterior-finite-target": lambda: _resolve_two_point_target(ExteriorMilnorAlgebra(1, 10), smax=4, pmax=9),
 }
 
 

@@ -289,3 +289,25 @@ def test_isotropic_chart_keeps_no_milnor_product_cache():
     assert chart.cells
     assert milnor.multiply_mono.cache_info().currsize == 0
     assert milnor.p_product.cache_info().currsize == 0
+
+
+def test_dual_route_is_even_algebra_resolution():
+    # Shapiro's lemma at work: over A0^op the dual window module is
+    # induced from F2 over G, so its minimal resolution has pure P^S
+    # coefficients, generators on p = 2q, and G's generators exactly
+    from isoadams import homological as H
+    from isoadams.modules import dual_module
+
+    pmax, smax = 32, 8
+    window = iso.IsotropicWindow(-(pmax + 2))
+    coefficients = iso.isotropic_coefficients(iso.solve_action_table(window.n_max, pmax // 2), window)
+    res = H.resolve(H.OppositeGeneralizedAlgebra(pmax + 2), smax=smax, pmax=pmax, target=dual_module(coefficients))
+    coefficient_count = 0
+    for s in range(1, smax + 2):
+        for entry in res.diff[s]:
+            for coeffs in entry.values():
+                assert all(not e for e, _ in coeffs), coeffs
+                coefficient_count += len(coeffs)
+    assert coefficient_count
+    assert all(p == 2 * q for gens in res.gens for p, q in gens)
+    assert res.gens == H.resolve(H.algebra_for("G", pmax + 2), smax=smax, pmax=pmax).gens

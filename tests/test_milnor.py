@@ -146,6 +146,37 @@ def test_pruned_matrix_terms_match_enumeration():
     assert pairs == 5_894
 
 
+def test_p_product_tables_match_p_product():
+    # each table entry, on either side, is the packed p_product of its pair
+    for total in range(25):
+        position = {t: n for n, t in enumerate(M.p_exponents_of_weight(total))}
+        for w in range(total + 1):
+            for factor in M.p_exponents_of_weight(total - w):
+                for left in (True, False):
+                    want = []
+                    for r in M.p_exponents_of_weight(w):
+                        bits = 0
+                        for t in M.p_product(factor, r) if left else M.p_product(r, factor):
+                            bits |= 1 << position[t]
+                        want.append(bits)
+                    assert M.p_product_table(factor, w, left) == tuple(want), (factor, w, left)
+
+
+def test_isotropic_chart_forms_no_pairwise_p_product(monkeypatch):
+    # the action table and the dual resolve take every P-product from the
+    # per-weight tables, never from the pairwise product formula
+    from isoadams import isotropic as iso
+
+    def forbidden(*args):
+        raise AssertionError("the isotropic chart reached the pairwise product formula")
+
+    for cached in (M.multiply_mono, M.p_product):
+        cached.cache_clear()
+    monkeypatch.setattr(M, "_matrix_product_terms", forbidden)
+    chart = iso.isotropic_chart(iso.IsotropicWindow(-22), 6, 20)
+    assert chart.cells
+
+
 # ---------------------------------------------------------------------------
 # products
 
