@@ -29,17 +29,13 @@ class DualCoalgebra:
       * ``G``         -- the polynomial xi part (dual of the even
                          subalgebra), bigraded on the slope-2 line;
       * ``classical`` -- same monomials as ``G`` with degrees halved to
-                         the classical single grading;
-      * ``exterior``  -- primitive exterior taus up to an index bound
-                         (the dual of the exterior algebra of Milnor
-                         operations, xi's killed).
+                         the classical single grading.
     """
 
-    def __init__(self, kind: str, n_max: int = 0):
-        if kind not in ("A0", "G", "classical", "exterior"):
+    def __init__(self, kind: str):
+        if kind not in ("A0", "G", "classical"):
             raise ValueError(f"unknown dual coalgebra kind {kind!r}")
         self.kind = kind
-        self.n_max = n_max
         self.grading = 1 if kind == "classical" else 2
 
     def basis(self, deg: Deg) -> tuple[DualMono, ...]:
@@ -50,25 +46,16 @@ class DualCoalgebra:
             if p != 2 * q or q < 0:
                 return ()
             return tuple(((), r) for r in milnor.p_exponents_of_weight(q))
-        if self.kind == "classical":
-            (t,) = deg
-            if t < 0:
-                return ()
-            return tuple(((), r) for r in milnor.p_exponents_of_weight(t))
-        # exterior: at most one monomial per bidegree
-        e = milnor.exterior_from_degree(*deg)
-        if e is None or (e and e[-1] > self.n_max):
+        (t,) = deg
+        if t < 0:
             return ()
-        return ((e, ()),)
+        return tuple(((), r) for r in milnor.p_exponents_of_weight(t))
 
     def degree(self, m: DualMono) -> Deg:
         d = milnor.mono_degree(m)
         return (d.q,) if self.kind == "classical" else (d.p, d.q)
 
     def reduced_coproduct(self, m: DualMono) -> frozenset[tuple[DualMono, DualMono]]:
-        if self.kind == "exterior":
-            # quotient coalgebra: xi-terms are killed, taus primitive
-            return _exterior_reduced(m)
         return _reduced(m)
 
 
@@ -79,21 +66,8 @@ def _reduced(m: DualMono) -> frozenset[tuple[DualMono, DualMono]]:
     return frozenset((left, right) for left, right in milnor.dual_coproduct(m) if unit not in (left, right))
 
 
-@lru_cache(maxsize=None)
-def _exterior_reduced(m: DualMono) -> frozenset[tuple[DualMono, DualMono]]:
-    e, _ = m
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for i in e:
-        pairs = [(a + (i,), b) for a, b in pairs] + [(a, b + (i,)) for a, b in pairs]
-    out = set()
-    for a, b in pairs:
-        if a and b:
-            out.add(((a, ()), (b, ())))
-    return frozenset(out)
-
-
-def dual_coalgebra(kind: str, n_max: int = 0) -> DualCoalgebra:
-    return DualCoalgebra(kind, n_max)
+def dual_coalgebra(kind: str) -> DualCoalgebra:
+    return DualCoalgebra(kind)
 
 
 @dataclass

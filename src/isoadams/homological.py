@@ -9,7 +9,9 @@ same packed right-multiplication table (`WindowedAlgebra.right_rows`),
 the only cache of algebra products on that path besides the tables the
 rows are built from, and each cell (F_s)_deg has one layout record
 (`FreeResolution._cell`) from which its basis, block placement and bit
-decoding are all read.  Over the classical algebra the rows come from
+decoding are all read; one walk over the generators of F_s records the
+layouts of every nonempty cell at a topological degree p, and a cell
+with no record is empty.  Over the classical algebra the rows come from
 packed Sq^a tables (`ClassicalAlgebra.sq_rows`), one per letter and
 source degree, so no Adem word is reduced (`adem.reduce_word`) on the
 resolve path.  Over the generalized algebra and its opposite the rows
@@ -28,7 +30,8 @@ increasing topological degree; within a cell, homological stages run
 bottom-up, so every generator found with t <= tmax is exact and the
 resolution is minimal by construction (a unit coefficient in a new
 differential would contradict the independence of the kernel classes
-the earlier stage killed).
+the earlier stage killed).  A stage where F_s is empty at the cell
+builds no rows: the classes it carries all become generators.
 """
 
 from __future__ import annotations
@@ -107,6 +110,8 @@ class WindowedAlgebra:
         raise NotImplementedError
 
     def cells_at(self, p: int) -> list[Deg]:
+        """The degrees at topological degree p that `resolve` visits;
+        the algebra's basis is empty at every other degree of p."""
         if self.grading == 1:
             return [(p,)]
         return [(p, q) for q in range(p // 2 + 1)]
@@ -260,6 +265,20 @@ def algebra_for(flavor: str, max_p: int) -> WindowedAlgebra:
 # ---------------------------------------------------------------------------
 # the resolution
 
+# the layout of an empty cell; never extended (see _add_block)
+_EMPTY_CELL: tuple[list, int, dict] = ([], 0, {})
+
+
+def _add_block(layouts: dict, deg: Deg, first: int, stop: int, sub: Deg, basis: tuple) -> None:
+    """Append the block of generators first..stop-1 at deg - sub, with
+    algebra basis `basis` at sub, to the layout of the cell deg."""
+    blocks, size, place = layouts.get(deg) or ([], 0, {})
+    blocks.append((first, stop, sub, basis, size))
+    for j in range(first, stop):
+        place[j] = (size, sub)
+        size += len(basis)
+    layouts[deg] = (blocks, size, place)
+
 
 @dataclass
 class FreeResolution:
@@ -275,9 +294,10 @@ class FreeResolution:
     diff: list[list[dict]] = field(default_factory=list)
     # s -> runs (degree, first, stop) of equal-degree generators of F_s
     _run_cache: dict = field(default_factory=dict, repr=False)
-    # (s, deg) -> (blocks, size, place) of F_s at deg (see _cell)
+    # (s, p) -> {deg: (blocks, size, place)} for every nonempty cell of
+    # F_s at topological degree p (see _cell)
     _cells: dict = field(default_factory=dict, repr=False)
-    # degree -> algebra basis there, for the block walk
+    # p -> (sub, algebra basis) for each nonempty basis at p (cells_at)
     _bases: dict = field(default_factory=dict, repr=False)
     # (s, deg) -> quasi-inverse of d_s at deg, built on first solve
     _inverse_cache: dict = field(default_factory=dict, repr=False)
@@ -310,35 +330,33 @@ class FreeResolution:
         return len(self.gens_at(s, deg))
 
     def _cell(self, s: int, deg: Deg) -> tuple[list, int, dict]:
-        """(blocks, size, place) of (F_s)_deg, cached; `resolve` drops
-        the record when it adds a generator there and when it leaves the
-        cell.  blocks lists (first, stop, deg - |g|, algebra basis there,
-        bit offset) for each run of generators with a nonempty block;
-        place maps generator j to (bit offset, deg - |g_j|) of its
-        block, and a generator with an empty block is absent, as any
-        product landing there is zero.  The walk takes one basis per run
-        and stops at the first run above deg in p."""
-        key = (s, deg)
-        got = self._cells.get(key)
-        if got is None:
-            blocks = []
-            place = {}
-            size = 0
-            bases = self._bases
+        """(blocks, size, place) of (F_s)_deg.  blocks lists (first, stop,
+        deg - |g|, algebra basis there, bit offset) for each run of
+        generators with a nonempty block, in run order; place maps
+        generator j to (bit offset, deg - |g_j|) of its block, and a
+        generator with an empty block is absent, as any product landing
+        there is zero.
+
+        The first call at topological degree p walks the runs of F_s up
+        to p once and records every nonempty cell of F_s at p; a degree
+        with no record is empty.  `resolve` appends the block of the
+        generators it adds to their cell's record and drops the records
+        of p when it leaves p."""
+        p = deg[0]
+        layouts = self._cells.get((s, p))
+        if layouts is None:
+            layouts = self._cells[(s, p)] = {}
+            algebra = self.algebra
             for gdeg, first, stop in self.runs(s):
-                if gdeg[0] > deg[0]:
+                if gdeg[0] > p:
                     break
-                sub = sub_deg(deg, gdeg)
-                basis = bases.get(sub)
-                if basis is None:
-                    basis = bases[sub] = self.algebra.basis(sub)
-                if basis:
-                    blocks.append((first, stop, sub, basis, size))
-                    for j in range(first, stop):
-                        place[j] = (size, sub)
-                        size += len(basis)
-            got = self._cells[key] = (blocks, size, place)
-        return got
+                bases = self._bases.get(p - gdeg[0])
+                if bases is None:
+                    subs = algebra.cells_at(p - gdeg[0])
+                    bases = self._bases[p - gdeg[0]] = [(sub, b) for sub in subs if (b := algebra.basis(sub))]
+                for sub, basis in bases:
+                    _add_block(layouts, add_deg(gdeg, sub), first, stop, sub, basis)
+        return layouts.get(deg, _EMPTY_CELL)
 
     def cell_basis(self, s: int, deg: Deg) -> tuple:
         """Ordered basis (gen index, algebra monomial) of (F_s) at deg."""
@@ -372,16 +390,18 @@ class FreeResolution:
         diff = self.diff[s]
         right_rows = self.algebra.right_rows
         for first, stop, sub, basis, _ in blocks:
-            zero = [0] * len(basis)
             for i in range(first, stop):
-                acc = zero
+                acc = None
                 for j, coeffs in diff[i].items():
                     if j not in place:
                         continue
                     offset, out_deg = place[j]
                     for n in coeffs:
-                        acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(n, sub, out_deg))]
-                rows.extend(acc)
+                        if acc is None:
+                            acc = [r << offset for r in right_rows(n, sub, out_deg)]
+                        else:
+                            acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(n, sub, out_deg))]
+                rows.extend(acc or [0] * len(basis))
         return rows, width
 
     def diff_rows(self, s: int, deg: Deg) -> tuple[list[int], tuple]:
@@ -457,7 +477,12 @@ def resolve(
     d_{s-1}, and no reduction is needed to find them.  The tracked
     input combinations give ker d_s, carried to stage s+1.  New
     generators leave ker d_s unchanged: their images are independent of
-    the old rows, and they sit at the end of the cell basis."""
+    the old rows, and they sit at the end of the cell basis, where their
+    block is appended to the cell's layout.  A stage where F_s is empty
+    at the cell builds no rows: every carried kernel vector becomes a
+    generator, and ker d_s = 0.  The layouts of a topological degree p
+    (see `FreeResolution._cell`) are dropped once every cell at p is
+    done."""
     if pmax > algebra.max_p:
         raise WindowExceededError("algebra window too small for the requested resolution")
     if target is None:
@@ -467,26 +492,32 @@ def resolve(
     res.gens = [[] for _ in range(levels)]
     res.diff = [[] for _ in range(levels)]
 
+    zero = (0,) * algebra.grading
+    unit_basis = algebra.basis(zero)
     for p in range(pmax + 1):
         for deg in algebra.cells_at(p):
             mkeys = res.target.basis_at(deg)
             kernel = [1 << k for k in range(len(mkeys))]
             for s in range(levels):
-                span = res._span(s, deg, track=s < levels - 1)
-                pivots = span.rows
-                new = [z for z in kernel if z.bit_length() not in pivots]
+                if res._cell(s, deg)[1]:
+                    span = res._span(s, deg, track=s < levels - 1)
+                    new = [z for z in kernel if z.bit_length() not in span.rows]
+                    next_kernel = span.kernel
+                else:  # F_s is empty here: no rows, and ker d_s = 0
+                    new, next_kernel = kernel, []
                 for z in new:
                     res.gens[s].append(deg)
                     if s == 0:
                         res.diff[0].append({"target": frozenset([mkeys[z.bit_length() - 1]])})
                     else:
                         res.diff[s].append(res.bits_to_element(s - 1, deg, z))
-                if new:  # rebuilt with the new generators
-                    res._cells.pop((s, deg))
-                kernel = span.kernel
-            # keep no cells from the loop; later solves rebuild theirs
-            for s in range(levels):
-                res._cells.pop((s, deg), None)
+                if new:
+                    stop = len(res.gens[s])
+                    _add_block(res._cells[(s, p)], deg, stop - len(new), stop, zero, unit_basis)
+                kernel = next_kernel
+        # keep no cells from the loop; later solves rebuild theirs
+        for s in range(levels):
+            res._cells.pop((s, p), None)
     return res
 
 

@@ -10,7 +10,6 @@ dual module D M), and the smash-product construction consumes it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
@@ -71,10 +70,3 @@ def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "tr
         return frozenset([k]) if m == unit else frozenset()
 
     return FiniteModule(keys, deg, act, name)
-
-
-def random_trivial_module(
-    rng: random.Random, size: int, degree_pool: list[Bidegree], name: str = "random", *, unit: Mono
-) -> FiniteModule:
-    degs = [rng.choice(degree_pool) for _ in range(size)]
-    return trivial_module(degs, name, unit=unit)

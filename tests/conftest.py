@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import pytest
 
-from isoadams import gf2, homological as H, isotropic as iso, milnor
+from isoadams import cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.charts import ExtChart
 from isoadams.milnor import Bidegree
+from isoadams.modules import trivial_module
 
 
 class ExteriorMilnorAlgebra(H.WindowedAlgebra):
@@ -39,6 +42,61 @@ class ExteriorMilnorAlgebra(H.WindowedAlgebra):
                 row ^= 1 << index[t]
             rows.append(row)
         return tuple(rows)
+
+
+class ExteriorDualCoalgebra(cobar.DualCoalgebra):
+    """The dual of `ExteriorMilnorAlgebra`: the quotient coalgebra of the
+    dual with the xi's killed, primitive exterior taus on indices up to
+    n_max, at most one monomial per bidegree."""
+
+    def __init__(self, n_max: int):
+        super().__init__("A0")
+        self.kind = "exterior"
+        self.n_max = n_max
+
+    def basis(self, deg):
+        e = milnor.exterior_from_degree(*deg)
+        if e is None or (e and e[-1] > self.n_max):
+            return ()
+        return ((e, ()),)
+
+    def reduced_coproduct(self, m):
+        return _exterior_reduced(m)
+
+
+@lru_cache(maxsize=None)
+def _exterior_reduced(m):
+    """The reduced coproduct of tau_E: every split of E into two
+    nonempty parts, the taus being primitive."""
+    e, _ = m
+    pairs = [((), ())]
+    for i in e:
+        pairs = [(a + (i,), b) for a, b in pairs] + [(a, b + (i,)) for a, b in pairs]
+    return frozenset(((a, ()), (b, ())) for a, b in pairs if a and b)
+
+
+def random_trivial_module(rng, size, degree_pool, *, unit):
+    """A trivial module on `size` keys, each at a degree drawn from
+    degree_pool."""
+    return trivial_module([rng.choice(degree_pool) for _ in range(size)], "random", unit=unit)
+
+
+def reference_cell(res, s, deg):
+    """(blocks, size, place) of (F_s)_deg from a walk over the runs of F_s
+    for that one cell: the reference for the per-degree layouts of
+    `FreeResolution._cell`."""
+    blocks, place, size = [], {}, 0
+    for gdeg, first, stop in res.runs(s):
+        if gdeg[0] > deg[0]:
+            break
+        sub = H.sub_deg(deg, gdeg)
+        basis = res.algebra.basis(sub)
+        if basis:
+            blocks.append((first, stop, sub, basis, size))
+            for j in range(first, stop):
+                place[j] = (size, sub)
+                size += len(basis)
+    return blocks, size, place
 
 
 def reference_hom_chart(res, coefficients, covers):

@@ -231,7 +231,7 @@ def test_criterion_9_injectivity_and_hom_lemmas():
     table = iso.solve_action_table(3, 8)
     rng = random.Random(99)
     pool = [Bidegree(2 * q, q) for q in range(4)] + [Bidegree(2 * q + 1, q) for q in range(3)]
-    from isoadams.modules import random_trivial_module
+    from conftest import random_trivial_module
 
     checked = 0
     for _ in range(100):
@@ -362,3 +362,11 @@ def test_identification_to_classical_t48():
     _, elapsed, peak_mb = run_isotropic_alone("--tmax", "96", "--smax", "16")
     assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
     report("8 (t <= 48)", f"isotropic chart = doubled classical chart to classical t <= 48, s <= 16, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
+
+
+@pytest.mark.slow
+def test_identification_to_classical_t64():
+    # the t <= 64 rung: `isoadams isotropic --tmax 128 --smax 20`
+    _, elapsed, peak_mb = run_isotropic_alone("--tmax", "128", "--smax", "20")
+    assert peak_mb < 800, f"peak RSS {peak_mb:.0f} MB"
+    report("8 (t <= 64)", f"isotropic chart = doubled classical chart to classical t <= 64, s <= 20, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from isoadams import adem, charts, cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree
-from isoadams.modules import dual_module, random_trivial_module, trivial_module
+from isoadams.modules import dual_module, trivial_module
 
-from conftest import ExteriorMilnorAlgebra
+from conftest import ExteriorDualCoalgebra, ExteriorMilnorAlgebra, random_trivial_module, reference_cell
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +239,7 @@ def test_resolution_matches_cobar_generalized():
 
 
 def test_exterior_cobar_diagonal():
-    chart = cobar.cobar_ext(cobar.dual_coalgebra("exterior", 0), smax=5, pmax=6)
+    chart = cobar.cobar_ext(ExteriorDualCoalgebra(0), smax=5, pmax=6)
     for s in range(6):
         assert chart.dim(s, (s, 0)) == 1
     assert sum(chart.cells.values()) == 6
@@ -504,7 +504,7 @@ def test_exterior_decoders_agree_with_enumeration():
     pmax = max(p for p, _ in table)
     qmax = max(q for _, q in table)
     algebras = [ExteriorMilnorAlgebra(n, pmax) for n in range(7)]
-    duals = [cobar.DualCoalgebra("exterior", n) for n in range(7)]
+    duals = [ExteriorDualCoalgebra(n) for n in range(7)]
     for p in range(-2, pmax + 1):
         for q in range(-2, qmax + 2):
             E = table.get((p, q))
@@ -703,6 +703,66 @@ def test_diff_rows_match_monomial_products(case):
             assert (got, len(cod)) == (rows, width), (s, deg)
             checked += len(rows)
     assert checked
+
+
+def _dual_window_resolution(pmax, smax):
+    window = iso.IsotropicWindow(-(pmax + 2))
+    table = iso.solve_action_table(n_max=window.n_max, w_max=pmax // 2)
+    target = dual_module(iso.isotropic_coefficients(table, window))
+    return H.resolve(H.OppositeGeneralizedAlgebra(pmax + 2), smax=smax, pmax=pmax, target=target)
+
+
+LAYOUT_CASES = {
+    "classical": lambda: H.resolve(H.algebra_for("classical", 22), smax=7, pmax=20),
+    "A0": lambda: H.resolve(H.algebra_for("A0", 14), smax=5, pmax=12),
+    "G": lambda: H.resolve(H.algebra_for("G", 30), smax=6, pmax=28),
+    "A0op-dual-window": lambda: _dual_window_resolution(24, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_cell_layouts_match_single_cell_walk(monkeypatch, case):
+    # the layouts of one walk per (s, p) against the walk of each single
+    # cell: every layout read during the resolve, the blocks appended
+    # there for new generators included, and afterwards every (s, deg)
+    # with p <= pmax, off the visited cells too
+    per_degree = H.FreeResolution._cell
+    grown = []
+
+    def checked(res, s, deg):
+        got = per_degree(res, s, deg)
+        assert got == reference_cell(res, s, deg), (s, deg)
+        # generators at deg itself exist during the loop only through
+        # the blocks that resolve appended
+        if any(sub == (0,) * res.algebra.grading for _, _, sub, _, _ in got[0]):
+            grown.append((s, deg))
+        return got
+
+    monkeypatch.setattr(H.FreeResolution, "_cell", checked)
+    res = LAYOUT_CASES[case]()
+    monkeypatch.undo()
+    assert grown
+    for s in range(res.smax + 2):
+        for p in range(res.pmax + 1):
+            degs = [(p,)] if res.algebra.grading == 1 else [(p, q) for q in range(-1, p + 2)]
+            for deg in degs:
+                assert res._cell(s, deg) == reference_cell(res, s, deg), (s, deg)
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_resolve_builds_rows_only_for_nonempty_cells(monkeypatch, case):
+    # a stage where F_s has no basis at the cell builds no rows: each
+    # carried kernel vector becomes a generator, and ker d_s = 0
+    sizes = []
+    rows = H.FreeResolution._rows
+
+    def recorded(res, s, deg):
+        sizes.append(res._cell(s, deg)[1])
+        return rows(res, s, deg)
+
+    monkeypatch.setattr(H.FreeResolution, "_rows", recorded)
+    LAYOUT_CASES[case]()
+    assert sizes and all(sizes)
 
 
 def _pool_at_most_zero(pmin):

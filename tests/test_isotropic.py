@@ -5,7 +5,9 @@ import pytest
 from isoadams import isotropic as iso
 from isoadams import milnor
 from isoadams.milnor import Bidegree
-from isoadams.modules import random_trivial_module, trivial_module
+from isoadams.modules import trivial_module
+
+from conftest import random_trivial_module
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +313,22 @@ def test_dual_route_is_even_algebra_resolution():
     assert coefficient_count
     assert all(p == 2 * q for gens in res.gens for p, q in gens)
     assert res.gens == H.resolve(H.algebra_for("G", pmax + 2), smax=smax, pmax=pmax).gens
+
+
+def test_dual_window_module_is_induced_from_iota():
+    # iota, the dual of r_(), generates the dual window module over the
+    # Q^E: at every bidegree of the default window of `isoadams
+    # isotropic` (--tmax 44), the one class is the dual of r_E and equals
+    # Q^E iota, while every P^R with R nonempty kills iota
+    from isoadams.modules import dual_module
+
+    pmax = 44
+    window = iso.IsotropicWindow(-(pmax + 2))
+    dual = dual_module(iso.isotropic_coefficients(iso.solve_action_table(window.n_max, pmax // 2), window))
+    for E in window.basis():
+        assert dual.basis_at(dual.degree_of(E)) == (E,)
+        assert dual.act_mono((E, ()), ()) == frozenset([E]), E
+    assert (window.n_max, len(window.basis())) == (4, 25)
+    for w in range(1, pmax // 2 + 1):
+        for r in milnor.p_exponents_of_weight(w):
+            assert dual.act_mono(((), r), ()) == frozenset(), r
