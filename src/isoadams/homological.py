@@ -11,11 +11,13 @@ rows are built from, and each cell (F_s)_deg has one layout record
 (`FreeResolution._cell`) from which its basis, block placement and bit
 decoding are all read; one walk over the generators of F_s records the
 layouts of every nonempty cell at a topological degree p, and a cell
-with no record is empty.  Over the classical algebra the rows come from
-packed Sq^a tables (`ClassicalAlgebra.sq_rows`), one per letter and
-source degree, so no Adem word is reduced (`adem.reduce_word`) on the
-resolve path.  Over the generalized algebra and its opposite the rows
-(`milnor.packed_rows`, right and left rows) come from P-product tables
+with no record is empty.  Chain-map values stay the bits their solve
+returns, read through one decode table per cell (`_decoder`).  Over the
+classical algebra the rows come from packed Sq^a tables
+(`ClassicalAlgebra.sq_rows`), one per letter and source degree, so no
+Adem word is reduced (`adem.reduce_word`) on the resolve path.  Over
+the generalized algebra and its opposite the rows (`milnor.packed_rows`,
+right and left rows) come from P-product tables
 (`milnor.p_product_table`), one per fixed P-part and weight of the
 other factor, shifted into the block layout of the Milnor basis; the
 even algebra G is A0's slope-2 part, and its rows are A0's packed rows
@@ -301,6 +303,8 @@ class FreeResolution:
     _bases: dict = field(default_factory=dict, repr=False)
     # (s, deg) -> quasi-inverse of d_s at deg, built on first solve
     _inverse_cache: dict = field(default_factory=dict, repr=False)
+    # (s, deg) -> decode table of the cell (see _decoder)
+    _decode_cache: dict = field(default_factory=dict, repr=False)
     # (s, deg, bits) -> chain lift of that class (see ChainMap.lift)
     _lift_cache: dict = field(default_factory=dict, repr=False)
 
@@ -360,9 +364,21 @@ class FreeResolution:
 
     def cell_basis(self, s: int, deg: Deg) -> tuple:
         """Ordered basis (gen index, algebra monomial) of (F_s) at deg."""
-        return tuple(
-            (i, m) for first, stop, _, basis, _ in self._cell(s, deg)[0] for i in range(first, stop) for m in basis
-        )
+        return tuple(zip(*self._decoder(s, deg)))
+
+    def _decoder(self, s: int, deg: Deg) -> tuple[tuple[int, ...], tuple]:
+        """(generator indices, algebra monomials) of the bits over
+        cell_basis(s, deg), one entry per bit, built from the cell's
+        layout on first read.  `resolve` never reads it, so no table is
+        built while the resolve still appends blocks to that layout."""
+        key = (s, deg)
+        got = self._decode_cache.get(key)
+        if got is None:
+            blocks = self._cell(s, deg)[0]
+            gens = tuple(i for first, stop, _, basis, _ in blocks for i in range(first, stop) for _ in basis)
+            monos = tuple(m for first, stop, _, basis, _ in blocks for _ in range(first, stop) for m in basis)
+            got = self._decode_cache[key] = (gens, monos)
+        return got
 
     def _rows(self, s: int, deg: Deg) -> tuple[list[int], int]:
         """(rows, width): a row per element of cell_basis(s, deg), bits
@@ -404,13 +420,6 @@ class FreeResolution:
                 rows.extend(acc or [0] * len(basis))
         return rows, width
 
-    def diff_rows(self, s: int, deg: Deg) -> tuple[list[int], tuple]:
-        """(rows, codomain basis): row per domain element of F_s at deg,
-        bits over the codomain (F_{s-1} at deg, or the target for s=0)."""
-        rows, _ = self._rows(s, deg)
-        cod = self.target.basis_at(deg) if s == 0 else self.cell_basis(s - 1, deg)
-        return rows, cod
-
     def _span(self, s: int, deg: Deg, track: bool) -> gf2.SpanBuilder:
         """A fresh SpanBuilder fed the rows of d_s at deg in cell-basis
         order; the rows themselves are not kept."""
@@ -438,7 +447,8 @@ class FreeResolution:
 
     def bits_to_element(self, s: int, deg: Deg, bits: int) -> dict:
         """Bits over cell_basis(s, deg) as {gen index: algebra monomials};
-        set bits are walked upwards, so the blocks are too."""
+        set bits are walked upwards, so the blocks are too.  `resolve`
+        decodes each new differential with it, as blocks are appended."""
         blocks = iter(self._cell(s, deg)[0])
         first = offset = end = n = 0
         basis: tuple = ()
@@ -585,8 +595,8 @@ def class_of_generator(res: FreeResolution, s: int, deg: Deg, index: int = 0) ->
 class ChainMap:
     """A Lambda-linear map V_k: F_{src+k} -> F_k lowering degree by
     `shift`, defined one generator at a time by solving d V_k(g) = rhs in
-    its cell; values are kept in the `diff` format, {generator of F_k:
-    algebra coefficients}.
+    its cell; each value is kept as the solve returns it, bits over
+    cell_basis(k, |g| - shift).
 
     A chain lift of a class (`ChainMap.lift`) sends the class's dual'd
     generators to the unit in F_0 and solves with rhs = V_{k-1}(d g).  A
@@ -600,7 +610,8 @@ class ChainMap:
     Each rhs is built straight into bits over the target cell basis from
     the algebra's packed right-multiplication rows, each shifted to its
     generator's block (the placement of `FreeResolution._cell`), as
-    `resolve` builds d.
+    `resolve` builds d; the bits of a value are read through the decode
+    table of its cell (`FreeResolution._decoder`).
     """
 
     def __init__(self, res: FreeResolution, src: int, shift: Deg, base=frozenset(), composite=None, rng=None):
@@ -631,26 +642,34 @@ class ChainMap:
         composite = (cls.lift(res, b), cls.lift(res, c))
         return cls(res, b.s + c.s - 1, add_deg(b.deg, c.deg), composite=composite, rng=rng)
 
-    def value(self, k: int, i: int) -> dict:
-        """V_k(g_{src+k, i}) as {gen index of F_k: algebra coefficients}."""
+    def value(self, k: int, i: int) -> int:
+        """V_k(g_{src+k, i}) as bits over cell_basis(k, |g| - shift)."""
         key = (k, i)
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = self._solve(k, i)
         return got
 
-    def _solve(self, k: int, i: int) -> dict:
+    def _solve(self, k: int, i: int) -> int:
         res = self.res
         gdeg = res.gens[self.src + k][i]
         cell = sub_deg(gdeg, self.shift)
         if min(cell) < 0:
-            return {}
-        if k == 0:
-            return {0: frozenset([res.algebra.unit])} if i in self.base else {}
+            return 0
+        if k == 0:  # the unit on F_0's one generator: bit 0 of its cell
+            return int(i in self.base)
         rhs = 0
         if self.composite is not None:
             outer, inner = self.composite
-            rhs = outer.apply(k - 1, inner.value(outer.src + k - 1, i), sub_deg(gdeg, inner.shift))
+            ideg = sub_deg(gdeg, inner.shift)
+            gens, monos = res._decoder(outer.src + k - 1, ideg)
+            bits = inner.value(outer.src + k - 1, i)
+            elt: dict = {}
+            while bits:
+                b = (bits & -bits).bit_length() - 1
+                bits ^= 1 << b
+                elt.setdefault(gens[b], []).append(monos[b])
+            rhs = outer.apply(k - 1, elt, ideg)
         rhs ^= self.apply(k - 1, res.diff[self.src + k][i], gdeg)
         x = res.solve_in_cell(k, cell, rhs)
         if x is None:
@@ -660,12 +679,13 @@ class ChainMap:
             for z in res.cell_kernel(k, cell):
                 if self.rng.getrandbits(1):
                     x ^= z
-        return res.bits_to_element(k, cell, x)
+        return x
 
     def apply(self, k: int, elt: dict, deg: Deg) -> int:
         """V_k of an element {generator of F_{src+k}: coefficients} of
         degree deg, as bits over cell_basis(k, deg - shift): each term
-        m g_j contributes the packed row m*n of every n in V_k(g_j)."""
+        m g_j contributes the packed row m*n of each term n g of V_k(g_j),
+        one per set bit."""
         res = self.res
         algebra = res.algebra
         gens = res.gens[self.src + k]
@@ -677,26 +697,28 @@ class ChainMap:
                 continue
             sub = sub_deg(deg, gens[j])
             index = algebra.index(sub)
-            for jj, ns in image.items():
+            image_gens, image_monos = res._decoder(k, sub_deg(gens[j], self.shift))
+            while image:
+                b = (image & -image).bit_length() - 1
+                image ^= 1 << b
+                jj = image_gens[b]
                 if jj not in place:
                     continue
                 offset, out_deg = place[jj]
-                for n in ns:
-                    rows = algebra.right_rows(n, sub, out_deg)
-                    for m in coeffs:
-                        bits ^= rows[index[m]] << offset
+                rows = algebra.right_rows(image_monos[b], sub, out_deg)
+                for m in coeffs:
+                    bits ^= rows[index[m]] << offset
         return bits
 
 
-def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, elt: dict) -> int:
-    """Pair the generator-dual cocycle against an element of F_{cls.s}:
-    picks unit coefficients at the dual'd generators."""
-    gens = res.gens_at(cls.s, cls.deg)
-    out = 0
-    for j, coeffs in elt.items():
-        if j in gens and (cls.bits >> (j - gens.start)) & 1 and res.algebra.unit in coeffs:
-            out ^= 1
-    return out
+def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, v: ChainMap, s: int, deg: Deg) -> int:
+    """Pair the generator-dual cocycle of cls with V_{cls.s}(g) for each
+    generator g of F_s at deg, as bits over those generators.  Over
+    cell_basis(cls.s, cls.deg) the cocycle is a mask, the unit bit of
+    each dual'd generator, and pairs as the parity of the shared bits."""
+    place = res._cell(cls.s, cls.deg)[2]
+    mask = sum(1 << place[j][0] for n, j in enumerate(res.gens_at(cls.s, cls.deg)) if (cls.bits >> n) & 1)
+    return sum(((v.value(cls.s, gi) & mask).bit_count() & 1) << n for n, gi in enumerate(res.gens_at(s, deg)))
 
 
 def yoneda_product(res: FreeResolution, x: ChartClass, y: ChartClass) -> ChartClass:
@@ -707,12 +729,7 @@ def yoneda_product(res: FreeResolution, x: ChartClass, y: ChartClass) -> ChartCl
         raise WindowExceededError("product lands outside the computed window")
     if x.is_zero() or y.is_zero():
         return ChartClass(s, deg, 0)
-    lift = ChainMap.lift(res, y)
-    bits = 0
-    for n, gi in enumerate(res.gens_at(s, deg)):
-        if _evaluate_cocycle(res, x, lift.value(x.s, gi)):
-            bits |= 1 << n
-    return ChartClass(s, deg, bits)
+    return ChartClass(s, deg, _evaluate_cocycle(res, x, ChainMap.lift(res, y), s, deg))
 
 
 class MasseyPreconditionError(ValueError):
@@ -753,11 +770,7 @@ def massey_triple(
     deg = add_deg(a.deg, add_deg(b.deg, c.deg))
     if s > res.smax or deg[0] > res.pmax:
         raise WindowExceededError("bracket lands outside the computed window")
-    hom = ChainMap.homotopy(res, b, c, rng=rng)
-    bits = 0
-    for n, gi in enumerate(res.gens_at(s, deg)):
-        if _evaluate_cocycle(res, a, hom.value(a.s, gi)):
-            bits |= 1 << n
+    bits = _evaluate_cocycle(res, a, ChainMap.homotopy(res, b, c, rng=rng), s, deg)
     # indeterminacy: a . Ext^{s_b+s_c-1} + Ext^{s_a+s_b-1} . c
     vectors = []
     left_cell = (b.s + c.s - 1, add_deg(b.deg, c.deg))

@@ -99,6 +99,14 @@ def reference_cell(res, s, deg):
     return blocks, size, place
 
 
+def diff_rows(res, s, deg):
+    """(rows, codomain basis): a row per element of cell_basis(s, deg),
+    bits over the codomain (F_{s-1} at deg, or the target for s = 0)."""
+    rows, _ = res._rows(s, deg)
+    cod = res.target.basis_at(deg) if s == 0 else res.cell_basis(s - 1, deg)
+    return rows, cod
+
+
 def reference_hom_chart(res, coefficients, covers):
     """(cells, truncated) of Hom(resolution, coefficients), scanning
     every generator for each (s, cell) and ranking with rank_ints.

@@ -305,40 +305,89 @@ def test_criterion_10_bracket_with_indeterminacy():
     report(10, "<h0,h1^2,h0> in Ext^{3,6}: engine (canonical and perturbed homotopy) and cobar oracle agree, indeterminacy rank 1")
 
 
-# The peak resident memory of the command alone.  Linux carries the
-# peak of the process that spawned it over exec into ru_maxrss, so the
-# high-water mark of its own address space (VmHWM) is read where there
-# is one.
-PEAK_RSS_SCRIPT = (
-    "import resource, sys\n"
-    "from isoadams import cli\n"
-    "code = cli.main(sys.argv[1:])\n"
+# The peak resident memory of a run alone, printed as its last line.
+# Linux carries the peak of the process that spawned it over exec into
+# ru_maxrss, so the high-water mark of its own address space (VmHWM) is
+# read where there is one.
+PEAK_RSS_TAIL = (
     "try:\n"
     "    with open('/proc/self/status') as f:\n"
     "        kb = next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
     "except (OSError, StopIteration):\n"
     "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
     "print('peak_rss_kb', kb)\n"
-    "sys.exit(code)\n"
+)
+
+ISOTROPIC_SCRIPT = (
+    "import resource, sys\n"
+    "from isoadams import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    + PEAK_RSS_TAIL
+    + "sys.exit(code)\n"
+)
+
+# Every Yoneda product xy of generator classes x, y of a classical
+# resolution to t <= tmax, s <= smax, with s and t of xy in the window:
+# prints their number, how many are nonzero, the products phase's time
+# and the first pair with xy != yx, if any.
+PRODUCTS_SCRIPT = (
+    "import resource, sys, time\n"
+    "from isoadams import homological as H\n"
+    "tmax, smax = map(int, sys.argv[1:])\n"
+    "res = H.resolve(H.algebra_for('classical', tmax + 2), smax=smax, pmax=tmax)\n"
+    "classes = [H.class_of_generator(res, s, deg, n) for s in range(1, smax + 1)\n"
+    "           for deg in sorted(set(res.gens[s])) for n in range(res.gen_count(s, deg))]\n"
+    "t0 = time.process_time()\n"
+    "products = {(x, y): H.yoneda_product(res, x, y) for x in classes for y in classes\n"
+    "            if x.s + y.s <= smax and x.deg[0] + y.deg[0] <= tmax}\n"
+    "print('products', len(products), sum(not p.is_zero() for p in products.values()), time.process_time() - t0)\n"
+    "print('noncommuting', next(((x, y) for (x, y), xy in products.items() if xy != products[(y, x)]), None))\n"
+    + PEAK_RSS_TAIL
 )
 
 
-def run_isotropic_alone(*args):
-    """`isoadams isotropic ARGS` in its own process, so that its peak
-    resident memory is its own: (stdout lines, elapsed s, peak RSS MB)."""
+def run_alone(script, *args):
+    """Run a script in its own process with `src` on the path, so that
+    its peak resident memory is its own: (completed process, elapsed s,
+    peak RSS MB)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     t0 = time.time()
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_SCRIPT, "isotropic", *args],
-        capture_output=True, text=True, env=env,
-    )
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
     elapsed = time.time() - t0
+    out = proc.stdout.splitlines()
+    assert out and out[-1].startswith("peak_rss_kb"), proc.stderr
+    return proc, elapsed, int(out[-1].split()[1]) / 1024
+
+
+def run_isotropic_alone(*args):
+    """`isoadams isotropic ARGS` in its own process: (stdout lines,
+    elapsed s, peak RSS MB)."""
+    proc, elapsed, peak_mb = run_alone(ISOTROPIC_SCRIPT, "isotropic", *args)
     out = proc.stdout.splitlines()
     assert "verdict: MATCH" in out, proc.stderr
     assert "vanishing regions: ok" in out
     assert proc.returncode == 0
-    return out, elapsed, int(out[-1].split()[1]) / 1024
+    return out, elapsed, peak_mb
+
+
+def check_products_commute(tmax, smax):
+    """Ext over a cocommutative Hopf algebra is commutative: xy = yx for
+    every ordered pair of generator classes of the classical chart to t
+    <= tmax, s <= smax, run alone.  (products, nonzero products, products
+    phase s, elapsed s, peak RSS MB)."""
+    proc, elapsed, peak_mb = run_alone(PRODUCTS_SCRIPT, str(tmax), str(smax))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    _, count, nonzero, products_s = lines[0].split()
+    assert lines[1] == "noncommuting None", lines[1]
+    return int(count), int(nonzero), float(products_s), elapsed, peak_mb
+
+
+def test_products_commute_to_classical_t40():
+    count, nonzero, products_s, elapsed, peak_mb = check_products_commute(40, 12)
+    assert (count, nonzero) == (3934, 702)
+    report("10 (t <= 40)", f"xy = yx for all {count} products ({nonzero} nonzero) of generator classes to classical t <= 40, s <= 12; products {products_s:.2f}s of {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
 
 
 @pytest.mark.slow
@@ -370,3 +419,11 @@ def test_identification_to_classical_t64():
     _, elapsed, peak_mb = run_isotropic_alone("--tmax", "128", "--smax", "20")
     assert peak_mb < 800, f"peak RSS {peak_mb:.0f} MB"
     report("8 (t <= 64)", f"isotropic chart = doubled classical chart to classical t <= 64, s <= 20, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
+
+
+@pytest.mark.slow
+def test_products_commute_to_classical_t64():
+    count, nonzero, products_s, elapsed, peak_mb = check_products_commute(64, 16)
+    assert (count, nonzero) == (20992, 2255)
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
+    report("10 (t <= 64)", f"xy = yx for all {count} products ({nonzero} nonzero) of generator classes to classical t <= 64, s <= 16; products {products_s:.2f}s of {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")

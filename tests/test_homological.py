@@ -9,7 +9,13 @@ from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree
 from isoadams.modules import dual_module, trivial_module
 
-from conftest import ExteriorDualCoalgebra, ExteriorMilnorAlgebra, random_trivial_module, reference_cell
+from conftest import (
+    ExteriorDualCoalgebra,
+    ExteriorMilnorAlgebra,
+    diff_rows,
+    random_trivial_module,
+    reference_cell,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +65,7 @@ def test_resolution_of_nontrivial_module():
         assert sorted(res.gens[s]) == [(s, 0), (s + 1, 0)]
     # the exterior unit acts, so d_0 is onto each copy of the field
     for deg in ((0, 0), (1, 0)):
-        rows, cod = res.diff_rows(0, deg)
+        rows, cod = diff_rows(res, 0, deg)
         assert gf2.rank_ints(rows, len(cod)) == len(cod) == 1
 
 
@@ -83,7 +89,7 @@ def test_trivial_target_d0_full_rank(flavor):
     target = trivial_module(degs, unit=algebra.unit)
     res = H.resolve(algebra, smax=2, pmax=8, target=target)
     for deg in degs:
-        rows, cod = res.diff_rows(0, deg)
+        rows, cod = diff_rows(res, 0, deg)
         assert len(cod) == len(target.basis_at(deg)) == 1
         assert gf2.rank_ints(rows, len(cod)) == len(cod), deg
 
@@ -96,7 +102,7 @@ def test_default_target_is_the_ground_field(flavor):
     (key,) = res.target.keys
     assert res.target.basis_at(zero) == (key,)
     assert res.target.act_mono(res.algebra.unit, key) == frozenset([key])
-    rows, cod = res.diff_rows(0, zero)
+    rows, cod = diff_rows(res, 0, zero)
     assert rows == [1] and cod == (key,)
     assert res.gens[0] == [zero]
 
@@ -140,10 +146,10 @@ def test_exactness_spot_check(classical_res):
     res = classical_res
     for s in range(1, 6):
         for t in range(0, 13):
-            rows, cod = res.diff_rows(s, (t,))
+            rows, cod = diff_rows(res, s, (t,))
             dom = res.cell_basis(s, (t,))
             kernel = len(dom) - gf2.rank_ints(rows, max(len(cod), 1))
-            rows_up, _ = res.diff_rows(s + 1, (t,))
+            rows_up, _ = diff_rows(res, s + 1, (t,))
             image = gf2.rank_ints(rows_up, max(len(dom), 1))
             assert kernel == image, (s, t)
 
@@ -177,11 +183,11 @@ def test_cell_d_squared_zero_and_exact(small_res):
     # dim ker d_s = rank d_{s+1} (exactness at F_s), s <= smax
     res = small_res
     for deg in _all_cells(res):
-        rows0, target = res.diff_rows(0, deg)
+        rows0, target = diff_rows(res, 0, deg)
         assert gf2.rank_ints(rows0, max(len(target), 1)) == len(target), deg
         for s in range(res.smax + 1):
-            rows, cod = res.diff_rows(s, deg)
-            rows_up, _ = res.diff_rows(s + 1, deg)
+            rows, cod = diff_rows(res, s, deg)
+            rows_up, _ = diff_rows(res, s + 1, deg)
             dom = res.cell_basis(s, deg)
             assert not any(_combine(rows, r) for r in rows_up), (s, deg)
             kernel = len(dom) - gf2.rank_ints(rows, max(len(cod), 1))
@@ -197,7 +203,7 @@ def test_solve_in_cell_maps_to_rhs(small_res, data):
     res = small_res
     cells = [(s, deg) for deg in _all_cells(res) for s in range(1, res.smax + 2) if res.cell_basis(s, deg)]
     s, deg = data.draw(st.sampled_from(cells))
-    rows, cod = res.diff_rows(s, deg)
+    rows, cod = diff_rows(res, s, deg)
     rhs = _combine(rows, data.draw(st.integers(0, (1 << len(rows)) - 1)))
     y = res.solve_in_cell(s, deg, rhs)
     assert y is not None and _combine(rows, y) == rhs
@@ -698,7 +704,7 @@ def test_diff_rows_match_monomial_products(case):
     for deg in _all_cells(res):
         for s in range(res.smax + 2):
             dom, rows, width = _reference_diff_rows(res, s, deg)
-            got, cod = res.diff_rows(s, deg)
+            got, cod = diff_rows(res, s, deg)
             assert list(res.cell_basis(s, deg)) == dom, (s, deg)
             assert (got, len(cod)) == (rows, width), (s, deg)
             checked += len(rows)
@@ -844,9 +850,15 @@ def test_chain_lift_commutes_with_d(small_res, data):
     lift = H.ChainMap.lift(res, ChartClass(s0, deg0, bits))
     k = data.draw(st.integers(1, res.smax + 1 - s0))
     for i in range(len(res.gens[s0 + k])):
-        left = _apply(res, lambda j: res.diff[k][j], lift.value(k, i))
-        right = _apply(res, lambda j: lift.value(k - 1, j), res.diff[s0 + k][i])
+        left = _apply(res, lambda j: res.diff[k][j], _value(lift, k, i))
+        right = _apply(res, lambda j: _value(lift, k - 1, j), res.diff[s0 + k][i])
         assert left == right, (s0, deg0, bits, k, i)
+
+
+def _value(v, k, i):
+    """V_k(g_{src+k, i}) decoded to {gen index: algebra monomials}."""
+    res = v.res
+    return res.bits_to_element(k, H.sub_deg(res.gens[v.src + k][i], v.shift), v.value(k, i))
 
 
 def _generator_classes(res):
@@ -892,11 +904,57 @@ def test_null_homotopy_identity(small_res, vanishing_pairs, data):
     for k in range(1, res.smax + 2 - src):
         for i in range(len(res.gens[src + k])):
             left = _xor(
-                _apply(res, lambda j: res.diff[k][j], hom.value(k, i)),
-                _apply(res, lambda j: hom.value(k - 1, j), res.diff[src + k][i]),
+                _apply(res, lambda j: res.diff[k][j], _value(hom, k, i)),
+                _apply(res, lambda j: _value(hom, k - 1, j), res.diff[src + k][i]),
             )
-            right = _apply(res, lambda j: blift.value(k - 1, j), clift.value(b.s + k - 1, i))
+            right = _apply(res, lambda j: _value(blift, k - 1, j), _value(clift, b.s + k - 1, i))
             assert left == right, (b, c, seed, k, i)
+
+
+def test_chain_map_values_are_packed_bits(monkeypatch):
+    # a product table and a seeded bracket keep every chain-map value as
+    # the bits its solve returned, never as a decoded element
+    homotopies = []
+    homotopy = H.ChainMap.homotopy
+
+    def recorded(res, b, c, rng=None):
+        homotopies.append(homotopy(res, b, c, rng=rng))
+        return homotopies[-1]
+
+    monkeypatch.setattr(H.ChainMap, "homotopy", recorded)
+    res = H.resolve(H.algebra_for("classical", 22), smax=6, pmax=20)
+    classes = _generator_classes(res)
+    for x, y in itertools.product(classes, repeat=2):
+        if x.s + y.s <= res.smax and x.deg[0] + y.deg[0] <= res.pmax:
+            H.yoneda_product(res, x, y)
+    h0, h1 = ChartClass(1, (1,), 1), ChartClass(1, (2,), 1)
+    assert H.massey_triple(res, h0, h1, h0, rng=random.Random(5)).bits
+    maps = list(res._lift_cache.values()) + homotopies
+    assert len(homotopies) == 1 and all(v._memo for v in maps)
+    assert all(type(x) is int for v in maps for x in v._memo.values())
+
+
+def test_cocycle_mask_matches_dict_pairing(small_res):
+    # the cocycle of x as a mask and a parity over the packed values of
+    # the lift of y equals its pairing with the decoded values: unit
+    # coefficients at the dual'd generators, for every ordered pair
+    res = small_res
+    unit = res.algebra.unit
+    classes = _generator_classes(res)
+    nonzero = 0
+    for x, y in itertools.product(classes, repeat=2):
+        s, deg = x.s + y.s, H.add_deg(x.deg, y.deg)
+        if s > res.smax or deg[0] > res.pmax:
+            continue
+        lift = H.ChainMap.lift(res, y)
+        dual = [j for n, j in enumerate(res.gens_at(x.s, x.deg)) if (x.bits >> n) & 1]
+        expected = 0
+        for n, gi in enumerate(res.gens_at(s, deg)):
+            elt = res.bits_to_element(x.s, x.deg, lift.value(x.s, gi))
+            expected |= (sum(unit in elt.get(j, ()) for j in dual) & 1) << n
+        assert H._evaluate_cocycle(res, x, lift, s, deg) == expected, (x, y)
+        nonzero += expected != 0
+    assert nonzero
 
 
 @pytest.fixture(scope="module")
