@@ -11,8 +11,10 @@ rows are built from, and each cell (F_s)_deg has one layout record
 (`FreeResolution._cell`) from which its basis, block placement and bit
 decoding are all read; one walk over the generators of F_s records the
 layouts of every nonempty cell at a topological degree p, and a cell
-with no record is empty.  Chain-map values stay the bits their solve
-returns, read through one decode table per cell (`_decoder`).  Over the
+with no record is empty.  An element of F_s is always bits over the
+basis of its cell: the differentials `resolve` stores are the kernel
+vectors it finds, and chain-map values are the bits their solve returns;
+both are read through one decode table per cell (`_decoder`).  Over the
 classical algebra the rows come from packed Sq^a tables
 (`ClassicalAlgebra.sq_rows`), one per letter and source degree, so no
 Adem word is reduced (`adem.reduce_word`) on the resolve path.  Over
@@ -289,11 +291,11 @@ class FreeResolution:
     pmax: int
     # the module resolved
     target: FiniteModule
-    # gens[s] lists generator degrees of F_s; diff[s][i] maps generator
-    # indices of F_{s-1} to algebra coefficients, diff[0][i] maps into
-    # the target module
+    # gens[s] lists generator degrees of F_s; diff[s][i] is d g_i, the
+    # kernel vector resolve found for g_i: bits over cell_basis(s-1,
+    # |g_i|), or over target.basis_at(|g_i|) for s = 0
     gens: list[list[Deg]] = field(default_factory=list)
-    diff: list[list[dict]] = field(default_factory=list)
+    diff: list[list[int]] = field(default_factory=list)
     # s -> runs (degree, first, stop) of equal-degree generators of F_s
     _run_cache: dict = field(default_factory=dict, repr=False)
     # (s, p) -> {deg: (blocks, size, place)} for every nonempty cell of
@@ -369,8 +371,11 @@ class FreeResolution:
     def _decoder(self, s: int, deg: Deg) -> tuple[tuple[int, ...], tuple]:
         """(generator indices, algebra monomials) of the bits over
         cell_basis(s, deg), one entry per bit, built from the cell's
-        layout on first read.  `resolve` never reads it, so no table is
-        built while the resolve still appends blocks to that layout."""
+        layout on first read.  `resolve` builds the table of (F_s)_deg
+        when it appends generators of F_{s+1} at deg, whose differentials
+        are bits over that cell: the cell is final by then, and `_rows`
+        reads their differentials through it later, so no layout of an
+        earlier topological degree is rebuilt."""
         key = (s, deg)
         got = self._decode_cache.get(key)
         if got is None:
@@ -384,39 +389,45 @@ class FreeResolution:
         """(rows, width): a row per element of cell_basis(s, deg), bits
         over the codomain (F_{s-1} at deg, or the target for s = 0).
 
-        For s >= 1 all rows of one generator are built at once: each
-        coefficient n of its differential on g_j contributes the packed
-        rows m*n of the algebra, shifted to the block of g_j."""
+        For s >= 1 all rows of one generator are built at once: each term
+        n g_j of its differential, read through the decode table of its
+        cell, contributes the packed rows m*n of the algebra, shifted to
+        the block of g_j."""
         blocks = self._cell(s, deg)[0]
+        diff = self.diff[s]
         rows = []
         if s == 0:
             cod = self.target.basis_at(deg)
             cod_index = {c: n for n, c in enumerate(cod)}
-            for first, stop, _, basis, _ in blocks:
+            for first, stop, sub, basis, _ in blocks:
+                keys = self.target.basis_at(sub_deg(deg, sub))
                 for i in range(first, stop):
-                    keys = self.diff[0][i]["target"]
+                    hit = [key for b, key in enumerate(keys) if diff[i] >> b & 1]
                     for m in basis:
                         row = 0
-                        for key in keys:
+                        for key in hit:
                             for out in self.target.act_mono(m, key):
                                 row ^= 1 << cod_index[out]
                         rows.append(row)
             return rows, len(cod)
         _, width, place = self._cell(s - 1, deg)
-        diff = self.diff[s]
         right_rows = self.algebra.right_rows
         for first, stop, sub, basis, _ in blocks:
+            gens, monos = self._decoder(s - 1, self.gens[s][first])
             for i in range(first, stop):
+                z = diff[i]
                 acc = None
-                for j, coeffs in diff[i].items():
+                while z:
+                    b = z.bit_length() - 1
+                    z ^= 1 << b
+                    j = gens[b]
                     if j not in place:
                         continue
                     offset, out_deg = place[j]
-                    for n in coeffs:
-                        if acc is None:
-                            acc = [r << offset for r in right_rows(n, sub, out_deg)]
-                        else:
-                            acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(n, sub, out_deg))]
+                    if acc is None:
+                        acc = [r << offset for r in right_rows(monos[b], sub, out_deg)]
+                    else:
+                        acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(monos[b], sub, out_deg))]
                 rows.extend(acc or [0] * len(basis))
         return rows, width
 
@@ -445,26 +456,6 @@ class FreeResolution:
         """Basis of {x in (F_s)_deg : d_s x = 0} over the cell basis."""
         return self._quasi_inverse(s, deg).kernel
 
-    def bits_to_element(self, s: int, deg: Deg, bits: int) -> dict:
-        """Bits over cell_basis(s, deg) as {gen index: algebra monomials};
-        set bits are walked upwards, so the blocks are too.  `resolve`
-        decodes each new differential with it, as blocks are appended."""
-        blocks = iter(self._cell(s, deg)[0])
-        first = offset = end = n = 0
-        basis: tuple = ()
-        out: dict = {}
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            b = low.bit_length() - 1
-            while b >= end:
-                first, stop, _, basis, offset = next(blocks)
-                n = len(basis)
-                end = offset + n * (stop - first)
-            j, k = divmod(b - offset, n)
-            out.setdefault(first + j, set()).add(basis[k])
-        return {j: frozenset(v) for j, v in out.items()}
-
 
 def resolve(
     algebra: WindowedAlgebra,
@@ -484,7 +475,9 @@ def resolve(
     of d_s lies in its span, so the image pivots are some of those top
     bits.  Each kernel vector whose top bit is not an image pivot gets
     a new generator of F_s: together with the image they span ker
-    d_{s-1}, and no reduction is needed to find them.  The tracked
+    d_{s-1}, and no reduction is needed to find them; that kernel vector
+    is its differential, and the decode table of its cell
+    (`FreeResolution._decoder`) is built as it is stored.  The tracked
     input combinations give ker d_s, carried to stage s+1.  New
     generators leave ker d_s unchanged: their images are independent of
     the old rows, and they sit at the end of the cell basis, where their
@@ -506,8 +499,7 @@ def resolve(
     unit_basis = algebra.basis(zero)
     for p in range(pmax + 1):
         for deg in algebra.cells_at(p):
-            mkeys = res.target.basis_at(deg)
-            kernel = [1 << k for k in range(len(mkeys))]
+            kernel = [1 << k for k in range(len(res.target.basis_at(deg)))]
             for s in range(levels):
                 if res._cell(s, deg)[1]:
                     span = res._span(s, deg, track=s < levels - 1)
@@ -515,13 +507,11 @@ def resolve(
                     next_kernel = span.kernel
                 else:  # F_s is empty here: no rows, and ker d_s = 0
                     new, next_kernel = kernel, []
-                for z in new:
-                    res.gens[s].append(deg)
-                    if s == 0:
-                        res.diff[0].append({"target": frozenset([mkeys[z.bit_length() - 1]])})
-                    else:
-                        res.diff[s].append(res.bits_to_element(s - 1, deg, z))
                 if new:
+                    res.gens[s].extend([deg] * len(new))
+                    res.diff[s].extend(new)
+                    if s:  # build the table their differentials are read through
+                        res._decoder(s - 1, deg)
                     stop = len(res.gens[s])
                     _add_block(res._cells[(s, p)], deg, stop - len(new), stop, zero, unit_basis)
                 kernel = next_kernel
@@ -596,7 +586,7 @@ class ChainMap:
     """A Lambda-linear map V_k: F_{src+k} -> F_k lowering degree by
     `shift`, defined one generator at a time by solving d V_k(g) = rhs in
     its cell; each value is kept as the solve returns it, bits over
-    cell_basis(k, |g| - shift).
+    cell_basis(k, |g| - shift), the format of the differentials too.
 
     A chain lift of a class (`ChainMap.lift`) sends the class's dual'd
     generators to the unit in F_0 and solves with rhs = V_{k-1}(d g).  A
@@ -661,15 +651,7 @@ class ChainMap:
         rhs = 0
         if self.composite is not None:
             outer, inner = self.composite
-            ideg = sub_deg(gdeg, inner.shift)
-            gens, monos = res._decoder(outer.src + k - 1, ideg)
-            bits = inner.value(outer.src + k - 1, i)
-            elt: dict = {}
-            while bits:
-                b = (bits & -bits).bit_length() - 1
-                bits ^= 1 << b
-                elt.setdefault(gens[b], []).append(monos[b])
-            rhs = outer.apply(k - 1, elt, ideg)
+            rhs = outer.apply(k - 1, inner.value(outer.src + k - 1, i), sub_deg(gdeg, inner.shift))
         rhs ^= self.apply(k - 1, res.diff[self.src + k][i], gdeg)
         x = res.solve_in_cell(k, cell, rhs)
         if x is None:
@@ -681,34 +663,47 @@ class ChainMap:
                     x ^= z
         return x
 
-    def apply(self, k: int, elt: dict, deg: Deg) -> int:
-        """V_k of an element {generator of F_{src+k}: coefficients} of
-        degree deg, as bits over cell_basis(k, deg - shift): each term
-        m g_j contributes the packed row m*n of each term n g of V_k(g_j),
-        one per set bit."""
+    def apply(self, k: int, bits: int, deg: Deg) -> int:
+        """V_k of an element of F_{src+k}, given as bits over
+        cell_basis(src+k, deg), as bits over cell_basis(k, deg - shift).
+        The chunk of generator g_j in the input picks monomials m of the
+        algebra basis at deg - |g_j|, and each term n g of V_k(g_j)
+        contributes the packed rows m*n, one `right_rows` call per set
+        bit of the image."""
         res = self.res
-        algebra = res.algebra
+        right_rows = res.algebra.right_rows
         gens = res.gens[self.src + k]
         place = res._cell(k, sub_deg(deg, self.shift))[2]
-        bits = 0
-        for j, coeffs in elt.items():
-            image = self.value(k, j)
-            if not image:
-                continue
-            sub = sub_deg(deg, gens[j])
-            index = algebra.index(sub)
-            image_gens, image_monos = res._decoder(k, sub_deg(gens[j], self.shift))
-            while image:
-                b = (image & -image).bit_length() - 1
-                image ^= 1 << b
-                jj = image_gens[b]
-                if jj not in place:
+        out = 0
+        for first, stop, sub, basis, offset in res._cell(self.src + k, deg)[0]:
+            rest = bits >> offset
+            if not rest:
+                break
+            n = len(basis)
+            mask = (1 << n) - 1
+            for j in range(first, stop):
+                chunk = rest & mask
+                rest >>= n
+                image = self.value(k, j) if chunk else 0
+                if not image:
                     continue
-                offset, out_deg = place[jj]
-                rows = algebra.right_rows(image_monos[b], sub, out_deg)
-                for m in coeffs:
-                    bits ^= rows[index[m]] << offset
-        return bits
+                image_gens, image_monos = res._decoder(k, sub_deg(gens[j], self.shift))
+                picked = []
+                while chunk:
+                    q = chunk.bit_length() - 1
+                    chunk ^= 1 << q
+                    picked.append(q)
+                while image:
+                    b = image.bit_length() - 1
+                    image ^= 1 << b
+                    jj = image_gens[b]
+                    if jj not in place:
+                        continue
+                    image_offset, out_deg = place[jj]
+                    rows = right_rows(image_monos[b], sub, out_deg)
+                    for q in picked:
+                        out ^= rows[q] << image_offset
+        return out
 
 
 def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, v: ChainMap, s: int, deg: Deg) -> int:
@@ -745,12 +740,8 @@ class MasseyResult:
 
     def coset(self) -> set[int]:
         out = {self.bits}
-        for _ in range(len(self.indeterminacy)):
-            new = set()
-            for v in out:
-                for b in self.indeterminacy:
-                    new.add(v ^ b)
-            out |= new
+        for b in self.indeterminacy:
+            out |= {v ^ b for v in out}
         return out
 
 

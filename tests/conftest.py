@@ -99,6 +99,30 @@ def reference_cell(res, s, deg):
     return blocks, size, place
 
 
+def decode(res, s, deg, bits):
+    """Bits over cell_basis(s, deg) as {gen index: frozenset of algebra
+    monomials}, read over the blocks of `reference_cell`: the reference
+    for the library's decode tables."""
+    out = {}
+    for first, stop, _, basis, offset in reference_cell(res, s, deg)[0]:
+        for j in range(first, stop):
+            monos = frozenset(m for k, m in enumerate(basis) if bits >> (offset + k) & 1)
+            if monos:
+                out[j] = monos
+            offset += len(basis)
+    return out
+
+
+def differential(res, s, i):
+    """d of generator i of F_s, decoded: {gen index of F_{s-1}: algebra
+    monomials}, or {"target": keys} over the target module for s = 0."""
+    gdeg = res.gens[s][i]
+    if s == 0:
+        keys = res.target.basis_at(gdeg)
+        return {"target": frozenset(key for b, key in enumerate(keys) if res.diff[0][i] >> b & 1)}
+    return decode(res, s - 1, gdeg, res.diff[s][i])
+
+
 def diff_rows(res, s, deg):
     """(rows, codomain basis): a row per element of cell_basis(s, deg),
     bits over the codomain (F_{s-1} at deg, or the target for s = 0)."""
@@ -112,6 +136,13 @@ def reference_hom_chart(res, coefficients, covers):
     every generator for each (s, cell) and ranking with rank_ints.
     `covers(bidegree)` says whether the coefficients hold that bidegree
     in full; cells whose Hom terms need one they do not are flagged."""
+
+    decoded = {}
+
+    def differentials(s):
+        if s not in decoded:
+            decoded[s] = [differential(res, s, i) for i in range(len(res.gens[s]))]
+        return decoded[s]
 
     def hom_basis(s, cell):
         out, truncated = [], False
@@ -128,7 +159,7 @@ def reference_hom_chart(res, coefficients, covers):
         rows = []
         for j, h in dom:
             row = 0
-            for i, entry in enumerate(res.diff[s + 1]):
+            for i, entry in enumerate(differentials(s + 1)):
                 for m in entry.get(j, ()):
                     for hh in coefficients.act_mono(m, h):
                         row ^= 1 << index[(i, hh)]

@@ -305,6 +305,38 @@ def test_criterion_10_bracket_with_indeterminacy():
     report(10, "<h0,h1^2,h0> in Ext^{3,6}: engine (canonical and perturbed homotopy) and cobar oracle agree, indeterminacy rank 1")
 
 
+@pytest.mark.parametrize("flavor", ["G", "A0"])
+def test_criterion_10_doubled_bracket_with_indeterminacy(flavor):
+    # the doubled <h0, h1^2, h0> at (s, t, u) = (3, 12, 6) over G and A0:
+    # the null-homotopy path, canonical and perturbed, against the cobar
+    # oracle of the same dual coalgebra, with nonzero indeterminacy
+    res = H.resolve(H.algebra_for(flavor, 14), smax=4, pmax=12)
+    cx = cobar.CobarComplex(cobar.dual_coalgebra(flavor), 3, 12)
+    h0, h1 = ChartClass(1, (2, 1), 1), ChartClass(1, (4, 2), 1)
+    h1sq = H.yoneda_product(res, h1, h1)
+    assert h1sq.bits
+
+    def cobar_h(i):
+        basis = cx.tensor_basis(1, (2 ** (i + 1), 2**i))
+        return 1 << basis.index((((), (2**i,)),))
+
+    h1sq_cocycle = cobar.concat(cx, 1, (4, 2), cobar_h(1), 1, (4, 2), cobar_h(1))
+    assert cx.class_vector(2, (8, 4), h1sq_cocycle)
+    oracle = cobar.massey_in_cobar(cx, (1, (2, 1), cobar_h(0)), (2, (8, 4), h1sq_cocycle), (1, (2, 1), cobar_h(0)))
+    assert (oracle.s, oracle.deg) == (3, (12, 6))
+    assert oracle.indeterminacy_rank == 1
+    # one-dimensional in both engines, so zero and nonzero identify the
+    # classes across their bases
+    assert cx.cohomology_dim(3, (12, 6)) == res.gen_count(3, (12, 6)) == 1
+    oracle_coset = {0, 1} if oracle.indeterminacy_rank else {oracle.class_bits}
+    for rng in (None, random.Random(7)):
+        got = H.massey_triple(res, h0, h1sq, h0, rng=rng)
+        assert (got.s, got.deg) == (3, (12, 6))
+        assert len(got.indeterminacy) == oracle.indeterminacy_rank
+        assert got.coset() == oracle_coset
+    report(10, f"doubled <h0,h1^2,h0> over {flavor}: engine (canonical and perturbed homotopy) and cobar oracle agree, indeterminacy rank 1")
+
+
 # The peak resident memory of a run alone, printed as its last line.
 # Linux carries the peak of the process that spawned it over exec into
 # ru_maxrss, so the high-water mark of its own address space (VmHWM) is

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -117,6 +118,53 @@ def test_compare_report_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(rep.read_text())
     assert payload["match"] is True and payload["mode"] == "equality"
+
+
+# sha256 of the stdout, and of the chart file written by --out, of
+# commands whose bytes every engine change must keep
+PINNED_OUTPUTS = {
+    "isotropic": (
+        ["isotropic", "--tmax", "64", "--smax", "12"],
+        "e66c60bf5b8efd0fcb2d6761bcfd4ffc99167e67630dc241abce2afdb5ae9b1b",
+        "113e44323e51126675394fc7a42d174c4f47037944db6f1723db8f9ef23f2e37",
+    ),
+    "resolve-classical": (
+        ["resolve", "--flavor", "classical", "--tmax", "40", "--smax", "12", "--format", "json"],
+        "68209c5c3030e750a36bde70ed9c99a6efa65af7e797fc8e0c0e0a39d2d26d34",
+        None,
+    ),
+    "resolve-A0": (
+        ["resolve", "--flavor", "A0", "--tmax", "20", "--smax", "6", "--format", "json"],
+        "cf5665abff140853d359f21bca8724293604b0d6cae6b0638c5430e1c4a06f45",
+        None,
+    ),
+    "resolve-G": (
+        ["resolve", "--flavor", "G", "--tmax", "32", "--smax", "6", "--format", "json"],
+        "3c455c045f3bd23b8d1c825ae079eb51b6552aa872c15f841d2ec50e1df05f91",
+        None,
+    ),
+    "massey-classical": (
+        ["massey", "--flavor", "classical", "--tmax", "30", "--smax", "8", "h0", "h1", "h0"],
+        "32cc4bc454c99ef2966ab465d8582325f139da066e50d369212a09f1dca458ce",
+        None,
+    ),
+    "massey-G": (
+        ["massey", "--flavor", "G", "--tmax", "30", "--smax", "8", "h0", "h1", "h0"],
+        "32cc4bc454c99ef2966ab465d8582325f139da066e50d369212a09f1dca458ce",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_outputs_are_pinned(case, tmp_path, capsys):
+    argv, stdout_sha, file_sha = PINNED_OUTPUTS[case]
+    out_file = tmp_path / "chart.csv"
+    code, out, _ = run_cli(argv + (["--out", str(out_file)] if file_sha else []), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    if file_sha:
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == file_sha
 
 
 def test_massey_example(capsys):

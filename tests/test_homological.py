@@ -12,7 +12,9 @@ from isoadams.modules import dual_module, trivial_module
 from conftest import (
     ExteriorDualCoalgebra,
     ExteriorMilnorAlgebra,
+    decode,
     diff_rows,
+    differential,
     random_trivial_module,
     reference_cell,
 )
@@ -49,7 +51,7 @@ def test_exterior_koszul_pattern():
     assert [res.gens[s] for s in range(7)] == koszul_exterior_oracle(6)
     # each differential is multiplication by Q_0
     for s in range(1, 6):
-        assert res.diff[s][0] == {0: frozenset([(0,)])}
+        assert differential(res, s, 0) == {0: frozenset([(0,)])}
 
 
 def test_resolution_of_nontrivial_module():
@@ -121,10 +123,10 @@ def test_top_level_entry_points_match_internals():
 def test_d_squared_zero(classical_res):
     res = classical_res
     for s in range(2, res.smax + 1):
-        for i, entry in enumerate(res.diff[s]):
+        for i in range(len(res.gens[s])):
             out: dict = {}
-            for j, coeffs in entry.items():
-                for jj, coeffs2 in res.diff[s - 1][j].items():
+            for j, coeffs in differential(res, s, i).items():
+                for jj, coeffs2 in differential(res, s - 1, j).items():
                     acc = out.setdefault(jj, set())
                     for m in coeffs:
                         for n in coeffs2:
@@ -135,8 +137,8 @@ def test_d_squared_zero(classical_res):
 def test_minimality_no_unit_coefficients(classical_res):
     unit = classical_res.algebra.unit
     for s in range(1, classical_res.smax + 1):
-        for entry in classical_res.diff[s]:
-            for coeffs in entry.values():
+        for i in range(len(classical_res.gens[s])):
+            for coeffs in differential(classical_res, s, i).values():
                 assert unit not in coeffs
 
 
@@ -216,7 +218,7 @@ def test_solve_in_cell_maps_to_rhs(small_res, data):
     for n, (j, m) in enumerate(res.cell_basis(s, deg)):
         if (x >> n) & 1:
             flat.setdefault(j, set()).add(m)
-    assert res.bits_to_element(s, deg, x) == {j: frozenset(v) for j, v in flat.items()}
+    assert decode(res, s, deg, x) == {j: frozenset(v) for j, v in flat.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +438,14 @@ def test_massey_alternate_homotopies_stay_in_coset(classical_res):
             assert sorted(alt.indeterminacy) == sorted(canonical.indeterminacy)
 
 
+def test_massey_coset_spans_every_sum_of_indeterminacy():
+    # the coset is the representative plus every sum of indeterminacy
+    # vectors, sums of two or more included
+    result = H.MasseyResult(3, (6,), 0b0001, [0b0010, 0b0100, 0b1000])
+    assert result.coset() == set(range(1, 16, 2))
+    assert H.MasseyResult(3, (6,), 0b11, []).coset() == {0b11}
+
+
 def test_cobar_differential_squares_to_zero():
     for kind, smax, pmax in [("classical", 5, 8), ("A0", 4, 7)]:
         cx = cobar.CobarComplex(cobar.dual_coalgebra(kind), smax, pmax)
@@ -556,11 +566,11 @@ def _reference_diff_rows(res, s, deg):
     for i, m in dom:
         row = 0
         if s == 0:
-            for key in res.diff[0][i]["target"]:
+            for key in differential(res, 0, i)["target"]:
                 for out in res.target.act_mono(m, key):
                     row ^= 1 << index[out]
         else:
-            for j, coeffs in res.diff[s][i].items():
+            for j, coeffs in differential(res, s, i).items():
                 for n in coeffs:
                     for t in res.algebra.multiply(m, n):
                         row ^= 1 << index[(j, t)]
@@ -756,6 +766,26 @@ def test_cell_layouts_match_single_cell_walk(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_differentials_are_packed_bits(case):
+    # each differential is the kernel vector resolve found for its
+    # generator, a nonzero int over the cell basis of F_{s-1} (the target
+    # basis for s = 0); the decode tables they are read through were
+    # built during the resolve and match the single-cell walk, and no
+    # cell layout outlives the resolve
+    res = LAYOUT_CASES[case]()
+    assert not res._cells
+    for s, diffs in enumerate(res.diff):
+        assert len(diffs) == len(res.gens[s])
+        assert all(type(z) is int and z for z in diffs), s
+        if s:
+            assert all((s - 1, gdeg) in res._decode_cache for gdeg in res.gens[s]), s
+    for (s, deg), (gens, monos) in res._decode_cache.items():
+        blocks = reference_cell(res, s, deg)[0]
+        expected = [(j, m) for first, stop, _, basis, _ in blocks for j in range(first, stop) for m in basis]
+        assert list(zip(gens, monos)) == expected, (s, deg)
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_resolve_builds_rows_only_for_nonempty_cells(monkeypatch, case):
     # a stage where F_s has no basis at the cell builds no rows: each
     # carried kernel vector becomes a generator, and ker d_s = 0
@@ -850,15 +880,15 @@ def test_chain_lift_commutes_with_d(small_res, data):
     lift = H.ChainMap.lift(res, ChartClass(s0, deg0, bits))
     k = data.draw(st.integers(1, res.smax + 1 - s0))
     for i in range(len(res.gens[s0 + k])):
-        left = _apply(res, lambda j: res.diff[k][j], _value(lift, k, i))
-        right = _apply(res, lambda j: _value(lift, k - 1, j), res.diff[s0 + k][i])
+        left = _apply(res, lambda j: differential(res, k, j), _value(lift, k, i))
+        right = _apply(res, lambda j: _value(lift, k - 1, j), differential(res, s0 + k, i))
         assert left == right, (s0, deg0, bits, k, i)
 
 
 def _value(v, k, i):
     """V_k(g_{src+k, i}) decoded to {gen index: algebra monomials}."""
     res = v.res
-    return res.bits_to_element(k, H.sub_deg(res.gens[v.src + k][i], v.shift), v.value(k, i))
+    return decode(res, k, H.sub_deg(res.gens[v.src + k][i], v.shift), v.value(k, i))
 
 
 def _generator_classes(res):
@@ -904,8 +934,8 @@ def test_null_homotopy_identity(small_res, vanishing_pairs, data):
     for k in range(1, res.smax + 2 - src):
         for i in range(len(res.gens[src + k])):
             left = _xor(
-                _apply(res, lambda j: res.diff[k][j], _value(hom, k, i)),
-                _apply(res, lambda j: _value(hom, k - 1, j), res.diff[src + k][i]),
+                _apply(res, lambda j: differential(res, k, j), _value(hom, k, i)),
+                _apply(res, lambda j: _value(hom, k - 1, j), differential(res, src + k, i)),
             )
             right = _apply(res, lambda j: _value(blift, k - 1, j), _value(clift, b.s + k - 1, i))
             assert left == right, (b, c, seed, k, i)
@@ -950,7 +980,7 @@ def test_cocycle_mask_matches_dict_pairing(small_res):
         dual = [j for n, j in enumerate(res.gens_at(x.s, x.deg)) if (x.bits >> n) & 1]
         expected = 0
         for n, gi in enumerate(res.gens_at(s, deg)):
-            elt = res.bits_to_element(x.s, x.deg, lift.value(x.s, gi))
+            elt = decode(res, x.s, x.deg, lift.value(x.s, gi))
             expected |= (sum(unit in elt.get(j, ()) for j in dual) & 1) << n
         assert H._evaluate_cocycle(res, x, lift, s, deg) == expected, (x, y)
         nonzero += expected != 0

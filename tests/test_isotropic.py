@@ -7,7 +7,7 @@ from isoadams import milnor
 from isoadams.milnor import Bidegree
 from isoadams.modules import trivial_module
 
-from conftest import random_trivial_module
+from conftest import differential, random_trivial_module
 
 
 @pytest.fixture(scope="module")
@@ -306,8 +306,8 @@ def test_dual_route_is_even_algebra_resolution():
     res = H.resolve(H.OppositeGeneralizedAlgebra(pmax + 2), smax=smax, pmax=pmax, target=dual_module(coefficients))
     coefficient_count = 0
     for s in range(1, smax + 2):
-        for entry in res.diff[s]:
-            for coeffs in entry.values():
+        for i in range(len(res.gens[s])):
+            for coeffs in differential(res, s, i).values():
                 assert all(not e for e, _ in coeffs), coeffs
                 coefficient_count += len(coeffs)
     assert coefficient_count
