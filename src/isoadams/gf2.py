@@ -8,8 +8,8 @@ of any per-entry Python objects.
 
 The helpers `rref_ints`, `kernel_ints`, ... serve one-off systems.  The
 hot path of the resolution engine is `SpanBuilder`: a semi-echelon row
-space keyed by each row's highest set bit and never back-reduced.  When
-it tracks which inputs each stored row combines, it is a quasi-inverse
+space keyed by each row's highest set bit and never back-reduced.  It
+tracks which inputs each stored row combines, so it is a quasi-inverse
 of its input matrix: one elimination yields the rank, the kernel (input
 combinations that vanish) and a preimage of any vector of the row
 space by back-substitution.  Top-bit pivots make the kernel easy to
@@ -109,7 +109,7 @@ def reduce_against(reduced_rows: list[int], pivots: list[int], v: int) -> int:
 
 
 class SpanBuilder:
-    """Semi-echelon row space, optionally a quasi-inverse of its rows.
+    """Semi-echelon row space and quasi-inverse of its rows.
 
     Rows are fed one at a time with `add`.  Each stored row is keyed by
     its highest set bit (as `column + 1`, its `bit_length`, a small int
@@ -117,23 +117,23 @@ class SpanBuilder:
     never back-reduced, so an insertion costs one pass over the pivots
     its row hits, from the top bit down.
 
-    Given `ncols`, the width of the rows to be added, the builder also
-    tracks which inputs each stored row combines: the n-th added row
-    carries bit `ncols + n`, and eliminations carry those bits along.
-    Pivots are read from the row part only, `(v & mask).bit_length()`.
-    It is then a quasi-inverse of the matrix M of its inputs: `kernel`
-    lists the input combinations that reduced to zero (a basis of
-    {y : y M = 0}) and `preimage(b)` returns some x with x M = b.  A
-    kernel vector found at the n-th input has highest bit n, because
-    stored rows only combine earlier inputs.
+    `ncols` is the width of the rows to be added.  The builder tracks
+    which inputs each stored row combines: the n-th added row carries
+    bit `ncols + n`, and eliminations carry those bits along.  Pivots
+    are read from the row part only, `(v & mask).bit_length()`.  So it
+    is a quasi-inverse of the matrix M of its inputs: `kernel` lists the
+    input combinations that reduced to zero (a basis of {y : y M = 0})
+    and `preimage(b)` returns some x with x M = b.  A kernel vector
+    found at the n-th input has highest bit n, because stored rows only
+    combine earlier inputs.
     """
 
-    def __init__(self, ncols: Optional[int] = None) -> None:
+    def __init__(self, ncols: int) -> None:
         self.rows: dict[int, int] = {}
         self.kernel: list[int] = []
         self._inputs = 0
         self._ncols = ncols
-        self._mask = -1 if ncols is None else (1 << ncols) - 1
+        self._mask = (1 << ncols) - 1
 
     def _eliminate(self, v: int) -> int:
         """Clear v's top row bit with stored rows while it is a pivot."""
@@ -154,20 +154,18 @@ class SpanBuilder:
 
     def add(self, v: int) -> bool:
         """Insert v; returns True if it enlarged the span."""
-        if self._ncols is not None:
-            v |= 1 << (self._ncols + self._inputs)
+        v |= 1 << (self._ncols + self._inputs)
         self._inputs += 1
         v = self._eliminate(v)
         row = v & self._mask
         if row:
             self.rows[row.bit_length()] = v
             return True
-        if v:
-            self.kernel.append(v >> self._ncols)
+        self.kernel.append(v >> self._ncols)
         return False
 
     def preimage(self, b: int) -> Optional[int]:
-        """Some input combination x with x M = b, or None (needs ncols)."""
+        """Some input combination x with x M = b, or None."""
         x = self._eliminate(b)
         return None if x & self._mask else x >> self._ncols
 

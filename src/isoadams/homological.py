@@ -7,14 +7,16 @@ and triple Massey products (null-homotopies).
 One store per fact: resolution and chain maps build their rows from the
 same packed right-multiplication table (`WindowedAlgebra.right_rows`),
 the only cache of algebra products on that path besides the tables the
-rows are built from, and each cell (F_s)_deg has one layout record
-(`FreeResolution._cell`) from which its basis, block placement and bit
-decoding are all read; one walk over the generators of F_s records the
-layouts of every nonempty cell at a topological degree p, and a cell
-with no record is empty.  An element of F_s is always bits over the
-basis of its cell: the differentials `resolve` stores are the kernel
-vectors it finds, and chain-map values are the bits their solve returns;
-both are read through one decode table per cell (`_decoder`).  Over the
+rows are built from.  `resolve` records the runs of generators of F_s
+as it appends them (`FreeResolution.runs`), and each cell (F_s)_deg has
+one layout record (`FreeResolution._cell`), its size and the block of
+each generator, from which its basis and bit decoding are both read;
+one walk over the runs of F_s records the layouts of every nonempty
+cell at a topological degree p, and a cell with no record is empty.  An
+element of F_s is always bits over the basis of its cell: the
+differentials `resolve` stores are the kernel vectors it finds, and
+chain-map values are the bits their solve returns; both are read
+through one decode table per cell (`_decoder`).  Over the
 classical algebra the rows come from packed Sq^a tables
 (`ClassicalAlgebra.sq_rows`), one per letter and source degree, so no
 Adem word is reduced (`adem.reduce_word`) on the resolve path.  Over
@@ -90,8 +92,11 @@ class WindowedAlgebra:
         raise NotImplementedError
 
     def multiply(self, m1, m2) -> frozenset:
-        """The product of two basis monomials, formed afresh on every
-        call: an independent reference for the packed rows."""
+        """The product of two basis monomials by `monomial_product`,
+        which never reads the packed rows: an independent reference for
+        them.  It is not formed afresh on every call: the classical
+        product, and each step of its Adem recursion, reads the run-long
+        cache of `adem._reduce_word`."""
         return self.monomial_product(m1, m2)
 
     def index(self, deg: Deg) -> dict:
@@ -270,18 +275,17 @@ def algebra_for(flavor: str, max_p: int) -> WindowedAlgebra:
 # the resolution
 
 # the layout of an empty cell; never extended (see _add_block)
-_EMPTY_CELL: tuple[list, int, dict] = ([], 0, {})
+_EMPTY_CELL: tuple[int, dict] = (0, {})
 
 
 def _add_block(layouts: dict, deg: Deg, first: int, stop: int, sub: Deg, basis: tuple) -> None:
-    """Append the block of generators first..stop-1 at deg - sub, with
-    algebra basis `basis` at sub, to the layout of the cell deg."""
-    blocks, size, place = layouts.get(deg) or ([], 0, {})
-    blocks.append((first, stop, sub, basis, size))
+    """Place the blocks of generators first..stop-1 at deg - sub, with
+    algebra basis `basis` at sub, after the blocks of the cell deg."""
+    size, place = layouts.get(deg) or (0, {})
     for j in range(first, stop):
-        place[j] = (size, sub)
+        place[j] = (size, sub, basis)
         size += len(basis)
-    layouts[deg] = (blocks, size, place)
+    layouts[deg] = (size, place)
 
 
 @dataclass
@@ -292,14 +296,16 @@ class FreeResolution:
     # the module resolved
     target: FiniteModule
     # gens[s] lists generator degrees of F_s; diff[s][i] is d g_i, the
-    # kernel vector resolve found for g_i: bits over cell_basis(s-1,
-    # |g_i|), or over target.basis_at(|g_i|) for s = 0
+    # kernel vector resolve found for g_i: bits over the cell basis of
+    # (F_{s-1})_{|g_i|}, or over target.basis_at(|g_i|) for s = 0
     gens: list[list[Deg]] = field(default_factory=list)
     diff: list[list[int]] = field(default_factory=list)
-    # s -> runs (degree, first, stop) of equal-degree generators of F_s
-    _run_cache: dict = field(default_factory=dict, repr=False)
-    # (s, p) -> {deg: (blocks, size, place)} for every nonempty cell of
-    # F_s at topological degree p (see _cell)
+    # runs[s] lists (degree, first, stop) for each run of equal-degree
+    # generators of F_s, as resolve appends them: one run per degree, in
+    # increasing degree
+    runs: list[list[tuple[Deg, int, int]]] = field(default_factory=list)
+    # (s, p) -> {deg: (size, place)} for every nonempty cell of F_s at
+    # topological degree p (see _cell)
     _cells: dict = field(default_factory=dict, repr=False)
     # p -> (sub, algebra basis) for each nonempty basis at p (cells_at)
     _bases: dict = field(default_factory=dict, repr=False)
@@ -310,24 +316,9 @@ class FreeResolution:
     # (s, deg, bits) -> chain lift of that class (see ChainMap.lift)
     _lift_cache: dict = field(default_factory=dict, repr=False)
 
-    def runs(self, s: int) -> list[tuple[Deg, int, int]]:
-        """Runs (degree, first, stop) of equal-degree generators of F_s.
-
-        `resolve` appends generators in cell order, so each degree is one
-        contiguous run and the runs come in increasing degree; the list
-        is extended as F_s grows."""
-        runs = self._run_cache.setdefault(s, [])
-        gens = self.gens[s] if s < len(self.gens) else []
-        for i in range(runs[-1][2] if runs else 0, len(gens)):
-            if runs and runs[-1][0] == gens[i]:
-                runs[-1] = (gens[i], runs[-1][1], i + 1)
-            else:
-                runs.append((gens[i], i, i + 1))
-        return runs
-
     def gens_at(self, s: int, deg: Deg) -> range:
         """Indices of the generators of F_s in degree deg."""
-        for gdeg, first, stop in self.runs(s):
+        for gdeg, first, stop in self.runs[s] if s < len(self.runs) else ():
             if gdeg >= deg:
                 return range(first, stop) if gdeg == deg else range(0)
         return range(0)
@@ -335,25 +326,25 @@ class FreeResolution:
     def gen_count(self, s: int, deg: Deg) -> int:
         return len(self.gens_at(s, deg))
 
-    def _cell(self, s: int, deg: Deg) -> tuple[list, int, dict]:
-        """(blocks, size, place) of (F_s)_deg.  blocks lists (first, stop,
-        deg - |g|, algebra basis there, bit offset) for each run of
-        generators with a nonempty block, in run order; place maps
-        generator j to (bit offset, deg - |g_j|) of its block, and a
+    def _cell(self, s: int, deg: Deg) -> tuple[int, dict]:
+        """(size, place) of (F_s)_deg.  place maps each generator j with
+        a nonempty block to (bit offset, deg - |g_j|, algebra basis
+        there), in generator order, which is also offset order; a
         generator with an empty block is absent, as any product landing
-        there is zero.
+        there is zero.  The cell basis is (j, m) for j in place order
+        and m in basis order.
 
         The first call at topological degree p walks the runs of F_s up
         to p once and records every nonempty cell of F_s at p; a degree
-        with no record is empty.  `resolve` appends the block of the
-        generators it adds to their cell's record and drops the records
-        of p when it leaves p."""
+        with no record is empty.  `resolve` places the generators it adds
+        at the end of their cell's record and drops the records of p
+        when it leaves p."""
         p = deg[0]
         layouts = self._cells.get((s, p))
         if layouts is None:
             layouts = self._cells[(s, p)] = {}
             algebra = self.algebra
-            for gdeg, first, stop in self.runs(s):
+            for gdeg, first, stop in self.runs[s]:
                 if gdeg[0] > p:
                     break
                 bases = self._bases.get(p - gdeg[0])
@@ -364,78 +355,74 @@ class FreeResolution:
                     _add_block(layouts, add_deg(gdeg, sub), first, stop, sub, basis)
         return layouts.get(deg, _EMPTY_CELL)
 
-    def cell_basis(self, s: int, deg: Deg) -> tuple:
-        """Ordered basis (gen index, algebra monomial) of (F_s) at deg."""
-        return tuple(zip(*self._decoder(s, deg)))
-
     def _decoder(self, s: int, deg: Deg) -> tuple[tuple[int, ...], tuple]:
-        """(generator indices, algebra monomials) of the bits over
-        cell_basis(s, deg), one entry per bit, built from the cell's
-        layout on first read.  `resolve` builds the table of (F_s)_deg
-        when it appends generators of F_{s+1} at deg, whose differentials
-        are bits over that cell: the cell is final by then, and `_rows`
-        reads their differentials through it later, so no layout of an
-        earlier topological degree is rebuilt."""
+        """(generator indices, algebra monomials) of the bits over the
+        cell basis of (F_s)_deg, one entry per bit: place order, then
+        basis order (see `_cell`), built from the cell's layout on first
+        read.  `resolve` builds the table of (F_s)_deg when it appends
+        generators of F_{s+1} at deg, whose differentials are bits over
+        that cell: the cell is final by then, and `_rows` reads their
+        differentials through it later, so no layout of an earlier
+        topological degree is rebuilt."""
         key = (s, deg)
         got = self._decode_cache.get(key)
         if got is None:
-            blocks = self._cell(s, deg)[0]
-            gens = tuple(i for first, stop, _, basis, _ in blocks for i in range(first, stop) for _ in basis)
-            monos = tuple(m for first, stop, _, basis, _ in blocks for _ in range(first, stop) for m in basis)
+            place = self._cell(s, deg)[1]
+            gens = tuple(j for j, (_, _, basis) in place.items() for _ in basis)
+            monos = tuple(m for _, _, basis in place.values() for m in basis)
             got = self._decode_cache[key] = (gens, monos)
         return got
 
     def _rows(self, s: int, deg: Deg) -> tuple[list[int], int]:
-        """(rows, width): a row per element of cell_basis(s, deg), bits
-        over the codomain (F_{s-1} at deg, or the target for s = 0).
+        """(rows, width): a row per element of the cell basis of
+        (F_s)_deg, bits over the codomain (F_{s-1} at deg, or the target
+        for s = 0).
 
         For s >= 1 all rows of one generator are built at once: each term
         n g_j of its differential, read through the decode table of its
         cell, contributes the packed rows m*n of the algebra, shifted to
         the block of g_j."""
-        blocks = self._cell(s, deg)[0]
+        place = self._cell(s, deg)[1]
         diff = self.diff[s]
         rows = []
         if s == 0:
             cod = self.target.basis_at(deg)
             cod_index = {c: n for n, c in enumerate(cod)}
-            for first, stop, sub, basis, _ in blocks:
+            for i, (_, sub, basis) in place.items():
                 keys = self.target.basis_at(sub_deg(deg, sub))
-                for i in range(first, stop):
-                    hit = [key for b, key in enumerate(keys) if diff[i] >> b & 1]
-                    for m in basis:
-                        row = 0
-                        for key in hit:
-                            for out in self.target.act_mono(m, key):
-                                row ^= 1 << cod_index[out]
-                        rows.append(row)
+                hit = [key for b, key in enumerate(keys) if diff[i] >> b & 1]
+                for m in basis:
+                    row = 0
+                    for key in hit:
+                        for out in self.target.act_mono(m, key):
+                            row ^= 1 << cod_index[out]
+                    rows.append(row)
             return rows, len(cod)
-        _, width, place = self._cell(s - 1, deg)
+        width, cod_place = self._cell(s - 1, deg)
         right_rows = self.algebra.right_rows
-        for first, stop, sub, basis, _ in blocks:
-            gens, monos = self._decoder(s - 1, self.gens[s][first])
-            for i in range(first, stop):
-                z = diff[i]
-                acc = None
-                while z:
-                    b = z.bit_length() - 1
-                    z ^= 1 << b
-                    j = gens[b]
-                    if j not in place:
-                        continue
-                    offset, out_deg = place[j]
-                    if acc is None:
-                        acc = [r << offset for r in right_rows(monos[b], sub, out_deg)]
-                    else:
-                        acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(monos[b], sub, out_deg))]
-                rows.extend(acc or [0] * len(basis))
+        for i, (_, sub, basis) in place.items():
+            gens, monos = self._decoder(s - 1, self.gens[s][i])
+            z = diff[i]
+            acc = None
+            while z:
+                b = z.bit_length() - 1
+                z ^= 1 << b
+                j = gens[b]
+                if j not in cod_place:
+                    continue
+                offset, out_deg, _ = cod_place[j]
+                if acc is None:
+                    acc = [r << offset for r in right_rows(monos[b], sub, out_deg)]
+                else:
+                    acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(monos[b], sub, out_deg))]
+            rows.extend(acc or [0] * len(basis))
         return rows, width
 
-    def _span(self, s: int, deg: Deg, track: bool) -> gf2.SpanBuilder:
-        """A fresh SpanBuilder fed the rows of d_s at deg in cell-basis
-        order; the rows themselves are not kept."""
+    def _span(self, s: int, deg: Deg) -> gf2.SpanBuilder:
+        """A fresh SpanBuilder, the quasi-inverse of d_s at deg, fed its
+        rows in cell-basis order; the rows themselves are not kept."""
         rows, width = self._rows(s, deg)
-        span = gf2.SpanBuilder(width if track else None)
+        span = gf2.SpanBuilder(width)
         for row in rows:
             span.add(row)
         return span
@@ -444,12 +431,12 @@ class FreeResolution:
         key = (s, deg)
         got = self._inverse_cache.get(key)
         if got is None:
-            got = self._inverse_cache[key] = self._span(s, deg, track=True)
+            got = self._inverse_cache[key] = self._span(s, deg)
         return got
 
     def solve_in_cell(self, s: int, deg: Deg, rhs_bits: int) -> Optional[int]:
-        """Some x in (F_s)_deg with d_s(x) = rhs, coordinates over
-        cell_basis(s, deg)."""
+        """Some x in (F_s)_deg with d_s(x) = rhs, coordinates over the
+        cell basis."""
         return self._quasi_inverse(s, deg).preimage(rhs_bits)
 
     def cell_kernel(self, s: int, deg: Deg) -> list[int]:
@@ -480,12 +467,12 @@ def resolve(
     (`FreeResolution._decoder`) is built as it is stored.  The tracked
     input combinations give ker d_s, carried to stage s+1.  New
     generators leave ker d_s unchanged: their images are independent of
-    the old rows, and they sit at the end of the cell basis, where their
-    block is appended to the cell's layout.  A stage where F_s is empty
-    at the cell builds no rows: every carried kernel vector becomes a
-    generator, and ker d_s = 0.  The layouts of a topological degree p
-    (see `FreeResolution._cell`) are dropped once every cell at p is
-    done."""
+    the old rows, and they sit at the end of the cell basis, where they
+    are placed in the cell's layout; their run is appended to
+    `FreeResolution.runs`.  A stage where F_s is empty at the cell
+    builds no rows: every carried kernel vector becomes a generator, and
+    ker d_s = 0.  The layouts of a topological degree p (see
+    `FreeResolution._cell`) are dropped once every cell at p is done."""
     if pmax > algebra.max_p:
         raise WindowExceededError("algebra window too small for the requested resolution")
     if target is None:
@@ -494,6 +481,7 @@ def resolve(
     levels = smax + 2
     res.gens = [[] for _ in range(levels)]
     res.diff = [[] for _ in range(levels)]
+    res.runs = [[] for _ in range(levels)]
 
     zero = (0,) * algebra.grading
     unit_basis = algebra.basis(zero)
@@ -501,8 +489,8 @@ def resolve(
         for deg in algebra.cells_at(p):
             kernel = [1 << k for k in range(len(res.target.basis_at(deg)))]
             for s in range(levels):
-                if res._cell(s, deg)[1]:
-                    span = res._span(s, deg, track=s < levels - 1)
+                if res._cell(s, deg)[0]:
+                    span = res._span(s, deg)
                     new = [z for z in kernel if z.bit_length() not in span.rows]
                     next_kernel = span.kernel
                 else:  # F_s is empty here: no rows, and ker d_s = 0
@@ -512,8 +500,9 @@ def resolve(
                     res.diff[s].extend(new)
                     if s:  # build the table their differentials are read through
                         res._decoder(s - 1, deg)
-                    stop = len(res.gens[s])
-                    _add_block(res._cells[(s, p)], deg, stop - len(new), stop, zero, unit_basis)
+                    first, stop = len(res.gens[s]) - len(new), len(res.gens[s])
+                    res.runs[s].append((deg, first, stop))
+                    _add_block(res._cells[(s, p)], deg, first, stop, zero, unit_basis)
                 kernel = next_kernel
         # keep no cells from the loop; later solves rebuild theirs
         for s in range(levels):
@@ -585,8 +574,9 @@ def class_of_generator(res: FreeResolution, s: int, deg: Deg, index: int = 0) ->
 class ChainMap:
     """A Lambda-linear map V_k: F_{src+k} -> F_k lowering degree by
     `shift`, defined one generator at a time by solving d V_k(g) = rhs in
-    its cell; each value is kept as the solve returns it, bits over
-    cell_basis(k, |g| - shift), the format of the differentials too.
+    its cell; each value is kept as the solve returns it, bits over the
+    cell basis of (F_k)_{|g| - shift}, the format of the differentials
+    too.
 
     A chain lift of a class (`ChainMap.lift`) sends the class's dual'd
     generators to the unit in F_0 and solves with rhs = V_{k-1}(d g).  A
@@ -633,7 +623,8 @@ class ChainMap:
         return cls(res, b.s + c.s - 1, add_deg(b.deg, c.deg), composite=composite, rng=rng)
 
     def value(self, k: int, i: int) -> int:
-        """V_k(g_{src+k, i}) as bits over cell_basis(k, |g| - shift)."""
+        """V_k(g_{src+k, i}) as bits over the cell basis of
+        (F_k)_{|g| - shift}."""
         key = (k, i)
         got = self._memo.get(key)
         if got is None:
@@ -664,54 +655,51 @@ class ChainMap:
         return x
 
     def apply(self, k: int, bits: int, deg: Deg) -> int:
-        """V_k of an element of F_{src+k}, given as bits over
-        cell_basis(src+k, deg), as bits over cell_basis(k, deg - shift).
-        The chunk of generator g_j in the input picks monomials m of the
-        algebra basis at deg - |g_j|, and each term n g of V_k(g_j)
-        contributes the packed rows m*n, one `right_rows` call per set
-        bit of the image."""
+        """V_k of an element of F_{src+k}, given as bits over the cell
+        basis of (F_{src+k})_deg, as bits over the cell basis of
+        (F_k)_{deg - shift}.  The block of generator g_j in the input
+        picks monomials m of the algebra basis at deg - |g_j|, and each
+        term n g of V_k(g_j) contributes the packed rows m*n, one
+        `right_rows` call per set bit of the image."""
         res = self.res
         right_rows = res.algebra.right_rows
         gens = res.gens[self.src + k]
-        place = res._cell(k, sub_deg(deg, self.shift))[2]
+        place = res._cell(k, sub_deg(deg, self.shift))[1]
         out = 0
-        for first, stop, sub, basis, offset in res._cell(self.src + k, deg)[0]:
+        for j, (offset, sub, basis) in res._cell(self.src + k, deg)[1].items():
             rest = bits >> offset
             if not rest:
                 break
-            n = len(basis)
-            mask = (1 << n) - 1
-            for j in range(first, stop):
-                chunk = rest & mask
-                rest >>= n
-                image = self.value(k, j) if chunk else 0
-                if not image:
+            chunk = rest & ((1 << len(basis)) - 1)
+            image = self.value(k, j) if chunk else 0
+            if not image:
+                continue
+            image_gens, image_monos = res._decoder(k, sub_deg(gens[j], self.shift))
+            picked = []
+            while chunk:
+                q = chunk.bit_length() - 1
+                chunk ^= 1 << q
+                picked.append(q)
+            while image:
+                b = image.bit_length() - 1
+                image ^= 1 << b
+                jj = image_gens[b]
+                if jj not in place:
                     continue
-                image_gens, image_monos = res._decoder(k, sub_deg(gens[j], self.shift))
-                picked = []
-                while chunk:
-                    q = chunk.bit_length() - 1
-                    chunk ^= 1 << q
-                    picked.append(q)
-                while image:
-                    b = image.bit_length() - 1
-                    image ^= 1 << b
-                    jj = image_gens[b]
-                    if jj not in place:
-                        continue
-                    image_offset, out_deg = place[jj]
-                    rows = right_rows(image_monos[b], sub, out_deg)
-                    for q in picked:
-                        out ^= rows[q] << image_offset
+                image_offset, out_deg, _ = place[jj]
+                rows = right_rows(image_monos[b], sub, out_deg)
+                for q in picked:
+                    out ^= rows[q] << image_offset
         return out
 
 
 def _evaluate_cocycle(res: FreeResolution, cls: ChartClass, v: ChainMap, s: int, deg: Deg) -> int:
     """Pair the generator-dual cocycle of cls with V_{cls.s}(g) for each
-    generator g of F_s at deg, as bits over those generators.  Over
-    cell_basis(cls.s, cls.deg) the cocycle is a mask, the unit bit of
-    each dual'd generator, and pairs as the parity of the shared bits."""
-    place = res._cell(cls.s, cls.deg)[2]
+    generator g of F_s at deg, as bits over those generators.  Over the
+    cell basis of (F_{cls.s})_{cls.deg} the cocycle is a mask, the unit
+    bit of each dual'd generator, and pairs as the parity of the shared
+    bits."""
+    place = res._cell(cls.s, cls.deg)[1]
     mask = sum(1 << place[j][0] for n, j in enumerate(res.gens_at(cls.s, cls.deg)) if (cls.bits >> n) & 1)
     return sum(((v.value(cls.s, gi) & mask).bit_count() & 1) << n for n, gi in enumerate(res.gens_at(s, deg)))
 

@@ -81,35 +81,51 @@ def random_trivial_module(rng, size, degree_pool, *, unit):
     return trivial_module([rng.choice(degree_pool) for _ in range(size)], "random", unit=unit)
 
 
+def reference_runs(gens):
+    """Runs (degree, first, stop) of consecutive equal degrees in a list
+    of generator degrees: the reference for the runs `resolve` records
+    in `FreeResolution.runs`."""
+    runs = []
+    for i, deg in enumerate(gens):
+        if runs and runs[-1][0] == deg:
+            runs[-1] = (deg, runs[-1][1], i + 1)
+        else:
+            runs.append((deg, i, i + 1))
+    return runs
+
+
 def reference_cell(res, s, deg):
-    """(blocks, size, place) of (F_s)_deg from a walk over the runs of F_s
-    for that one cell: the reference for the per-degree layouts of
+    """(size, place) of (F_s)_deg from a walk over the runs of F_s for
+    that one cell: the reference for the per-degree layouts of
     `FreeResolution._cell`."""
-    blocks, place, size = [], {}, 0
-    for gdeg, first, stop in res.runs(s):
+    place, size = {}, 0
+    for gdeg, first, stop in reference_runs(res.gens[s]):
         if gdeg[0] > deg[0]:
             break
         sub = H.sub_deg(deg, gdeg)
         basis = res.algebra.basis(sub)
         if basis:
-            blocks.append((first, stop, sub, basis, size))
             for j in range(first, stop):
-                place[j] = (size, sub)
+                place[j] = (size, sub, basis)
                 size += len(basis)
-    return blocks, size, place
+    return size, place
+
+
+def cell_basis(res, s, deg):
+    """Ordered basis (gen index, algebra monomial) of (F_s)_deg, as the
+    library's decode table reads it."""
+    return tuple(zip(*res._decoder(s, deg)))
 
 
 def decode(res, s, deg, bits):
-    """Bits over cell_basis(s, deg) as {gen index: frozenset of algebra
-    monomials}, read over the blocks of `reference_cell`: the reference
-    for the library's decode tables."""
+    """Bits over cell_basis(res, s, deg) as {gen index: frozenset of
+    algebra monomials}, read over the blocks of `reference_cell`: the
+    reference for the library's decode tables."""
     out = {}
-    for first, stop, _, basis, offset in reference_cell(res, s, deg)[0]:
-        for j in range(first, stop):
-            monos = frozenset(m for k, m in enumerate(basis) if bits >> (offset + k) & 1)
-            if monos:
-                out[j] = monos
-            offset += len(basis)
+    for j, (offset, _, basis) in reference_cell(res, s, deg)[1].items():
+        monos = frozenset(m for k, m in enumerate(basis) if bits >> (offset + k) & 1)
+        if monos:
+            out[j] = monos
     return out
 
 
@@ -124,10 +140,10 @@ def differential(res, s, i):
 
 
 def diff_rows(res, s, deg):
-    """(rows, codomain basis): a row per element of cell_basis(s, deg),
+    """(rows, codomain basis): a row per element of cell_basis(res, s, deg),
     bits over the codomain (F_{s-1} at deg, or the target for s = 0)."""
     rows, _ = res._rows(s, deg)
-    cod = res.target.basis_at(deg) if s == 0 else res.cell_basis(s - 1, deg)
+    cod = res.target.basis_at(deg) if s == 0 else cell_basis(res, s - 1, deg)
     return rows, cod
 
 

@@ -135,7 +135,7 @@ def test_span_builder_matches_rank():
     for _ in range(100):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         rows = [rng.getrandbits(ncols) for _ in range(nrows)]
-        sb = gf2.SpanBuilder()
+        sb = gf2.SpanBuilder(ncols)
         for r in rows:
             sb.add(r)
         assert sb.rank == gf2.rank_ints(rows, ncols)

@@ -12,11 +12,13 @@ from isoadams.modules import dual_module, trivial_module
 from conftest import (
     ExteriorDualCoalgebra,
     ExteriorMilnorAlgebra,
+    cell_basis,
     decode,
     diff_rows,
     differential,
     random_trivial_module,
     reference_cell,
+    reference_runs,
 )
 
 
@@ -149,7 +151,7 @@ def test_exactness_spot_check(classical_res):
     for s in range(1, 6):
         for t in range(0, 13):
             rows, cod = diff_rows(res, s, (t,))
-            dom = res.cell_basis(s, (t,))
+            dom = cell_basis(res, s, (t,))
             kernel = len(dom) - gf2.rank_ints(rows, max(len(cod), 1))
             rows_up, _ = diff_rows(res, s + 1, (t,))
             image = gf2.rank_ints(rows_up, max(len(dom), 1))
@@ -190,7 +192,7 @@ def test_cell_d_squared_zero_and_exact(small_res):
         for s in range(res.smax + 1):
             rows, cod = diff_rows(res, s, deg)
             rows_up, _ = diff_rows(res, s + 1, deg)
-            dom = res.cell_basis(s, deg)
+            dom = cell_basis(res, s, deg)
             assert not any(_combine(rows, r) for r in rows_up), (s, deg)
             kernel = len(dom) - gf2.rank_ints(rows, max(len(cod), 1))
             assert kernel == gf2.rank_ints(rows_up, max(len(dom), 1)), (s, deg)
@@ -203,7 +205,7 @@ def test_cell_d_squared_zero_and_exact(small_res):
 @given(st.data())
 def test_solve_in_cell_maps_to_rhs(small_res, data):
     res = small_res
-    cells = [(s, deg) for deg in _all_cells(res) for s in range(1, res.smax + 2) if res.cell_basis(s, deg)]
+    cells = [(s, deg) for deg in _all_cells(res) for s in range(1, res.smax + 2) if cell_basis(res, s, deg)]
     s, deg = data.draw(st.sampled_from(cells))
     rows, cod = diff_rows(res, s, deg)
     rhs = _combine(rows, data.draw(st.integers(0, (1 << len(rows)) - 1)))
@@ -215,7 +217,7 @@ def test_solve_in_cell_maps_to_rhs(small_res, data):
     # the block decode agrees with the flat cell basis
     x = data.draw(st.integers(0, (1 << len(rows)) - 1))
     flat: dict = {}
-    for n, (j, m) in enumerate(res.cell_basis(s, deg)):
+    for n, (j, m) in enumerate(cell_basis(res, s, deg)):
         if (x >> n) & 1:
             flat.setdefault(j, set()).add(m)
     assert decode(res, s, deg, x) == {j: frozenset(v) for j, v in flat.items()}
@@ -715,7 +717,7 @@ def test_diff_rows_match_monomial_products(case):
         for s in range(res.smax + 2):
             dom, rows, width = _reference_diff_rows(res, s, deg)
             got, cod = diff_rows(res, s, deg)
-            assert list(res.cell_basis(s, deg)) == dom, (s, deg)
+            assert list(cell_basis(res, s, deg)) == dom, (s, deg)
             assert (got, len(cod)) == (rows, width), (s, deg)
             checked += len(rows)
     assert checked
@@ -736,21 +738,47 @@ LAYOUT_CASES = {
 }
 
 
+def _ordered(layout):
+    """A (size, place) layout with place as a list, so that comparing
+    two layouts compares the order of their generators too."""
+    size, place = layout
+    return size, list(place.items())
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_runs_are_recorded_by_resolve(case):
+    # the runs resolve records as it appends generators are the runs of
+    # equal-degree generators of gens[s], and gens_at reads them
+    res = LAYOUT_CASES[case]()
+    assert len(res.runs) == len(res.gens) == res.smax + 2
+    for s, gens in enumerate(res.gens):
+        assert res.runs[s] == reference_runs(gens), s
+        for deg, first, stop in res.runs[s]:
+            assert res.gens_at(s, deg) == range(first, stop), (s, deg)
+    s, gens = next((s, gens) for s, gens in enumerate(res.gens) if gens)
+    empty = [deg for deg in _all_cells(res) if deg not in gens]
+    assert empty
+    for deg in empty:
+        assert res.gens_at(s, deg) == range(0), (s, deg)
+    for past in (len(res.gens), len(res.gens) + 3):
+        assert res.gens_at(past, gens[0]) == range(0)
+
+
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_cell_layouts_match_single_cell_walk(monkeypatch, case):
     # the layouts of one walk per (s, p) against the walk of each single
-    # cell: every layout read during the resolve, the blocks appended
-    # there for new generators included, and afterwards every (s, deg)
-    # with p <= pmax, off the visited cells too
+    # cell, generator order included: every layout read during the
+    # resolve, the places added there for new generators included, and
+    # afterwards every (s, deg) with p <= pmax, off the visited cells too
     per_degree = H.FreeResolution._cell
     grown = []
 
     def checked(res, s, deg):
         got = per_degree(res, s, deg)
-        assert got == reference_cell(res, s, deg), (s, deg)
+        assert _ordered(got) == _ordered(reference_cell(res, s, deg)), (s, deg)
         # generators at deg itself exist during the loop only through
-        # the blocks that resolve appended
-        if any(sub == (0,) * res.algebra.grading for _, _, sub, _, _ in got[0]):
+        # the places that resolve added
+        if any(sub == (0,) * res.algebra.grading for _, sub, _ in got[1].values()):
             grown.append((s, deg))
         return got
 
@@ -762,7 +790,7 @@ def test_cell_layouts_match_single_cell_walk(monkeypatch, case):
         for p in range(res.pmax + 1):
             degs = [(p,)] if res.algebra.grading == 1 else [(p, q) for q in range(-1, p + 2)]
             for deg in degs:
-                assert res._cell(s, deg) == reference_cell(res, s, deg), (s, deg)
+                assert _ordered(res._cell(s, deg)) == _ordered(reference_cell(res, s, deg)), (s, deg)
 
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
@@ -780,8 +808,8 @@ def test_differentials_are_packed_bits(case):
         if s:
             assert all((s - 1, gdeg) in res._decode_cache for gdeg in res.gens[s]), s
     for (s, deg), (gens, monos) in res._decode_cache.items():
-        blocks = reference_cell(res, s, deg)[0]
-        expected = [(j, m) for first, stop, _, basis, _ in blocks for j in range(first, stop) for m in basis]
+        place = reference_cell(res, s, deg)[1]
+        expected = [(j, m) for j, (_, _, basis) in place.items() for m in basis]
         assert list(zip(gens, monos)) == expected, (s, deg)
 
 
@@ -793,7 +821,7 @@ def test_resolve_builds_rows_only_for_nonempty_cells(monkeypatch, case):
     rows = H.FreeResolution._rows
 
     def recorded(res, s, deg):
-        sizes.append(res._cell(s, deg)[1])
+        sizes.append(res._cell(s, deg)[0])
         return rows(res, s, deg)
 
     monkeypatch.setattr(H.FreeResolution, "_rows", recorded)
