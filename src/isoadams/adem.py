@@ -278,20 +278,3 @@ def admissible_words(flavor: str, degree: Bidegree | int) -> tuple[Word, ...]:
     if flavor == GENERALIZED:
         return _adm_generalized(degree.p, degree.q)
     raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def admissible_basis(flavor: str, max_p: int) -> dict[Bidegree, tuple[Word, ...]]:
-    """Admissible words of every bidegree with topological degree in
-    [0, max_p], keyed by bidegree."""
-    out: dict[Bidegree, tuple[Word, ...]] = {}
-    for p in range(max_p + 1):
-        if flavor == CLASSICAL:
-            words = _adm_classical(p)
-            if words:
-                out[Bidegree(p, 0)] = words
-            continue
-        for q in range(p + 1):
-            words = admissible_words(flavor, Bidegree(p, q))
-            if words:
-                out[Bidegree(p, q)] = words
-    return out

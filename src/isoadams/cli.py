@@ -104,18 +104,21 @@ def cmd_mul(args) -> int:
     return EXIT_OK
 
 
-def _field_chart(flavor: str, smax: int, tmax: int) -> tuple[ExtChart, H.FreeResolution]:
-    alg = H.algebra_for(flavor, tmax + 2)
+def _field_chart(flavor: str, smax: int, tmax: int) -> tuple[ExtChart, H.FreeResolution, dict]:
+    alg = H.algebra_for(flavor, tmax)
     res = H.resolve(alg, smax=smax, pmax=tmax)
     chart = H.ext_chart_field(res)
-    _fill_product_table(chart, res)
-    return chart, res
+    factors = _fill_product_table(chart, res)
+    return chart, res, factors
 
 
-def _fill_product_table(chart: ExtChart, res: H.FreeResolution) -> None:
+def _fill_product_table(chart: ExtChart, res: H.FreeResolution) -> dict:
     """Pairwise Yoneda products of the named classes, recorded by name
-    where the result cell carries a name and by cell otherwise."""
+    where the result cell carries a name and by cell otherwise.  Returns
+    {(s, deg, bits): (n1, n2)}, the first pair in sorted name order whose
+    product is that nonzero class."""
     names = sorted(chart.classes)
+    factors: dict = {}
     for n1 in names:
         for n2 in names:
             s1, d1, i1 = chart.classes[n1]
@@ -129,6 +132,7 @@ def _fill_product_table(chart: ExtChart, res: H.FreeResolution) -> None:
             if prod.bits == 0:
                 chart.products[(n1, n2)] = "0"
                 continue
+            factors.setdefault((s, deg, prod.bits), (n1, n2))
             named = None
             for k in range(res.gen_count(s, deg)):
                 if prod.bits == 1 << k:
@@ -139,13 +143,14 @@ def _fill_product_table(chart: ExtChart, res: H.FreeResolution) -> None:
                 **({"u": deg[1]} if len(deg) > 1 else {}),
                 "indices": [k for k in range(res.gen_count(s, deg)) if (prod.bits >> k) & 1],
             }
+    return factors
 
 
 def cmd_resolve(args) -> int:
     if args.flavor == "classical" and (args.qmin is not None or args.qmax is not None):
         print("error: --qmin/--qmax select by the weight u, which the classical chart does not carry", file=sys.stderr)
         return EXIT_USAGE
-    chart, _ = _field_chart(args.flavor, args.smax, args.tmax)
+    chart, _, _ = _field_chart(args.flavor, args.smax, args.tmax)
     chart = _filter_weights(chart, args.qmin, args.qmax)
     chart.meta["job"] = _job_meta(args)
     _emit(chart, args.format, args.out)
@@ -194,23 +199,20 @@ def _named_class(res: H.FreeResolution, chart: ExtChart, name: str) -> H.ChartCl
     return H.class_of_generator(res, s, deg, index)
 
 
-def _describe_class(res: H.FreeResolution, chart: ExtChart, s: int, deg, bits: int) -> str:
+def _describe_class(factors: dict, s: int, deg, bits: int) -> str:
+    """The class as a product of two named classes where one is, read
+    from the products `_fill_product_table` formed."""
     if bits == 0:
         return "0"
-    # try to present the class as a product of two named classes
-    names = sorted(chart.classes)
-    for n1 in names:
-        for n2 in names:
-            c1 = _named_class(res, chart, n1)
-            c2 = _named_class(res, chart, n2)
-            if c1.s + c2.s == s and H.add_deg(c1.deg, c2.deg) == tuple(deg):
-                if H.yoneda_product(res, c1, c2).bits == bits:
-                    return f"{n1}^2" if n1 == n2 else f"{n1}*{n2}"
+    pair = factors.get((s, tuple(deg), bits))
+    if pair:
+        n1, n2 = pair
+        return f"{n1}^2" if n1 == n2 else f"{n1}*{n2}"
     return f"class at (s={s}, deg={deg}) with coordinates {bits:#b}"
 
 
 def cmd_massey(args) -> int:
-    chart, res = _field_chart(args.flavor, args.smax, args.tmax)
+    chart, res, factors = _field_chart(args.flavor, args.smax, args.tmax)
     try:
         a = _named_class(res, chart, args.a)
         b = _named_class(res, chart, args.b)
@@ -223,7 +225,7 @@ def cmd_massey(args) -> int:
     except (H.MasseyPreconditionError, H.WindowExceededError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    desc = _describe_class(res, chart, result.s, result.deg, result.bits)
+    desc = _describe_class(factors, result.s, result.deg, result.bits)
     print(f"<{args.a},{args.b},{args.c}> = {desc}")
     if result.indeterminacy:
         print(f"indeterminacy rank {len(result.indeterminacy)}: {[f'{v:#b}' for v in result.indeterminacy]}")
@@ -246,8 +248,8 @@ def cmd_massey(args) -> int:
 
 
 def cmd_isotropic(args) -> int:
-    tmax_classical = args.tmax // 2
-    pmax = 2 * tmax_classical
+    pmax = args.tmax
+    tmax_classical = pmax // 2
     try:
         # by default deep enough for the resolved range
         window = iso.IsotropicWindow(-(pmax + 2) if args.pmin is None else args.pmin)
@@ -259,7 +261,7 @@ def cmd_isotropic(args) -> int:
     except iso.ActionTableNotUnique as err:
         print(err, file=sys.stderr)
         return EXIT_MISMATCH
-    cres = H.resolve(H.algebra_for("classical", tmax_classical + 2), smax=args.smax, pmax=tmax_classical)
+    cres = H.resolve(H.algebra_for("classical", tmax_classical), smax=args.smax, pmax=tmax_classical)
     cchart = H.ext_chart_field(cres)
     ichart.meta["job"] = _job_meta(args)
     if args.out:

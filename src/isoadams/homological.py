@@ -94,9 +94,9 @@ class WindowedAlgebra:
     def multiply(self, m1, m2) -> frozenset:
         """The product of two basis monomials by `monomial_product`,
         which never reads the packed rows: an independent reference for
-        them.  It is not formed afresh on every call: the classical
-        product, and each step of its Adem recursion, reads the run-long
-        cache of `adem._reduce_word`."""
+        them.  The A0 product is formed afresh on each call; the
+        classical product, and each step of its Adem recursion, reads
+        the run-long memo of `adem._reduce_word`."""
         return self.monomial_product(m1, m2)
 
     def index(self, deg: Deg) -> dict:
@@ -222,8 +222,7 @@ class GeneralizedAlgebra(WindowedAlgebra):
         return milnor.basis(p, q) if p >= 0 else ()
 
     def monomial_product(self, m1, m2) -> frozenset:
-        # uncached, and off the resolve path: the reference for the rows
-        return milnor.multiply_mono.__wrapped__(m1, m2)
+        return milnor.multiply_mono(m1, m2)
 
     def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
         """The rows from P-product tables (milnor.packed_rows)."""
@@ -541,7 +540,7 @@ def ext_chart_coefficients(coefficients: FiniteModule, smax: int, pmax: int) -> 
     the cells 0 <= q <= p/2, so a key of M whose negated bidegree lies
     outside them (any key with p > 0) raises ValueError rather than
     dropping out of the chart."""
-    algebra = OppositeGeneralizedAlgebra(pmax + 2)
+    algebra = OppositeGeneralizedAlgebra(pmax)
     for key in coefficients.keys:
         p, q = coefficients.degree_of(key)
         if (-p, -q) not in algebra.cells_at(-p):

@@ -18,7 +18,8 @@ everywhere:
   commutator shuffles for the Q's.  The formula enumerates only the
   matrices with an odd coefficient, pruning each entry by Lucas's
   condition as it is placed.  This pairwise `p_product` serves
-  `multiply_mono`; the resolve paths and the action-table solver use
+  `multiply_mono`, and neither keeps a memo: each product is formed
+  afresh.  The resolve paths and the action-table solver use
   `p_product_table`, the same formula with one factor fixed, which
   yields its products with every P^R of one weight in one enumeration.
 - `multiply_via_duality`: the pairing <xy, w> = <x (x) y, psi(w)>.  The
@@ -174,7 +175,6 @@ def p_exponents_of_weight(w: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(rec(w, max_slot)))
 
 
-@lru_cache(maxsize=None)
 def exterior_supports(count: int, max_p: int) -> tuple[tuple[int, ...], ...]:
     """Strictly increasing index tuples E, |E| = count, with sum of
     topological degrees of the Q_i at most max_p."""
@@ -425,7 +425,6 @@ def _matrix_product_terms(r: tuple[int, ...], s: tuple[int, ...]) -> list[tuple[
     return out
 
 
-@lru_cache(maxsize=None)
 def p_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """P^r * P^s as a set of P-exponent tuples (coefficients mod 2)."""
     out: set[tuple[int, ...]] = set()
@@ -480,9 +479,12 @@ def _p_past_qs(r: tuple[int, ...], f: tuple[int, ...]) -> frozenset[Mono]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+# maxsize=0 stores no product, since callers rarely repeat a pair; the
+# wrapper stays for its call count, which the benchmark's traced runs
+# read through cache_info()
+@lru_cache(maxsize=0)
 def multiply_mono(a: Mono, b: Mono) -> frozenset[Mono]:
-    """(Q^E P^R)(Q^F P^S) in the Milnor basis."""
+    """(Q^E P^R)(Q^F P^S) in the Milnor basis, formed afresh on each call."""
     e, r = a
     f, s = b
     eset = set(e)
@@ -504,8 +506,7 @@ def _p_positions(w: int) -> dict[tuple[int, ...], int]:
 def p_product_table(factor: tuple[int, ...], w: int, left: bool) -> tuple[int, ...]:
     """P^factor P^R (with `left`) or P^R P^factor for every R in
     p_exponents_of_weight(w), in that order, each packed as bits over
-    p_exponents_of_weight(p_weight(factor) + w); uncached, unlike
-    `p_product`.
+    p_exponents_of_weight(p_weight(factor) + w).
 
     This is Milnor's formula with one factor fixed.  A left factor R
     fixes the rows i >= 1 of the matrix, r_i = sum_j 2^j x_ij; a right
@@ -863,12 +864,17 @@ def parse_element(text: str) -> Element:
             if qi is not None:
                 factor_acc = multiply(factor_acc, Element([((int(qi),), ())]))
             elif pr is not None:
+                # `P()` is the unit; otherwise every slot holds a number
+                slots = pr.split(",") if pr.strip() else []
+                at = pos + match.start(2)
+                for slot in slots:
+                    if not slot.strip():
+                        raise ParseError("empty P exponent slot", at)
+                    at += len(slot) + 1
                 try:
-                    r = trim(int(x) for x in pr.split(",") if x.strip() != "")
+                    r = trim(int(x) for x in slots)
                 except ValueError:
                     raise ParseError("bad P exponents", where) from None
-                if any(x < 0 for x in r):
-                    raise ParseError("negative P exponent", where)
                 factor_acc = multiply(factor_acc, Element([((), r)]))
             # bare `1` leaves the accumulator alone
         if chunk.strip() == "":

@@ -151,14 +151,6 @@ def test_generalized_counts_match_milnor_per_bidegree():
                 assert adem.word_degree(w, GENERALIZED) == Bidegree(p, q)
 
 
-def test_admissible_basis_window():
-    table = adem.admissible_basis(GENERALIZED, 10)
-    for deg, words in table.items():
-        assert words
-        assert deg.p <= 10
-    assert Bidegree(0, 0) in table
-
-
 def test_parse_and_format_words():
     assert adem.parse_word("Sq3 Sq1") == (3, 1)
     assert adem.parse_word("1") == ()

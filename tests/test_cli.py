@@ -44,6 +44,13 @@ def test_mul_parse_error(capsys):
     assert code == 2 and "position" in err
 
 
+@pytest.mark.parametrize("lhs", ["P(1,,2)", "P(,1)", "P(1,)"])
+def test_mul_empty_exponent_slot_is_usage_error(lhs, capsys):
+    # a dropped slot would name another element; nothing is printed
+    code, out, err = run_cli(["mul", lhs, "1", "--basis", "qepr"], capsys)
+    assert code == 2 and out == "" and "empty P exponent slot" in err
+
+
 def test_resolve_tmax_zero(capsys):
     code, out, _ = run_cli(["resolve", "--flavor", "classical", "--tmax", "0"], capsys)
     assert code == 0
@@ -313,6 +320,16 @@ def test_isotropic_job_stamps_pmin(tmp_path, capsys):
     assert truncated[0] != truncated[1]
     assert [job["pmin"] for job in jobs] == [-9, -5]
     assert jobs[0] != jobs[1]
+
+
+def test_isotropic_odd_tmax_charts_that_degree(tmp_path, capsys):
+    # an odd --tmax is resolved to that degree, not one below it, so the
+    # chart covers the window its job record claims
+    out_file = tmp_path / "iso5.json"
+    code, out, _ = run_cli(["isotropic", "--tmax", "5", "--smax", "3", "--format", "json", "--out", str(out_file)], capsys)
+    assert code == 0 and "verdict: MATCH" in out.splitlines()
+    chart = json.loads(out_file.read_text())
+    assert chart["tmax"] == chart["meta"]["job"]["tmax"] == 5
 
 
 def test_isotropic_tmax_zero_runs_that_window(capsys):

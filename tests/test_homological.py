@@ -581,17 +581,18 @@ def _reference_diff_rows(res, s, deg):
 
 
 @pytest.mark.parametrize("flavor", ["A0", "G"])
-def test_resolve_and_lifts_keep_no_milnor_product_cache(flavor):
+def test_resolve_and_lifts_keep_no_milnor_product_cache(flavor, monkeypatch):
     # right_rows is the only store of the products the resolution and
-    # its chain maps use; milnor.multiply_mono's cache stays untouched
-    milnor.multiply_mono.cache_clear()
-    milnor.p_product.cache_clear()
+    # its chain maps use; no pairwise Milnor product is formed
+    def forbidden(*args):
+        raise AssertionError("the resolve reached the pairwise Milnor product")
+
+    monkeypatch.setattr(milnor, "multiply_mono", forbidden)
+    monkeypatch.setattr(milnor, "p_product", forbidden)
     res = H.resolve(H.algebra_for(flavor, 12), smax=4, pmax=10)
     x = H.class_of_generator(res, 1, res.gens[1][0])
     H.yoneda_product(res, x, x)
     assert res.algebra._right_rows
-    assert milnor.multiply_mono.cache_info().currsize == 0
-    assert milnor.p_product.cache_info().currsize == 0
 
 
 def test_classical_resolve_and_lifts_keep_no_word_cache():
@@ -868,6 +869,22 @@ def test_ext_chart_coefficients_matches_hom_route(hom_chart, case):
     if case.startswith("smash"):
         assert max(len(M.basis_at(d)) for d in M.degrees()) == 2
         assert any(len(M.act_mono(((0,), ()), k)) for k in M.keys)
+
+
+def test_ext_chart_coefficients_algebra_window_is_the_resolve_window(monkeypatch):
+    # no slack beyond pmax: a product read past the resolved degrees
+    # raises WindowExceededError instead of passing unseen
+    windows = []
+    resolve = H.resolve
+
+    def recorded(algebra, smax, pmax, target=None):
+        windows.append((algebra.max_p, pmax))
+        return resolve(algebra, smax=smax, pmax=pmax, target=target)
+
+    monkeypatch.setattr(H, "resolve", recorded)
+    M = trivial_module([Bidegree(0, 0), Bidegree(-3, -1)], unit=milnor.UNIT_MONO)
+    assert H.ext_chart_coefficients(M, 3, 11).cells
+    assert windows == [(11, 11)]
 
 
 @pytest.mark.parametrize("deg", [Bidegree(2, 1), Bidegree(0, -1), Bidegree(-2, -2)])

@@ -282,15 +282,16 @@ def test_dual_route_matches_hom_route(hom_route_chart, pmax, smax, p_min):
         assert dual.cells == hom.cells and not dual.truncated and not hom.truncated
 
 
-def test_isotropic_chart_keeps_no_milnor_product_cache():
+def test_isotropic_chart_keeps_no_milnor_product_cache(monkeypatch):
     # the action table and the resolution over the opposite algebra form
     # their P-products packed; no product is formed as a monomial set
-    milnor.multiply_mono.cache_clear()
-    milnor.p_product.cache_clear()
+    def forbidden(*args):
+        raise AssertionError("the isotropic chart reached the pairwise Milnor product")
+
+    monkeypatch.setattr(milnor, "multiply_mono", forbidden)
+    monkeypatch.setattr(milnor, "p_product", forbidden)
     chart = iso.isotropic_chart(iso.IsotropicWindow(-18), 4, 16)
     assert chart.cells
-    assert milnor.multiply_mono.cache_info().currsize == 0
-    assert milnor.p_product.cache_info().currsize == 0
 
 
 def test_dual_route_is_even_algebra_resolution():

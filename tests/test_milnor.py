@@ -162,6 +162,25 @@ def test_p_product_tables_match_p_product():
                     assert M.p_product_table(factor, w, left) == tuple(want), (factor, w, left)
 
 
+def test_pairwise_product_keeps_no_memo(monkeypatch):
+    # a repeated product is formed again: both calls enumerate matrices,
+    # and multiply_mono's wrapper stores nothing
+    calls = []
+    enumerate_terms = M._matrix_product_terms
+
+    def counted(r, s):
+        calls.append((r, s))
+        return enumerate_terms(r, s)
+
+    monkeypatch.setattr(M, "_matrix_product_terms", counted)
+    a, b = Element([mono([0], [1])]), Element([mono([], [2, 1])])
+    first = M.multiply(a, b)
+    once = len(calls)
+    assert once and M.multiply(a, b) == first
+    assert calls == 2 * calls[:once]
+    assert M.multiply_mono.cache_info().currsize == 0
+
+
 def test_isotropic_chart_forms_no_pairwise_p_product(monkeypatch):
     # the action table and the dual resolve take every P-product from the
     # per-weight tables, never from the pairwise product formula
@@ -170,8 +189,6 @@ def test_isotropic_chart_forms_no_pairwise_p_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the isotropic chart reached the pairwise product formula")
 
-    for cached in (M.multiply_mono, M.p_product):
-        cached.cache_clear()
     monkeypatch.setattr(M, "_matrix_product_terms", forbidden)
     chart = iso.isotropic_chart(iso.IsotropicWindow(-22), 6, 20)
     assert chart.cells
@@ -241,7 +258,7 @@ def test_duality_oracle_is_independent(monkeypatch):
         raise AssertionError("the duality oracle reached the product formula")
 
     samples = [(mono([0], [1]), mono([1], [2])), (mono([], [3, 1]), mono([0, 2], [])), (mono([1], [0, 1]), mono([], [5]))]
-    formula = (M.multiply_mono, M.p_product, M._p_past_qs)
+    formula = (M.multiply_mono, M._p_past_qs)
     for cached in formula:
         cached.cache_clear()
     with monkeypatch.context() as patch:
@@ -539,6 +556,8 @@ def test_parse_examples():
     assert M.parse_element("0") == M.ZERO
     assert M.parse_element("P(1) Q0") == Element([mono([0], [1]), mono([1], [])])
     assert M.parse_element("Q0 P(1) + Q1") == Element([mono([0], [1]), mono([1], [])])
+    assert M.parse_element("P()") == M.parse_element("P( )") == M.ONE
+    assert M.parse_element("P( 1 , 0 )") == P(1)
 
 
 def test_parse_errors_carry_position():
@@ -550,6 +569,11 @@ def test_parse_errors_carry_position():
         M.parse_element("Q0 wat")
     except M.ParseError as err:
         assert err.position > 0
+    # an empty exponent slot names no element: the error points at it
+    for text, position in [("P(1,,2)", 4), ("P(,1)", 2), ("P(1,)", 4), ("P(,)", 2), ("Q0 + P(2,,1)", 9)]:
+        with pytest.raises(M.ParseError, match="empty P exponent slot") as err:
+            M.parse_element(text)
+        assert err.value.position == position, text
 
 
 def test_printing_canonical_order():
