@@ -26,7 +26,7 @@ def main():
     print(f"  support off the t = 2u line: {off_line or 'none'}")
 
     print("\n== the classical chart and the doubled comparison ==")
-    cchart = H.ext_chart_field(H.resolve(H.algebra_for("classical", tmax_cl + 2), smax=smax, pmax=tmax_cl))
+    cchart = H.ext_chart_field(H.resolve(H.algebra_for("classical", tmax_cl), smax=smax, pmax=tmax_cl))
     rep = charts.compare_doubling(cchart, ichart)
     for line in rep.lines():
         print(" ", line)

@@ -17,7 +17,8 @@ everywhere:
 - `multiply`: the matrix product formula for the P-parts plus
   commutator shuffles for the Q's.  The formula enumerates only the
   matrices with an odd coefficient, pruning each entry by Lucas's
-  condition as it is placed.  This pairwise `p_product` serves
+  condition as it is placed, and closes a row once what is left of it
+  fits no later entry.  This pairwise `p_product` serves
   `multiply_mono`, and neither keeps a memo: each product is formed
   afresh.  The resolve paths and the action-table solver use
   `p_product_table`, the same formula with one factor fixed, which
@@ -25,7 +26,11 @@ everywhere:
 - `multiply_via_duality`: the pairing <xy, w> = <x (x) y, psi(w)>.  The
   dual coproduct psi(w) is built by multiplying out the generator
   coproducts on packed exponents (tau bits and fixed-width xi fields
-  in one int per tensor term); nothing of the product formula is used.
+  in one int per tensor term) and kept in that form.  The oracle packs
+  each queried pair into w's layout and looks the int up; a factor that
+  no term of the layout can hold packs to no key.  Nothing of the
+  product formula is used.  `dual_coproduct` is the same psi(w)
+  unpacked into pairs of dual monomials.
 """
 
 from __future__ import annotations
@@ -273,7 +278,7 @@ def dual_product(x: DualMono, y: DualMono) -> frozenset[DualMono]:
     return frozenset([(tuple(sorted(ex + ey)), trim(r))])
 
 
-# dual_coproduct works on packed tensor terms.  For a dual monomial w
+# The dual coproduct works on packed tensor terms.  For a dual monomial w
 # with largest generator index n and field width W, a term left (x) right
 # is one int: the tau bits of the left factor at bits 0..n, those of the
 # right factor at bits n+1..2n+1, then n W-bit fields holding the left
@@ -282,7 +287,10 @@ def dual_product(x: DualMono, y: DualMono) -> frozenset[DualMono]:
 # has degree at least 2, so W = (p(w)//2).bit_length() keeps each field
 # from carrying into the next.  A generator factor is a table of
 # (tau bits, packed term): multiplying a term by one of its entries is
-# zero when their tau bits meet and the int sum otherwise.
+# zero when their tau bits meet and the int sum otherwise.  The duality
+# oracle reads psi(w) in this form: it packs each queried factor into
+# w's layout with `_pack`, which gives no key for a factor that no term
+# of the layout can hold, so a query never aliases another term.
 
 
 def _xi_field(j: int, right: bool, n: int, width: int) -> int:
@@ -323,6 +331,44 @@ def _times(terms: set[int], factor: tuple[tuple[int, int], ...]) -> set[int]:
 
 
 @lru_cache(maxsize=None)
+def _packed_coproduct(x: DualMono) -> tuple[frozenset[int], int, int]:
+    """psi(x) as packed terms with their layout (n, width): the
+    multiplicative extension of the generator coproducts."""
+    e, r = x
+    n = max(len(r), e[-1] if e else 0)
+    width = (mono_degree(x).p // 2).bit_length()
+    terms = {0}
+    for k in e:
+        terms = _times(terms, _tau_factor(k, n, width))
+    for j, rj in enumerate(r, start=1):
+        for c in range(rj.bit_length()):
+            if rj >> c & 1:
+                terms = _times(terms, _xi_factor(j, c, n, width))
+    return frozenset(terms), n, width
+
+
+def _pack(m: DualMono, right: bool, n: int, width: int) -> Optional[int]:
+    """The dual monomial m as the left (or, with `right`, the right)
+    factor of a packed term of layout (n, width), or None when m has a
+    tau or xi index above n or an exponent of 2^width or more: no term
+    of that layout has such a factor, and its bits would spill into
+    another factor's."""
+    e, r = m
+    if len(r) > n or (e and e[-1] > n):
+        return None
+    packed = 0
+    for i in e:
+        packed |= 1 << i
+    if right:
+        packed <<= n + 1
+    for j, rj in enumerate(r, start=1):
+        if rj >> width:
+            return None
+        packed += rj << _xi_field(j, right, n, width)
+    return packed
+
+
+@lru_cache(maxsize=None)
 def _dual_mono(taus: int, xis: int, width: int) -> DualMono:
     """Unpack tau bits and xi exponent fields; one shared tuple each."""
     e = tuple(i for i in range(taus.bit_length()) if taus >> i & 1)
@@ -334,19 +380,9 @@ def _dual_mono(taus: int, xis: int, width: int) -> DualMono:
     return (e, tuple(r))
 
 
-@lru_cache(maxsize=None)
 def dual_coproduct(x: DualMono) -> frozenset[tuple[DualMono, DualMono]]:
-    """Multiplicative extension of the generator coproducts."""
-    e, r = x
-    n = max(len(r), e[-1] if e else 0)
-    width = (mono_degree(x).p // 2).bit_length()
-    terms = {0}
-    for k in e:
-        terms = _times(terms, _tau_factor(k, n, width))
-    for j, rj in enumerate(r, start=1):
-        for c in range(rj.bit_length()):
-            if rj >> c & 1:
-                terms = _times(terms, _xi_factor(j, c, n, width))
+    """psi(x) as pairs of dual monomials, unpacked from its packed terms."""
+    terms, n, width = _packed_coproduct(x)
     side = n + 1
     taus = (1 << side) - 1
     fields = (1 << n * width) - 1
@@ -398,6 +434,10 @@ def _matrix_product_terms(r: tuple[int, ...], s: tuple[int, ...]) -> list[tuple[
             else:
                 finish()
             diag[i] = d
+            return
+        if not left >> j:
+            # nor can any later entry of the row: x_i0 takes the rest
+            place(i, nc + 1, left)
             return
         n = i + j
         d = diag[n]
@@ -704,9 +744,16 @@ def multiply_via_duality(a: Element, b: Element) -> Element:
     for da, ta in by_deg_a.items():
         for db, tb in by_deg_b.items():
             d = da + db
-            pairs = [(x, y) for x in ta for y in tb]
+            # the pairs packed into the layout of each n met in degree d;
+            # the width depends on d alone
+            keys: dict[int, list[int]] = {}
             for w in dual_basis(d.p, d.q):
-                psi = dual_coproduct(w)
+                psi, n, width = _packed_coproduct(w)
+                pairs = keys.get(n)
+                if pairs is None:
+                    lefts = [k for k in (_pack(x, False, n, width) for x in ta) if k is not None]
+                    rights = [k for k in (_pack(y, True, n, width) for y in tb) if k is not None]
+                    pairs = keys[n] = [left + right for left in lefts for right in rights]
                 if sum(pair in psi for pair in pairs) & 1:
                     out ^= {w}
     return Element(out)

@@ -146,6 +146,32 @@ def test_pruned_matrix_terms_match_enumeration():
     assert pairs == 5_894
 
 
+def test_pairwise_kernel_matches_every_matrix():
+    # every matrix with R(X) = r and S(X) = s, its coefficient's parity
+    # from the multinomials and nothing pruned: the kernel must list T(X)
+    # exactly as often as X with odd b(X) occur, which guards each
+    # shortcut of its enumeration, closing a spent row included
+    exps = [r for w in range(9) for r in M.p_exponents_of_weight(w)]
+    for r in exps:
+        for s in exps:
+            inner = [(i, j) for i in range(1, len(r) + 1) for j in range(1, len(s) + 1)]
+            want = Counter()
+            for values in itertools.product(*(range(min(r[i - 1] >> j, s[j - 1]) + 1) for i, j in inner)):
+                x = dict(zip(inner, values))
+                for i in range(1, len(r) + 1):
+                    x[i, 0] = r[i - 1] - sum(x[i, j] << j for j in range(1, len(s) + 1))
+                for j in range(1, len(s) + 1):
+                    x[0, j] = s[j - 1] - sum(x[i, j] for i in range(1, len(r) + 1))
+                if min(x.values(), default=0) < 0:
+                    continue
+                if b_factorial(M.MilnorMatrix(tuple((i, j, v) for (i, j), v in x.items() if v))):
+                    t = [0] * (len(r) + len(s))
+                    for (i, j), v in x.items():
+                        t[i + j - 1] += v
+                    want[M.trim(t)] += 1
+            assert Counter(M._matrix_product_terms(r, s)) == want, (r, s)
+
+
 def test_p_product_tables_match_p_product():
     # each table entry, on either side, is the packed p_product of its pair
     for total in range(25):
@@ -251,6 +277,35 @@ def test_oracle_equivalence_small():
             assert M.multiply(ea, eb) == M.multiply_via_duality(ea, eb)
 
 
+def test_duality_oracle_guards_packed_queries():
+    # psi(xi_1^3 tau_0) at p = 7 is packed with n = 1 and 2-bit fields; a
+    # factor with a tau or xi index above 1, or an exponent of 4 or more,
+    # fits no term of that layout and packs to no key on either side
+    w = mono([0], [3])
+    _, n, width = M._packed_coproduct(w)
+    assert (n, width) == (1, 2)
+    for m in (mono([2], []), mono([1, 2], []), mono([], [0, 1]), mono([0], [1, 1]), mono([], [4]), mono([1], [5])):
+        for right in (False, True):
+            assert M._pack(m, right, n, width) is None, (m, right)
+    assert M._pack(mono([0, 1], [3]), True, n, width) == 0b1100 | 3 << M._xi_field(1, True, n, width)
+    # the oracle agrees with multiply on every pair of total degree <= 16
+    # whose target degree holds a w that cannot pack one of its factors,
+    # tau_2 (x) 1 against psi(xi_1^3 tau_0) among them
+    monos = all_monos(16)
+    guarded = []
+    for a in monos:
+        for b in monos:
+            d = M.mono_degree(a) + M.mono_degree(b)
+            if d.p > 16:
+                continue
+            layouts = {M._packed_coproduct(w)[1:] for w in M.dual_basis(d.p, d.q)}
+            if any(M._pack(a, False, *lay) is None or M._pack(b, True, *lay) is None for lay in layouts):
+                guarded.append((a, b))
+                ea, eb = Element([a]), Element([b])
+                assert M.multiply_via_duality(ea, eb) == M.multiply(ea, eb), (a, b)
+    assert (mono([2], []), M.UNIT_MONO) in guarded and len(guarded) > 500
+
+
 def test_duality_oracle_is_independent(monkeypatch):
     # the oracle must use nothing of the product formula, and the product
     # formula nothing of the dual coproduct
@@ -261,15 +316,18 @@ def test_duality_oracle_is_independent(monkeypatch):
     formula = (M.multiply_mono, M._p_past_qs)
     for cached in formula:
         cached.cache_clear()
+    M._packed_coproduct.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(M, "_matrix_product_terms", forbidden)
         oracle = [M.multiply_via_duality(Element([a]), Element([b])) for a, b in samples]
     for cached in formula:
         info = cached.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0), cached
-    M.dual_coproduct.cache_clear()
+    # the oracle reads psi(w) from the packed coproduct cache
+    assert M._packed_coproduct.cache_info().currsize > 0
+    M._packed_coproduct.cache_clear()
     products = [M.multiply(Element([a]), Element([b])) for a, b in samples]
-    info = M.dual_coproduct.cache_info()
+    info = M._packed_coproduct.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert products == oracle and all(products)
 
