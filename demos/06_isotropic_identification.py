@@ -18,8 +18,8 @@ def main():
     print(f"  unique: {table.report.unique}; entries: {len(table.entries)}")
 
     print("\n== resolve the dual window module over A0^op ==")
-    # the window `isoadams isotropic --tmax 44` uses: r_0..r_4, p >= -46
-    window = iso.IsotropicWindow(-(2 * tmax_cl + 2))
+    # the window `isoadams isotropic --tmax 44` uses: r_0..r_4, p >= -44
+    window = iso.IsotropicWindow(-2 * tmax_cl)
     ichart = iso.isotropic_chart(window, smax, 2 * tmax_cl)
     print(f"  nonzero cells: {len(ichart.nonzero_cells())}")
     off_line = [c for c, d in ichart.nonzero_cells() if c[1][0] != 2 * c[1][1]]

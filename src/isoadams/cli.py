@@ -252,7 +252,7 @@ def cmd_isotropic(args) -> int:
     tmax_classical = pmax // 2
     try:
         # by default deep enough for the resolved range
-        window = iso.IsotropicWindow(-(pmax + 2) if args.pmin is None else args.pmin)
+        window = iso.IsotropicWindow(-pmax if args.pmin is None else args.pmin)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

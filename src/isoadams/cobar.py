@@ -43,13 +43,9 @@ class DualCoalgebra:
             return milnor.dual_basis(*deg)
         if self.kind == "G":
             p, q = deg
-            if p != 2 * q or q < 0:
-                return ()
-            return tuple(((), r) for r in milnor.p_exponents_of_weight(q))
+            return milnor.dual_basis(p, q) if p == 2 * q else ()
         (t,) = deg
-        if t < 0:
-            return ()
-        return tuple(((), r) for r in milnor.p_exponents_of_weight(t))
+        return milnor.dual_basis(2 * t, t)
 
     def degree(self, m: DualMono) -> Deg:
         d = milnor.mono_degree(m)

@@ -475,7 +475,7 @@ def resolve(
     if pmax > algebra.max_p:
         raise WindowExceededError("algebra window too small for the requested resolution")
     if target is None:
-        target = trivial_module([(0,) * algebra.grading], "ground field", unit=algebra.unit)
+        target = trivial_module([(0,) * algebra.grading], unit=algebra.unit)
     res = FreeResolution(algebra, smax, pmax, target)
     levels = smax + 2
     res.gens = [[] for _ in range(levels)]

@@ -298,7 +298,7 @@ def isotropic_coefficients(table: ActionTable, window: IsotropicWindow) -> Finit
     only lower or drop indices."""
     if table.n_max < window.n_max:
         raise ValueError("table does not cover the window")
-    return FiniteModule(window.basis(), ext_degree, table.act_mono, "isotropic-window")
+    return FiniteModule(window.basis(), ext_degree, table.act_mono)
 
 
 class ActionTableNotUnique(ValueError):
@@ -367,7 +367,7 @@ def smash_module(N: FiniteModule, table: ActionTable, window: IsotropicWindow) -
                     out ^= {(h, nn)}
         return frozenset(out)
 
-    return FiniteModule(keys, deg, act, f"smash({N.name})")
+    return FiniteModule(keys, deg, act)
 
 
 # ---------------------------------------------------------------------------

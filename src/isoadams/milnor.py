@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -180,65 +181,39 @@ def p_exponents_of_weight(w: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(rec(w, max_slot)))
 
 
-def exterior_supports(count: int, max_p: int) -> tuple[tuple[int, ...], ...]:
-    """Strictly increasing index tuples E, |E| = count, with sum of
-    topological degrees of the Q_i at most max_p."""
-    if count == 0:
-        return ((),)
-    out = []
-
-    def rec(start: int, left: int, budget: int, acc: tuple[int, ...]):
-        if left == 0:
-            out.append(acc)
-            return
-        i = start
-        while 2 ** (i + 1) - 1 <= budget:
-            rec(i + 1, left - 1, budget - (2 ** (i + 1) - 1), acc + (i,))
-            i += 1
-
-    rec(0, count, max_p, ())
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def basis(p: int, q: int) -> tuple[Mono, ...]:
-    """All Milnor monomials Q^E P^R of bidegree (q)[p].
-
-    The offset p - 2q forces |E|; the residual weight is carried by the
-    P-part, which sits on the slope-2 line.
-    """
-    k = p - 2 * q
-    if k < 0 or p < 0:
-        return ()
-    out = []
-    for e in exterior_supports(k, p):
-        pe = sum(2 ** (i + 1) - 1 for i in e)
-        qe = sum(2**i - 1 for i in e)
-        wr = q - qe
-        if wr < 0 or p - pe != 2 * wr:
-            continue
-        for r in p_exponents_of_weight(wr):
-            out.append((e, r))
-    # every monomial here has bidegree (q)[p], so sorting on (E, R) is
-    # the mono_key order
-    return tuple(sorted(out))
-
-
 @lru_cache(maxsize=None)
 def basis_blocks(p: int, q: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """The layout of basis(p, q) as {E: (offset, w)}, in sorted E order.
 
-    All monomials of one bidegree share their degree, so `mono_key`
-    sorts them by E and then by R: basis(p, q) is one block per exterior
-    part E, and the block of E is {E} x p_exponents_of_weight(w), with w
-    the weight left to the P-part, starting at position `offset`.  The
-    dict is cached and shared; callers must not change it.
+    The distance p - 2q from the slope-2 line is |E|, and the weight
+    w = q - q(Q^E) left over is carried by the P-part, which sits on the
+    line.  So each exterior part E of that size with w >= 0 owns one
+    block, {E} x p_exponents_of_weight(w), starting at position
+    `offset` of basis(p, q).  The dict is cached and shared; callers
+    must not change it.
     """
     out: dict[tuple[int, ...], tuple[int, int]] = {}
-    for offset, (e, _) in enumerate(basis(p, q)):
-        if e not in out:
-            out[e] = (offset, q - mono_degree((e, ())).q)
+    size = p - 2 * q
+    if size < 0 or q < 0:
+        return out
+    offset = 0
+    # Q_i has weight 2^i - 1, so only i < (q + 1).bit_length() fit
+    for e in combinations(range((q + 1).bit_length()), size):
+        w = q - sum(2**i - 1 for i in e)
+        if w >= 0:
+            out[e] = (offset, w)
+            offset += len(p_exponents_of_weight(w))
     return out
+
+
+@lru_cache(maxsize=None)
+def basis(p: int, q: int) -> tuple[Mono, ...]:
+    """All Milnor monomials Q^E P^R of bidegree (q)[p], in `mono_key`
+    order: the blocks of `basis_blocks` expanded.  They share their
+    degree, so that order sorts by E and then by R, which is the order
+    of the blocks and of p_exponents_of_weight inside each.
+    """
+    return tuple((e, r) for e, (_, w) in basis_blocks(p, q).items() for r in p_exponents_of_weight(w))
 
 
 def p_weight(r: tuple[int, ...]) -> int:
@@ -940,12 +915,6 @@ class MilnorMatrix(NamedTuple):
     product formula; entries stored sparsely as (i, j, x) with x > 0."""
 
     entries: tuple[tuple[int, int, int], ...]
-
-    def entry(self, i: int, j: int) -> int:
-        for a, b, x in self.entries:
-            if (a, b) == (i, j):
-                return x
-        return 0
 
     def row_condition(self) -> tuple[int, ...]:
         """R(X): r_i = sum_j 2^j x_ij."""

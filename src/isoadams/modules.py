@@ -23,7 +23,6 @@ class FiniteModule:
     keys: tuple[Key, ...]
     degree_of: Callable[[Key], Bidegree]
     act_mono: Callable[[Mono, Key], frozenset]
-    name: str = "module"
     _by_degree: dict = field(default_factory=dict, repr=False)
 
     def basis_at(self, deg: Bidegree) -> tuple[Key, ...]:
@@ -53,10 +52,10 @@ def dual_module(M: FiniteModule) -> FiniteModule:
     def act(m: Mono, J) -> frozenset:
         return frozenset(K for K in M.basis_at(degree[J] - mono_degree(m)) if J in M.act_mono(m, K))
 
-    return FiniteModule(M.keys, deg, act, f"dual({M.name})")
+    return FiniteModule(M.keys, deg, act)
 
 
-def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "trivial", *, unit: Mono) -> FiniteModule:
+def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), *, unit: Mono) -> FiniteModule:
     """Direct sum of shifted copies of the ground field: the unit
     monomial acts as the identity, positive-degree monomials as zero.
     The unit is the algebra's own (`algebra.unit`), which differs between
@@ -69,4 +68,4 @@ def trivial_module(degs: Iterable[Bidegree] = (Bidegree(0, 0),), name: str = "tr
     def act(m: Mono, k) -> frozenset:
         return frozenset([k]) if m == unit else frozenset()
 
-    return FiniteModule(keys, deg, act, name)
+    return FiniteModule(keys, deg, act)

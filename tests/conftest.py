@@ -78,7 +78,7 @@ def _exterior_reduced(m):
 def random_trivial_module(rng, size, degree_pool, *, unit):
     """A trivial module on `size` keys, each at a degree drawn from
     degree_pool."""
-    return trivial_module([rng.choice(degree_pool) for _ in range(size)], "random", unit=unit)
+    return trivial_module([rng.choice(degree_pool) for _ in range(size)], unit=unit)
 
 
 def reference_runs(gens):

@@ -337,6 +337,28 @@ def test_isotropic_tmax_zero_runs_that_window(capsys):
     assert code == 0 and "checked 3 cells" in out
 
 
+@pytest.mark.parametrize("tmax", [21, 30])
+def test_isotropic_default_window_is_pmin_minus_tmax(tmax, tmp_path, capsys):
+    # a cell is truncated only above t = max(s - 1, 0) - P, so the window
+    # p >= -T keeps every t <= T: the default is that window, it writes
+    # the same chart as `--pmin -T`, and it truncates nothing
+    charts = {}
+    for flags in ([], ["--pmin", str(-tmax)]):
+        out_file = tmp_path / f"iso{len(flags)}.csv"
+        code, out, _ = run_cli(
+            ["isotropic", "--tmax", str(tmax), "--smax", "6", "--out", str(out_file)] + flags, capsys)
+        assert code == 0 and "verdict: MATCH" in out.splitlines()
+        charts[len(flags)] = out_file.read_bytes()
+    assert charts[0] == charts[2]
+    json_file = tmp_path / "iso.json"
+    code, _, _ = run_cli(
+        ["isotropic", "--tmax", str(tmax), "--smax", "6", "--format", "json", "--out", str(json_file)], capsys)
+    assert code == 0
+    assert json.loads(json_file.read_text())["truncated"] == []
+    # r_4 sits at p = -31, so both windows stop at r_3
+    assert iso.IsotropicWindow(-tmax).n_max == 3
+
+
 # the isotropic chart has one command, `isotropic`, and the classical
 # chart has no weight to filter on
 REMOVED_PATHS = [

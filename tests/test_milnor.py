@@ -573,6 +573,44 @@ def test_basis_is_blocks_of_p_exponents():
     assert nonempty == 195
 
 
+def test_basis_and_blocks_match_brute_force():
+    # every Q^E P^R of degree p <= 40 has E in {0..5} and r_j <= 40 / |xi_j|
+    # on slots 1..5; sorted per bidegree they are the basis, and the
+    # first position of each E with the weight left to P^R is its block
+    p_max = 40
+    xi_p = [2 ** (j + 1) - 2 for j in range(1, 6)]
+    rs = [M.trim(r) for r in itertools.product(*(range(p_max // d + 1) for d in xi_p))]
+    es = [e for k in range(7) for e in itertools.combinations(range(6), k)]
+    by_degree: dict = {}
+    for e in es:
+        for r in rs:
+            deg = M.mono_degree((e, r))
+            if deg.p <= p_max:
+                by_degree.setdefault(deg, []).append((e, r))
+    for p in range(p_max + 1):
+        for q in range(-2, p + 2):
+            expected = sorted(by_degree.get((p, q), []))
+            assert list(M.basis(p, q)) == expected, (p, q)
+            blocks = {}
+            for offset, (e, _) in enumerate(expected):
+                blocks.setdefault(e, (offset, q - M.mono_degree((e, ())).q))
+            assert M.basis_blocks(p, q) == blocks, (p, q)
+            assert list(M.basis_blocks(p, q)) == list(blocks), (p, q)
+    assert sum(map(len, by_degree.values())) == sum(len(M.basis(p, q)) for p in range(p_max + 1) for q in range(p + 1))
+
+
+def test_p_exponents_match_brute_force():
+    # slots 1..4 carry every weight <= 30 (xi_5 weighs 31); content and order
+    for w in range(31):
+        units = [2**j - 1 for j in range(1, 5)]
+        expected = sorted(
+            M.trim(r)
+            for r in itertools.product(*(range(w // u + 1) for u in units))
+            if sum(rj * u for rj, u in zip(r, units)) == w
+        )
+        assert list(M.p_exponents_of_weight(w)) == expected, w
+
+
 def test_p_exponents_partition_counts():
     # weights of xi_j are 2^j - 1; counts match partitions into such parts
     def _count(w, parts):
