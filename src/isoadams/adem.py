@@ -9,8 +9,9 @@ Three word flavors share the `Sq^{i_1} ... Sq^{i_n}` syntax:
     classical algebra under Sq^r -> Sq^{2r} with degrees doubled;
   * ``A0`` -- the generalized algebra.  No rewriting engine exists for
     this flavor (its odd-square relations are not part of the relation
-    sets handled here); words are evaluated through `word_to_milnor`
-    instead, and only enumeration/counting is supported.
+    sets handled here); a word is evaluated in the Milnor basis instead,
+    as the product (`milnor.multiply`) of the `sq_to_milnor` of its
+    letters, and only enumeration/counting is supported.
 
 Multiplication authority for anything touching A0 is the milnor module.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from . import milnor
 from .milnor import Bidegree, Element
@@ -142,7 +142,7 @@ def adem_reduce(word: Word, flavor: str = CLASSICAL) -> WordElement:
     """Admissible normal form by rewriting leftmost inadmissible pairs."""
     validate_word(word, flavor)
     if flavor == GENERALIZED:
-        raise ValueError("no rewriting engine for the A0 flavor; use word_to_milnor")
+        raise ValueError("no rewriting engine for the A0 flavor; multiply out sq_to_milnor of its letters")
     return WordElement(_reduce_word(word, flavor), flavor)
 
 
@@ -151,19 +151,6 @@ def reduce_word(word: Word, flavor: str = CLASSICAL) -> frozenset[Word]:
     reference the classical resolution's packed Sq^a rows are tested
     against (`ClassicalAlgebra.multiply`), not on the resolve path."""
     return _reduce_word(word, flavor)
-
-
-def reduce_with_strategy(word: Word, flavor: str, choose: Callable[[list[int]], int]) -> frozenset[Word]:
-    """Like adem_reduce but the inadmissible position is picked by
-    `choose`; used to check rewriting confluence."""
-    positions = [i for i in range(len(word) - 1) if word[i] < 2 * word[i + 1]]
-    if not positions:
-        return frozenset([word])
-    i = choose(positions)
-    out: set[Word] = set()
-    for rep in _adem_pair(word[i], word[i + 1], flavor):
-        out ^= reduce_with_strategy(word[:i] + rep + word[i + 2 :], flavor, choose)
-    return frozenset(out)
 
 
 def multiply_words(x: WordElement, y: WordElement) -> WordElement:
@@ -203,14 +190,6 @@ def sq_to_milnor(r: int) -> Element:
     dual = ((0,), milnor.trim((k,))) if r % 2 else ((), milnor.trim((k,)))
     assert dual in milnor.basis(r, k)
     return Element([dual])
-
-
-def word_to_milnor(word: Word) -> Element:
-    """Evaluate an Sq word in the Milnor basis of the generalized algebra."""
-    out = milnor.ONE
-    for a in word:
-        out = milnor.multiply(out, sq_to_milnor(a))
-    return out
 
 
 def q_from_squares(i: int) -> Element:

@@ -349,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    qmin, qmax = getattr(args, "qmin", None), getattr(args, "qmax", None)
+    if qmin is not None and qmax is not None and qmin > qmax:
+        parser.error(f"argument --qmin: must be <= --qmax, got {qmin} > {qmax}")
     return args.func(args)
 
 

@@ -4,31 +4,35 @@ through a resolution of its dual over the opposite algebra), and one
 chain-map class (`ChainMap`) serving both Yoneda products (chain lifts)
 and triple Massey products (null-homotopies).
 
-One store per fact: resolution and chain maps build their rows from the
-same packed right-multiplication table (`WindowedAlgebra.right_rows`),
-the only cache of algebra products on that path besides the tables the
-rows are built from.  `resolve` records the runs of generators of F_s
-as it appends them (`FreeResolution.runs`), and each cell (F_s)_deg has
-one layout record (`FreeResolution._cell`), its size and the block of
-each generator, from which its basis and bit decoding are both read;
-one walk over the runs of F_s records the layouts of every nonempty
-cell at a topological degree p, and a cell with no record is empty.  An
-element of F_s is always bits over the basis of its cell: the
+One store per fact: over the classical algebra, A0 and G, resolution and
+chain maps build their rows from the same packed right-multiplication
+table (`WindowedAlgebra.right_rows`), the only cache of algebra products
+on that path besides the tables the rows are built from.  Over A0^op,
+the dual route to Ext with coefficients, no row is kept: the P-product
+tables are XORed straight into each generator's rows, and they are the
+only store of products there.  `resolve` records the runs of generators
+of F_s as it appends them (`FreeResolution.runs`), and each cell
+(F_s)_deg has one layout record (`FreeResolution._cell`), its size and
+the block of each generator, from which its basis and bit decoding are
+both read; one walk over the runs of F_s records the layouts of every
+nonempty cell at a topological degree p, and a cell with no record is
+empty.  An element of F_s is always bits over the basis of its cell: the
 differentials `resolve` stores are the kernel vectors it finds, and
-chain-map values are the bits their solve returns; both are read
-through one decode table per cell (`_decoder`).  Over the
-classical algebra the rows come from packed Sq^a tables
-(`ClassicalAlgebra.sq_rows`), one per letter and source degree, so no
-Adem word is reduced (`adem.reduce_word`) on the resolve path.  Over
-the generalized algebra and its opposite the rows (`milnor.packed_rows`,
-right and left rows) come from P-product tables
-(`milnor.p_product_table`), one per fixed P-part and weight of the
-other factor, shifted into the block layout of the Milnor basis; the
-even algebra G is A0's slope-2 part, and its rows are A0's packed rows
-on that line.
-No product is formed as a set of monomials on these paths, and
-`WindowedAlgebra.multiply` stays as the reference the rows are tested
-against.
+chain-map values are the bits their solve returns; both are read through
+one decode table per cell (`_decoder`).  Over the classical algebra the
+rows come from packed Sq^a tables (`ClassicalAlgebra.sq_rows`), one per
+letter and source degree, so no Adem word is reduced
+(`adem.reduce_word`) on the resolve path.  Over the generalized algebra
+and its opposite the rows come from P-product tables
+(`milnor.p_product_table`), one per fixed P-part and weight of the other
+factor, shifted into the block layout of the Milnor basis: the right
+rows of A0 and G (`milnor.packed_rows`, kept in the store; the even
+algebra G is A0's slope-2 part, and its rows are A0's packed rows on
+that line) and the left rows of A0^op (`milnor.left_rows`, which sums
+the rows of all terms n g_j of one differential in one pass, each table
+shifted once to its block of the codomain cell).  No product is formed
+as a set of monomials on these paths, and `WindowedAlgebra.multiply`
+stays as the reference the rows are tested against.
 
 Degrees are tuples: (t,) for the singly graded classical algebra,
 (p, q) for the bigraded ones.  Resolutions are built cell by cell in
@@ -77,11 +81,12 @@ class WindowedAlgebra:
     flavor: str
     grading: int
     unit = None
+    opposite = False
 
     def __init__(self, max_p: int):
         self.max_p = max_p
         # (n, deg) -> rows m*n for m in basis(deg), packed over the
-        # basis of the product degree
+        # basis of the product degree; A0^op keeps none
         self._right_rows: dict = {}
         self._index_cache: dict = {}
 
@@ -207,11 +212,10 @@ class GeneralizedAlgebra(WindowedAlgebra):
     flavor = "A0"
     grading = 2
     unit = milnor.UNIT_MONO
-    opposite = False
 
     def __init__(self, max_p: int):
         super().__init__(max_p)
-        # (left, factor, w) -> milnor.p_product_table(factor, w, left):
+        # (left, w) -> {factor: milnor.p_product_table(factor, w, left)}:
         # P^factor P^R (left) or P^R P^factor for every R of weight w,
         # each packed over milnor.p_exponents_of_weight(p_weight(factor) + w)
         self._p_rows: dict = {}
@@ -228,7 +232,7 @@ class GeneralizedAlgebra(WindowedAlgebra):
         """The rows from P-product tables (milnor.packed_rows)."""
         self.check_window(deg)
         self.check_window(out_deg)
-        return milnor.packed_rows(n, deg, out_deg, self._p_rows, left=self.opposite)
+        return milnor.packed_rows(n, deg, out_deg, self._p_rows)
 
 
 class EvenAlgebra(GeneralizedAlgebra):
@@ -257,6 +261,14 @@ class OppositeGeneralizedAlgebra(GeneralizedAlgebra):
 
     def monomial_product(self, m1, m2) -> frozenset:
         return super().monomial_product(m2, m1)
+
+    def right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
+        """The rows m *op n = n m, built from the P-tables on each call
+        (milnor.left_rows) and not kept; `FreeResolution._rows` builds
+        a whole generator's rows in one call instead."""
+        self.check_window(deg)
+        self.check_window(out_deg)
+        return tuple(milnor.left_rows([(n, out_deg, 0)], deg, self._p_rows))
 
 
 def algebra_for(flavor: str, max_p: int) -> WindowedAlgebra:
@@ -380,7 +392,9 @@ class FreeResolution:
         For s >= 1 all rows of one generator are built at once: each term
         n g_j of its differential, read through the decode table of its
         cell, contributes the packed rows m*n of the algebra, shifted to
-        the block of g_j."""
+        the block of g_j.  Over A0^op (`_left_rows`) the terms go to
+        `milnor.left_rows` together, which XORs the P-tables straight
+        into the rows, so no row of a single product is kept."""
         place = self._cell(s, deg)[1]
         diff = self.diff[s]
         rows = []
@@ -398,6 +412,8 @@ class FreeResolution:
                     rows.append(row)
             return rows, len(cod)
         width, cod_place = self._cell(s - 1, deg)
+        if self.algebra.opposite:
+            return self._left_rows(s, place, cod_place), width
         right_rows = self.algebra.right_rows
         for i, (_, sub, basis) in place.items():
             gens, monos = self._decoder(s - 1, self.gens[s][i])
@@ -416,6 +432,27 @@ class FreeResolution:
                     acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(monos[b], sub, out_deg))]
             rows.extend(acc or [0] * len(basis))
         return rows, width
+
+    def _left_rows(self, s: int, place: dict, cod_place: dict) -> list[int]:
+        """The rows of `_rows` over A0^op, s >= 1: the terms n g_j of each
+        generator's differential, as (n, degree and offset of g_j's
+        block in the codomain cell), make one `milnor.left_rows` call."""
+        rows = []
+        diff = self.diff[s]
+        p_rows = self.algebra._p_rows
+        for i, (_, sub, _) in place.items():
+            gens, monos = self._decoder(s - 1, self.gens[s][i])
+            terms = []
+            z = diff[i]
+            while z:
+                b = z.bit_length() - 1
+                z ^= 1 << b
+                j = gens[b]
+                if j in cod_place:
+                    offset, out_deg, _ = cod_place[j]
+                    terms.append((monos[b], out_deg, offset))
+            rows.extend(milnor.left_rows(terms, sub, p_rows))
+        return rows
 
     def _span(self, s: int, deg: Deg) -> gf2.SpanBuilder:
         """A fresh SpanBuilder, the quasi-inverse of d_s at deg, fed its

@@ -36,8 +36,9 @@ everywhere:
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import lshift, xor
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -240,17 +241,6 @@ def exterior_from_degree(p: int, q: int) -> Optional[tuple[int, ...]]:
 DualMono = Mono
 
 dual_basis = basis
-
-
-def dual_product(x: DualMono, y: DualMono) -> frozenset[DualMono]:
-    """Free graded-commutative product: zero on overlapping tau's."""
-    ex, rx = x
-    ey, ry = y
-    if set(ex) & set(ey):
-        return frozenset()
-    n = max(len(rx), len(ry))
-    r = tuple((rx[j] if j < len(rx) else 0) + (ry[j] if j < len(ry) else 0) for j in range(n))
-    return frozenset([(tuple(sorted(ex + ey)), trim(r))])
 
 
 # The dual coproduct works on packed tensor terms.  For a dual monomial w
@@ -628,41 +618,62 @@ def p_product_table(factor: tuple[int, ...], w: int, left: bool) -> tuple[int, .
     return tuple(table)
 
 
-def packed_rows(
-    n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows: dict, left: bool = False
-) -> tuple[int, ...]:
-    """Rows m*n (right rows) or, with `left`, n*m (left rows) for m in
-    basis(*deg), each packed as bits over basis(*out_deg), where out_deg
-    = deg + |n| as (p, q) pairs.
+def left_rows(
+    terms: list[tuple[Mono, tuple[int, int], int]], deg: tuple[int, int], p_rows: dict
+) -> list[int]:
+    """Rows, one per m in basis(*deg): the XOR over the terms (n, out_deg,
+    shift) of the left product n m, packed as bits over basis(*out_deg)
+    with out_deg = deg + |n| as (p, q) pairs, and placed `shift` bits up.
+    A single term with shift 0 gives the left rows n m themselves.
+
+    With n = Q^E P^R and the block layout of `basis_blocks`, a block F
+    of basis(*deg) is Q^F times every P^S of one weight w, and n Q^F P^S
+    is the sum over the terms Q^G P^{R1} of P^R Q^F with G and E
+    disjoint of Q^{E u G} P^{R1} P^S.  So each such term of each n adds
+    one whole table to the rows of block F, P^{R1} P^S for every such S
+    (`p_product_table`, kept in `p_rows`, see `_p_tables`), shifted once:
+    by its term's shift plus the offset of the block of E u G in
+    basis(*out_deg).  No product n m is formed on its own, and a row of
+    the block is one reduce over the tables' entries for it."""
+    terms = [(e, r, basis_blocks(*out_deg), shift) for (e, r), out_deg, shift in terms]
+    rows: list[int] = []
+    for f, (_, w) in basis_blocks(*deg).items():
+        tables = _p_tables(p_rows, True, w)
+        shifts = []
+        block = []
+        for e_n, r_n, out_blocks, shift in terms:
+            for g, r1 in _p_past_qs(r_n, f):
+                if e_n:
+                    if not set(e_n).isdisjoint(g):
+                        continue
+                    g = tuple(sorted(e_n + g))
+                try:
+                    table = tables[r1]
+                except KeyError:
+                    table = tables[r1] = p_product_table(r1, w, True)
+                shifts.append(out_blocks[g][0] + shift)
+                block.append(table)
+        if block:
+            rows.extend([reduce(xor, map(lshift, entries, shifts)) for entries in zip(*block)])
+        else:
+            rows.extend([0] * len(p_exponents_of_weight(w)))
+    return rows
+
+
+def packed_rows(n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows: dict) -> tuple[int, ...]:
+    """Right rows m*n for m in basis(*deg), each packed as bits over
+    basis(*out_deg), where out_deg = deg + |n| as (p, q) pairs; left
+    rows come from `left_rows`.
 
     With the block layout of `basis_blocks`, the row of a product
     (Q^E P^R)(Q^F P^S) is the XOR, over the terms Q^G P^{R1} of P^R Q^F
     with G and E disjoint, of P^{R1} P^S shifted to the block of E u G.
-    The P-products come from the per-weight tables of
-    `p_product_table`, kept in `p_rows` as {(left, factor, w): table}
-    and each formed on first use.  Left rows fix n = Q^E P^R on the
-    left: a block of basis(*deg) is Q^F times every P^S of one weight,
-    so each term of P^R Q^F adds the whole table of P^{R1} shifted to
-    its block.  Right rows fix P^S on the right and read each P^{R1}
-    P^S from the table of P^S at R1's weight by R1's position.
+    Each P^{R1} P^S is read from the table of P^S at R1's weight
+    (`p_product_table`, kept in `p_rows`, see `_p_tables`) by R1's
+    position.
     """
     out_blocks = basis_blocks(*out_deg)
     rows: list[int] = []
-    if left:
-        e_n, r_n = n
-        for f, (_, w) in basis_blocks(*deg).items():
-            block = None
-            for g, r1 in _p_past_qs(r_n, f) if f else (((), r_n),):
-                if not set(e_n).isdisjoint(g):
-                    continue
-                offset = out_blocks[tuple(sorted(e_n + g))][0]
-                table = _p_table(p_rows, True, r1, w)
-                if block is None:
-                    block = [t << offset for t in table] if offset else table
-                else:
-                    block = [b ^ (t << offset) for b, t in zip(block, table)]
-            rows.extend(block or [0] * len(p_exponents_of_weight(w)))
-        return tuple(rows)
     f, s = n
     s_weight = p_weight(s)
     for e, (_, w) in basis_blocks(*deg).items():
@@ -678,7 +689,11 @@ def packed_rows(
                     if set(e).isdisjoint(g):
                         offset, w_out = out_blocks[tuple(sorted(e + g))]
                         w1 = w_out - s_weight
-                        read = (offset, _p_table(p_rows, False, s, w1), _p_positions(w1))
+                        tables = _p_tables(p_rows, False, w1)
+                        table = tables.get(s)
+                        if table is None:
+                            table = tables[s] = p_product_table(s, w1, False)
+                        read = (offset, table, _p_positions(w1))
                     reads[g] = read
                 if read is not None:
                     offset, table, positions = read
@@ -687,12 +702,14 @@ def packed_rows(
     return tuple(rows)
 
 
-def _p_table(p_rows: dict, left: bool, factor: tuple[int, ...], w: int) -> tuple[int, ...]:
-    """p_product_table(factor, w, left), kept in p_rows."""
-    key = (left, factor, w)
+def _p_tables(p_rows: dict, left: bool, w: int) -> dict:
+    """The tables p_product_table(factor, w, left) formed so far, kept
+    in p_rows as {(left, w): {factor: table}}; a reader forms a missing
+    one and stores it there."""
+    key = (left, w)
     got = p_rows.get(key)
     if got is None:
-        got = p_rows[key] = p_product_table(factor, w, left)
+        got = p_rows[key] = {}
     return got
 
 
@@ -742,8 +759,9 @@ def multiply_via_duality(a: Element, b: Element) -> Element:
 def coproduct(m: Mono) -> frozenset[tuple[Mono, Mono]]:
     """psi(Q^E P^R) = sum over E splits and componentwise R splits.
 
-    Dual to `dual_product`: the coefficient at (m1, m2) is the pairing
-    of m against the product of the corresponding dual monomials.
+    Dual to the free graded-commutative product of the dual Hopf algebra:
+    the coefficient at (m1, m2) is the pairing of m against the product
+    of the corresponding dual monomials.
     """
     e, r = m
     e_splits: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]

@@ -2,10 +2,45 @@ from functools import lru_cache
 
 import pytest
 
-from isoadams import cobar, gf2, homological as H, isotropic as iso, milnor
+from isoadams import adem, cobar, gf2, homological as H, isotropic as iso, milnor
 from isoadams.charts import ExtChart
 from isoadams.milnor import Bidegree
 from isoadams.modules import trivial_module
+
+
+def dual_product(x, y):
+    """The free graded-commutative product of two dual monomials tau^E
+    xi^R: zero on overlapping taus."""
+    ex, rx = x
+    ey, ry = y
+    if set(ex) & set(ey):
+        return frozenset()
+    n = max(len(rx), len(ry))
+    r = tuple((rx[j] if j < len(rx) else 0) + (ry[j] if j < len(ry) else 0) for j in range(n))
+    return frozenset([(tuple(sorted(ex + ey)), milnor.trim(r))])
+
+
+def reduce_with_strategy(word, flavor, choose):
+    """Adem reduction of a word with the inadmissible pair to rewrite
+    picked by `choose` from their positions: the normal form must not
+    depend on the choice (confluence)."""
+    positions = [i for i in range(len(word) - 1) if word[i] < 2 * word[i + 1]]
+    if not positions:
+        return frozenset([word])
+    i = choose(positions)
+    out = set()
+    for rep in adem._adem_pair(word[i], word[i + 1], flavor):
+        out ^= reduce_with_strategy(word[:i] + rep + word[i + 2 :], flavor, choose)
+    return frozenset(out)
+
+
+def word_to_milnor(word):
+    """An Sq word evaluated in the Milnor basis of the generalized
+    algebra: the product of the `sq_to_milnor` of its letters."""
+    out = milnor.ONE
+    for a in word:
+        out = milnor.multiply(out, adem.sq_to_milnor(a))
+    return out
 
 
 class ExteriorMilnorAlgebra(H.WindowedAlgebra):

@@ -441,7 +441,7 @@ def test_identification_to_classical_t40(hom_route_chart, tmp_path):
 def test_identification_to_classical_t48():
     # the t <= 48 rung: `isoadams isotropic --tmax 96 --smax 16`
     _, elapsed, peak_mb = run_isotropic_alone("--tmax", "96", "--smax", "16")
-    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
     report("8 (t <= 48)", f"isotropic chart = doubled classical chart to classical t <= 48, s <= 16, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
 
 
@@ -449,8 +449,16 @@ def test_identification_to_classical_t48():
 def test_identification_to_classical_t64():
     # the t <= 64 rung: `isoadams isotropic --tmax 128 --smax 20`
     _, elapsed, peak_mb = run_isotropic_alone("--tmax", "128", "--smax", "20")
-    assert peak_mb < 800, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
     report("8 (t <= 64)", f"isotropic chart = doubled classical chart to classical t <= 64, s <= 20, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
+
+
+@pytest.mark.slow
+def test_identification_to_classical_t72():
+    # the t <= 72 rung: `isoadams isotropic --tmax 144 --smax 22`
+    _, elapsed, peak_mb = run_isotropic_alone("--tmax", "144", "--smax", "22")
+    assert peak_mb < 600, f"peak RSS {peak_mb:.0f} MB"
+    report("8 (t <= 72)", f"isotropic chart = doubled classical chart to classical t <= 72, s <= 22, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
 
 
 @pytest.mark.slow

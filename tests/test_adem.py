@@ -6,6 +6,8 @@ from isoadams import adem, milnor
 from isoadams.adem import CLASSICAL, EVEN, GENERALIZED, WordElement
 from isoadams.milnor import Bidegree
 
+from conftest import reduce_with_strategy, word_to_milnor
+
 
 def word_elt(*words, flavor=CLASSICAL):
     return WordElement(frozenset(words), flavor)
@@ -54,7 +56,7 @@ def test_rewriting_confluence_random_strategies():
         word = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 4)))
         leftmost = adem.adem_reduce(word, CLASSICAL).terms
         for _ in range(3):
-            got = adem.reduce_with_strategy(word, CLASSICAL, rng.choice)
+            got = reduce_with_strategy(word, CLASSICAL, rng.choice)
             assert got == leftmost
 
 
@@ -103,9 +105,9 @@ def test_sq_to_milnor_examples():
 
 
 def test_word_to_milnor_examples():
-    assert adem.word_to_milnor((1, 1)).is_zero()
-    assert adem.word_to_milnor((2, 1)) == milnor.multiply(milnor.P(1), milnor.Q(0))
-    assert adem.word_to_milnor(()) == milnor.ONE
+    assert word_to_milnor((1, 1)).is_zero()
+    assert word_to_milnor((2, 1)) == milnor.multiply(milnor.P(1), milnor.Q(0))
+    assert word_to_milnor(()) == milnor.ONE
 
 
 def test_word_to_milnor_multiplicative():
@@ -115,14 +117,14 @@ def test_word_to_milnor_multiplicative():
         v = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 2)))
         if sum(u) + sum(v) > 20:
             continue
-        assert adem.word_to_milnor(u + v) == milnor.multiply(
-            adem.word_to_milnor(u), adem.word_to_milnor(v)
+        assert word_to_milnor(u + v) == milnor.multiply(
+            word_to_milnor(u), word_to_milnor(v)
         )
 
 
 def test_q_from_squares():
     assert adem.q_from_squares(0) == milnor.Q(0)
-    assert adem.q_from_squares(1) == adem.word_to_milnor((2, 1)) + adem.word_to_milnor((1, 2))
+    assert adem.q_from_squares(1) == word_to_milnor((2, 1)) + word_to_milnor((1, 2))
     for i in range(5):
         assert adem.q_from_squares(i) == milnor.Q(i)
 

@@ -381,13 +381,16 @@ REMOVED_PATHS = [
         ["massey", "h0", "h1", "h0", "--tmax", "-2"],
         ["isotropic", "--tmax", "8", "--pmin", "1"],
         ["isotropic", "--tmax", "8", "--pmin", "5"],
+        ["isotropic", "--tmax", "8", "--qmin", "5", "--qmax", "1"],
+        ["resolve", "--flavor", "A0", "--tmax", "8", "--qmin", "5", "--qmax", "1"],
         *REMOVED_PATHS,
     ],
 )
 def test_negative_window_is_usage_error(argv, capsys):
-    # a negative count fails in the parser, a window without a nonempty
-    # exterior range before anything is solved; so does a removed flavor
-    # or flag, and a weight filter on the classical chart
+    # a negative count or an empty weight range fails in the parser, a
+    # window without a nonempty exterior range before anything is solved;
+    # so does a removed flavor or flag, and a weight filter on the
+    # classical chart
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -399,7 +402,7 @@ def test_negative_window_is_usage_error(argv, capsys):
     if argv in REMOVED_PATHS:
         expected = r"error: (unrecognized arguments: --\w+|argument --flavor: invalid choice: 'isotropic'|--qmin/--qmax .* classical chart)"
     else:
-        expected = r"error: (argument --\w+: must be >= 0|window empty)"
+        expected = r"error: (argument --\w+: must be >= 0|argument --qmin: must be <= --qmax|window empty)"
     assert re.search(expected, errors[0])
 
 

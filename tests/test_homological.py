@@ -608,18 +608,19 @@ def test_classical_resolve_and_lifts_keep_no_word_cache():
     assert res.algebra._right_rows
 
 
-def _assert_rows_match_multiply(algebra, degree_of):
-    """Every packed row the algebra keeps equals the row formed monomial
-    by monomial through its multiply."""
-    for (n, deg), rows in algebra._right_rows.items():
-        index = algebra.index(H.add_deg(deg, degree_of(n)))
+def _assert_rows_match_multiply(algebra, keys, degree_of):
+    """The packed rows `algebra.right_rows` gives for each (n, deg) key
+    equal the rows formed monomial by monomial through its multiply."""
+    for n, deg in keys:
+        out_deg = H.add_deg(deg, degree_of(n))
+        index = algebra.index(out_deg)
         expected = []
         for m in algebra.basis(deg):
             row = 0
             for t in algebra.multiply(m, n):
                 row ^= 1 << index[t]
             expected.append(row)
-        assert rows == tuple(expected), (n, deg)
+        assert algebra.right_rows(n, deg, out_deg) == tuple(expected), (n, deg)
 
 
 def test_classical_right_rows_match_adem_reduction():
@@ -634,7 +635,7 @@ def test_classical_right_rows_match_adem_reduction():
         H.yoneda_product(res, x, y)
     assert H.massey_triple(res, h[1], h[0], h[1]).bits
     H.massey_triple(res, h[2], h[1], h[2], rng=random.Random(0))
-    _assert_rows_match_multiply(algebra, lambda n: (sum(n),))
+    _assert_rows_match_multiply(algebra, list(algebra._right_rows), lambda n: (sum(n),))
     assert len(algebra._right_rows) > 1000
     for d in range(32):
         for a in range(1, 33 - d):
@@ -648,15 +649,16 @@ def test_classical_right_rows_match_adem_reduction():
             assert algebra.sq_rows(a, d) == tuple(expected), (a, d)
 
 
-def _rows_against_multiply(algebra, left):
-    """Check every packed row the algebra keeps against the row formed
-    monomial by monomial through its multiply.  Returns how many rows
-    reach a term Q^G P^{R1} of P^R Q^F whose G meets E, and a multi-term
-    P-product P^{R1} P^S, for the A0 product (Q^E P^R)(Q^F P^S): m n for
-    right rows, n m for the left rows of the opposite algebra."""
-    _assert_rows_match_multiply(algebra, milnor.mono_degree)
+def _rows_against_multiply(algebra, keys, left):
+    """Check the packed rows of each (n, deg) key against the rows formed
+    monomial by monomial through the algebra's multiply.  Returns how
+    many rows reach a term Q^G P^{R1} of P^R Q^F whose G meets E, and a
+    multi-term P-product P^{R1} P^S, for the A0 product (Q^E P^R)(Q^F
+    P^S): m n for right rows, n m for the left rows of the opposite
+    algebra."""
+    _assert_rows_match_multiply(algebra, keys, milnor.mono_degree)
     meets = multi_term = 0
-    for n, deg in algebra._right_rows:
+    for n, deg in keys:
         for m in algebra.basis(deg):
             (e, r), (f, s) = (n, m) if left else (m, n)
             terms = milnor._p_past_qs(r, f)
@@ -669,25 +671,60 @@ def test_a0_right_rows_match_multiply():
     # every packed row an A0 resolve builds equals the row formed
     # monomial by monomial through WindowedAlgebra.multiply
     res = H.resolve(H.algebra_for("A0", 20), smax=8, pmax=20)
-    meets, multi_term = _rows_against_multiply(res.algebra, left=False)
+    meets, multi_term = _rows_against_multiply(res.algebra, list(res.algebra._right_rows), left=False)
     # the window reaches terms with G meeting E and multi-term P-products
     assert meets and multi_term
 
 
-def test_a0op_left_rows_match_multiply():
-    # every packed left row built over the opposite algebra, m *op n =
-    # n m, equals the row formed through its multiply.  The differentials
-    # of the dual window module have P-part coefficients only, so F2 is
-    # resolved over the same algebra too: its Q-part coefficients reach
-    # the terms where G meets F
+def test_a0op_left_rows_match_multiply(monkeypatch):
+    # the rows a resolve over the opposite algebra XORs from the P-tables,
+    # m *op n = n m, equal the rows formed through its multiply, in every
+    # cell.  The differentials of the dual window module have P-part
+    # coefficients only, so F2 is resolved over the same algebra too: its
+    # Q-part coefficients reach the terms where G meets E
+    read = set()
+    left_rows = milnor.left_rows
+
+    def recording(terms, deg, p_rows):
+        read.update((n, deg) for n, _, _ in terms)
+        return left_rows(terms, deg, p_rows)
+
+    monkeypatch.setattr(milnor, "left_rows", recording)
     pmax = 20
     window = iso.IsotropicWindow(-(pmax + 2))
     table = iso.solve_action_table(n_max=window.n_max, w_max=pmax // 2)
     algebra = H.OppositeGeneralizedAlgebra(pmax + 2)
-    H.resolve(algebra, smax=6, pmax=pmax, target=dual_module(iso.isotropic_coefficients(table, window)))
-    H.resolve(algebra, smax=8, pmax=pmax)
-    meets, multi_term = _rows_against_multiply(algebra, left=True)
+    target = dual_module(iso.isotropic_coefficients(table, window))
+    for res in (H.resolve(algebra, smax=6, pmax=pmax, target=target), H.resolve(algebra, smax=8, pmax=pmax)):
+        for deg in _all_cells(res):
+            for s in range(res.smax + 2):
+                _, rows, width = _reference_diff_rows(res, s, deg)
+                got, cod = diff_rows(res, s, deg)
+                assert (got, len(cod)) == (rows, width), (s, deg)
+    # the (n, sub) keys the resolves read, whole rows through right_rows
+    meets, multi_term = _rows_against_multiply(algebra, sorted(read), left=True)
     assert meets and multi_term
+
+
+def test_dual_resolve_keeps_no_rows(monkeypatch):
+    # over A0^op the P-tables are XORed straight into each generator's
+    # rows: an ext_chart_coefficients run leaves its algebra holding the
+    # tables and no row
+    made = []
+    init = H.OppositeGeneralizedAlgebra.__init__
+
+    def recording(self, max_p):
+        init(self, max_p)
+        made.append(self)
+
+    monkeypatch.setattr(H.OppositeGeneralizedAlgebra, "__init__", recording)
+    window = iso.IsotropicWindow(-26)
+    table = iso.solve_action_table(n_max=window.n_max, w_max=12)
+    chart = H.ext_chart_coefficients(iso.isotropic_coefficients(table, window), 6, 24)
+    assert chart.cells
+    [algebra] = made
+    assert algebra._p_rows
+    assert not algebra._right_rows
 
 
 def _two_point_target(algebra):
@@ -707,6 +744,8 @@ ROW_CASES = {
     "A0": lambda: H.resolve(H.algebra_for("A0", 14), smax=5, pmax=13),
     "A0-finite-target": lambda: _resolve_two_point_target(H.algebra_for("A0", 9), smax=3, pmax=8),
     "exterior-finite-target": lambda: _resolve_two_point_target(ExteriorMilnorAlgebra(1, 10), smax=4, pmax=9),
+    "A0op": lambda: H.resolve(H.OppositeGeneralizedAlgebra(14), smax=5, pmax=13),
+    "A0op-dual-window": lambda: _dual_window_resolution(14, 5),
 }
 
 
