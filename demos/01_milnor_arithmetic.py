@@ -8,6 +8,20 @@ from isoadams import milnor
 from isoadams.milnor import P, Q, parse_element
 
 
+def one_slot_matrices(r1, s1):
+    """The matrices X of the product formula for P(r1) * P(s1), as
+    (entries, T(X), b(X) mod 2).  x_11 = k fixes x_10 = r1 - 2k (row
+    condition) and x_01 = s1 - k (column condition); the entries are the
+    nonzero (i, j, x_ij).  b(X) = t_1! / (x_01! x_10!) is odd iff x_01
+    and x_10 share no binary digit (Lucas)."""
+    out = []
+    for k in range(min(r1 // 2, s1) + 1):
+        x01, x10 = s1 - k, r1 - 2 * k
+        entries = tuple(e for e in ((0, 1, x01), (1, 0, x10), (1, 1, k)) if e[2])
+        out.append((entries, milnor.trim((x01 + x10, k)), int(not x01 & x10)))
+    return sorted(out)
+
+
 def main():
     print("== basis monomials and bidegrees ==")
     for text in ["Q0", "Q2", "P(1)", "P(0,1)", "Q0 Q2 P(1,0,3)"]:
@@ -27,10 +41,10 @@ def main():
     print("  [Q0, P(1)]   =", lhs)
 
     print("\n== the matrix product formula, explicitly ==")
-    for r, s in [((1,), (1,)), ((2,), (1,))]:
-        print(f"  matrices with row condition {r}, column condition {s}:")
-        for x in milnor.enumerate_matrices(r, s):
-            print(f"    entries {x.entries}  T(X)={x.diagonal()}  b(X) mod 2 = {milnor.b_mod2(x)}")
+    for r1, s1 in [(1, 1), (2, 1)]:
+        print(f"  matrices with row condition {(r1,)}, column condition {(s1,)}:")
+        for entries, diagonal, b in one_slot_matrices(r1, s1):
+            print(f"    entries {entries}  T(X)={diagonal}  b(X) mod 2 = {b}")
 
     print("\n== the product against the duality pairing oracle ==")
     a, b = parse_element("Q1 P(2)"), parse_element("Q0 P(1,1)")

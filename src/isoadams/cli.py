@@ -36,7 +36,19 @@ def _job_meta(args) -> dict:
     return meta
 
 
-def _emit(chart: ExtChart, fmt: str, out: Optional[str]) -> None:
+def _write_out(path: str, text: str) -> bool:
+    """Write an --out file; False, after one `error:` line, when the
+    path cannot be written (a usage error)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit(chart: ExtChart, fmt: str, out: Optional[str]) -> bool:
+    """Write the chart to --out or stdout; False as `_write_out`."""
     if fmt == "csv":
         text = charts.to_csv(chart)
     elif fmt == "json":
@@ -48,9 +60,9 @@ def _emit(chart: ExtChart, fmt: str, out: Optional[str]) -> None:
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return _write_out(out, text)
+    sys.stdout.write(text)
+    return True
 
 
 def _filter_weights(chart: ExtChart, qmin: Optional[int], qmax: Optional[int]) -> ExtChart:
@@ -153,8 +165,7 @@ def cmd_resolve(args) -> int:
     chart, _, _ = _field_chart(args.flavor, args.smax, args.tmax)
     chart = _filter_weights(chart, args.qmin, args.qmax)
     chart.meta["job"] = _job_meta(args)
-    _emit(chart, args.format, args.out)
-    return EXIT_OK
+    return EXIT_OK if _emit(chart, args.format, args.out) else EXIT_USAGE
 
 
 def cmd_compare(args) -> int:
@@ -168,12 +179,11 @@ def cmd_compare(args) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    for line in report.lines():
-        print(line)
     if args.out:
         import json
 
-        Path(args.out).write_text(
+        if not _write_out(
+            args.out,
             json.dumps(
                 {
                     "mode": report.mode,
@@ -187,8 +197,11 @@ def cmd_compare(args) -> int:
                 indent=1,
                 sort_keys=True,
             )
-            + "\n"
-        )
+            + "\n",
+        ):
+            return EXIT_USAGE
+    for line in report.lines():
+        print(line)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -226,11 +239,6 @@ def cmd_massey(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     desc = _describe_class(factors, result.s, result.deg, result.bits)
-    print(f"<{args.a},{args.b},{args.c}> = {desc}")
-    if result.indeterminacy:
-        print(f"indeterminacy rank {len(result.indeterminacy)}: {[f'{v:#b}' for v in result.indeterminacy]}")
-    else:
-        print("indeterminacy 0")
     if args.out:
         chart.brackets.append(
             {
@@ -243,7 +251,13 @@ def cmd_massey(args) -> int:
             }
         )
         chart.meta["job"] = _job_meta(args)
-        _emit(chart, args.format, args.out)
+        if not _emit(chart, args.format, args.out):
+            return EXIT_USAGE
+    print(f"<{args.a},{args.b},{args.c}> = {desc}")
+    if result.indeterminacy:
+        print(f"indeterminacy rank {len(result.indeterminacy)}: {[f'{v:#b}' for v in result.indeterminacy]}")
+    else:
+        print("indeterminacy 0")
     return EXIT_OK
 
 
@@ -264,8 +278,8 @@ def cmd_isotropic(args) -> int:
     cres = H.resolve(H.algebra_for("classical", tmax_classical), smax=args.smax, pmax=tmax_classical)
     cchart = H.ext_chart_field(cres)
     ichart.meta["job"] = _job_meta(args)
-    if args.out:
-        _emit(_filter_weights(ichart, args.qmin, args.qmax), args.format, args.out)
+    if args.out and not _emit(_filter_weights(ichart, args.qmin, args.qmax), args.format, args.out):
+        return EXIT_USAGE
     rep = charts.compare_doubling(cchart, ichart)
     van = charts.vanishing_check(ichart)
     for line in rep.lines():

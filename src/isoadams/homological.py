@@ -4,35 +4,37 @@ through a resolution of its dual over the opposite algebra), and one
 chain-map class (`ChainMap`) serving both Yoneda products (chain lifts)
 and triple Massey products (null-homotopies).
 
-One store per fact: over the classical algebra, A0 and G, resolution and
-chain maps build their rows from the same packed right-multiplication
-table (`WindowedAlgebra.right_rows`), the only cache of algebra products
-on that path besides the tables the rows are built from.  Over A0^op,
-the dual route to Ext with coefficients, no row is kept: the P-product
-tables are XORed straight into each generator's rows, and they are the
-only store of products there.  `resolve` records the runs of generators
-of F_s as it appends them (`FreeResolution.runs`), and each cell
-(F_s)_deg has one layout record (`FreeResolution._cell`), its size and
-the block of each generator, from which its basis and bit decoding are
-both read; one walk over the runs of F_s records the layouts of every
-nonempty cell at a topological degree p, and a cell with no record is
-empty.  An element of F_s is always bits over the basis of its cell: the
-differentials `resolve` stores are the kernel vectors it finds, and
-chain-map values are the bits their solve returns; both are read through
-one decode table per cell (`_decoder`).  Over the classical algebra the
-rows come from packed Sq^a tables (`ClassicalAlgebra.sq_rows`), one per
-letter and source degree, so no Adem word is reduced
-(`adem.reduce_word`) on the resolve path.  Over the generalized algebra
-and its opposite the rows come from P-product tables
+One row path: `FreeResolution._terms` decodes an element of F_s into
+its terms n g_j, each placed at the block of g_j in a cell.  A
+generator's rows are `WindowedAlgebra.rows` of the terms of its
+differential; `ChainMap.apply` reads the rows m*n of each term of a
+chain-map value from `WindowedAlgebra.right_rows`.  Which rows are kept
+is the algebra's decision: the classical algebra, A0 and G sum the rows
+of the store `right_rows`, the only cache of algebra products on that
+path besides the tables they are built from; over A0^op, the dual route
+to Ext with coefficients, `rows` is `milnor.left_rows`, which XORs the
+P-product tables straight into a generator's rows, so a resolve keeps no
+row.
+
+`resolve` records the runs of generators of F_s as it appends them
+(`FreeResolution.runs`), and each cell (F_s)_deg has one layout record
+(`FreeResolution._cell`), its size and the block of each generator, from
+which its basis and bit decoding are both read; one walk over the runs
+of F_s records the layouts of every nonempty cell at a topological
+degree p, and a cell with no record is empty.  An element of F_s is
+always bits over the basis of its cell: the differentials `resolve`
+stores are the kernel vectors it finds, and chain-map values are the
+bits their solve returns; both are read through one decode table per
+cell (`_decoder`).  Over the classical algebra the rows come from packed
+Sq^a tables (`ClassicalAlgebra.sq_rows`), one per letter and source
+degree, so no Adem word is reduced (`adem.reduce_word`) on the resolve
+path.  Over A0, G and A0^op they come from P-product tables
 (`milnor.p_product_table`), one per fixed P-part and weight of the other
-factor, shifted into the block layout of the Milnor basis: the right
-rows of A0 and G (`milnor.packed_rows`, kept in the store; the even
-algebra G is A0's slope-2 part, and its rows are A0's packed rows on
-that line) and the left rows of A0^op (`milnor.left_rows`, which sums
-the rows of all terms n g_j of one differential in one pass, each table
-shifted once to its block of the codomain cell).  No product is formed
-as a set of monomials on these paths, and `WindowedAlgebra.multiply`
-stays as the reference the rows are tested against.
+factor, shifted into the block layout of the Milnor basis
+(`milnor.packed_rows` for the right rows of A0 and G; G is A0's slope-2
+part, and its rows are A0's on that line).  No product is formed as a
+set of monomials on these paths, and `WindowedAlgebra.multiply` stays as
+the reference the rows are tested against.
 
 Degrees are tuples: (t,) for the singly graded classical algebra,
 (p, q) for the bigraded ones.  Resolutions are built cell by cell in
@@ -81,12 +83,11 @@ class WindowedAlgebra:
     flavor: str
     grading: int
     unit = None
-    opposite = False
 
     def __init__(self, max_p: int):
         self.max_p = max_p
         # (n, deg) -> rows m*n for m in basis(deg), packed over the
-        # basis of the product degree; A0^op keeps none
+        # basis of the product degree; a resolve over A0^op adds none
         self._right_rows: dict = {}
         self._index_cache: dict = {}
 
@@ -122,6 +123,20 @@ class WindowedAlgebra:
 
     def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def rows(self, terms: list[tuple], deg: Deg) -> list[int]:
+        """Rows, one per m in basis(deg): the XOR over the terms (n,
+        out_deg, shift) of the rows m*n packed over basis(out_deg), each
+        placed `shift` bits up.  The rows of a generator of a free module
+        whose differential has those terms, each shifted to its block."""
+        acc = None
+        for n, out_deg, shift in terms:
+            got = self.right_rows(n, deg, out_deg)
+            if acc is None:
+                acc = [r << shift for r in got]
+            else:
+                acc = [a ^ (r << shift) for a, r in zip(acc, got)]
+        return acc or [0] * len(self.basis(deg))
 
     def cells_at(self, p: int) -> list[Deg]:
         """The degrees at topological degree p that `resolve` visits;
@@ -254,21 +269,20 @@ class OppositeGeneralizedAlgebra(GeneralizedAlgebra):
     """The opposite algebra A0^op, with product m1 *op m2 = m2 m1.  A
     right A0-module, such as the dual of a finite module, is a left
     A0^op-module, and resolves over it; its rows m *op n are the left
-    rows n m of A0."""
+    rows n m of A0.  `rows` is `milnor.left_rows`, so a resolve keeps
+    no row; `right_rows`, which the chain maps read, stores the rows of
+    one term, built by `rows`."""
 
     flavor = "A0op"
-    opposite = True
 
     def monomial_product(self, m1, m2) -> frozenset:
         return super().monomial_product(m2, m1)
 
-    def right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
-        """The rows m *op n = n m, built from the P-tables on each call
-        (milnor.left_rows) and not kept; `FreeResolution._rows` builds
-        a whole generator's rows in one call instead."""
-        self.check_window(deg)
-        self.check_window(out_deg)
-        return tuple(milnor.left_rows([(n, out_deg, 0)], deg, self._p_rows))
+    def rows(self, terms: list[tuple], deg: Deg) -> list[int]:
+        return milnor.left_rows(terms, deg, self._p_rows)
+
+    def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
+        return tuple(self.rows([(n, out_deg, 0)], deg))
 
 
 def algebra_for(flavor: str, max_p: int) -> WindowedAlgebra:
@@ -384,17 +398,30 @@ class FreeResolution:
             got = self._decode_cache[key] = (gens, monos)
         return got
 
+    def _terms(self, s: int, bits: int, deg: Deg, place: dict) -> list[tuple]:
+        """The terms (n, degree, bit offset of g_j's block in `place`, a
+        cell layout of F_s) of an element of (F_s)_deg, bits over its cell
+        basis, read through the cell's decode table; a term whose g_j has
+        no block in `place` lands on zero and is dropped."""
+        gens, monos = self._decoder(s, deg)
+        terms = []
+        while bits:
+            b = bits.bit_length() - 1
+            bits ^= 1 << b
+            j = gens[b]
+            if j in place:
+                offset, out_deg, _ = place[j]
+                terms.append((monos[b], out_deg, offset))
+        return terms
+
     def _rows(self, s: int, deg: Deg) -> tuple[list[int], int]:
         """(rows, width): a row per element of the cell basis of
         (F_s)_deg, bits over the codomain (F_{s-1} at deg, or the target
         for s = 0).
 
-        For s >= 1 all rows of one generator are built at once: each term
-        n g_j of its differential, read through the decode table of its
-        cell, contributes the packed rows m*n of the algebra, shifted to
-        the block of g_j.  Over A0^op (`_left_rows`) the terms go to
-        `milnor.left_rows` together, which XORs the P-tables straight
-        into the rows, so no row of a single product is kept."""
+        For s >= 1 all rows of one generator come from one
+        `algebra.rows` call on the terms of its differential (`_terms`),
+        each placed at its block of the codomain cell."""
         place = self._cell(s, deg)[1]
         diff = self.diff[s]
         rows = []
@@ -412,47 +439,9 @@ class FreeResolution:
                     rows.append(row)
             return rows, len(cod)
         width, cod_place = self._cell(s - 1, deg)
-        if self.algebra.opposite:
-            return self._left_rows(s, place, cod_place), width
-        right_rows = self.algebra.right_rows
-        for i, (_, sub, basis) in place.items():
-            gens, monos = self._decoder(s - 1, self.gens[s][i])
-            z = diff[i]
-            acc = None
-            while z:
-                b = z.bit_length() - 1
-                z ^= 1 << b
-                j = gens[b]
-                if j not in cod_place:
-                    continue
-                offset, out_deg, _ = cod_place[j]
-                if acc is None:
-                    acc = [r << offset for r in right_rows(monos[b], sub, out_deg)]
-                else:
-                    acc = [a ^ (r << offset) for a, r in zip(acc, right_rows(monos[b], sub, out_deg))]
-            rows.extend(acc or [0] * len(basis))
-        return rows, width
-
-    def _left_rows(self, s: int, place: dict, cod_place: dict) -> list[int]:
-        """The rows of `_rows` over A0^op, s >= 1: the terms n g_j of each
-        generator's differential, as (n, degree and offset of g_j's
-        block in the codomain cell), make one `milnor.left_rows` call."""
-        rows = []
-        diff = self.diff[s]
-        p_rows = self.algebra._p_rows
         for i, (_, sub, _) in place.items():
-            gens, monos = self._decoder(s - 1, self.gens[s][i])
-            terms = []
-            z = diff[i]
-            while z:
-                b = z.bit_length() - 1
-                z ^= 1 << b
-                j = gens[b]
-                if j in cod_place:
-                    offset, out_deg, _ = cod_place[j]
-                    terms.append((monos[b], out_deg, offset))
-            rows.extend(milnor.left_rows(terms, sub, p_rows))
-        return rows
+            rows.extend(self.algebra.rows(self._terms(s - 1, diff[i], self.gens[s][i], cod_place), sub))
+        return rows, width
 
     def _span(self, s: int, deg: Deg) -> gf2.SpanBuilder:
         """A fresh SpanBuilder, the quasi-inverse of d_s at deg, fed its
@@ -625,9 +614,9 @@ class ChainMap:
 
     Each rhs is built straight into bits over the target cell basis from
     the algebra's packed right-multiplication rows, each shifted to its
-    generator's block (the placement of `FreeResolution._cell`), as
-    `resolve` builds d; the bits of a value are read through the decode
-    table of its cell (`FreeResolution._decoder`).
+    generator's block (the placement of `FreeResolution._cell`); the
+    terms of a value are read by the decode `resolve` reads d through
+    (`FreeResolution._terms`).
     """
 
     def __init__(self, res: FreeResolution, src: int, shift: Deg, base=frozenset(), composite=None, rng=None):
@@ -695,8 +684,8 @@ class ChainMap:
         basis of (F_{src+k})_deg, as bits over the cell basis of
         (F_k)_{deg - shift}.  The block of generator g_j in the input
         picks monomials m of the algebra basis at deg - |g_j|, and each
-        term n g of V_k(g_j) contributes the packed rows m*n, one
-        `right_rows` call per set bit of the image."""
+        term n g of V_k(g_j) (`FreeResolution._terms`) contributes the
+        picked rows m*n of `right_rows`, shifted to the block of g."""
         res = self.res
         right_rows = res.algebra.right_rows
         gens = res.gens[self.src + k]
@@ -710,20 +699,13 @@ class ChainMap:
             image = self.value(k, j) if chunk else 0
             if not image:
                 continue
-            image_gens, image_monos = res._decoder(k, sub_deg(gens[j], self.shift))
             picked = []
             while chunk:
                 q = chunk.bit_length() - 1
                 chunk ^= 1 << q
                 picked.append(q)
-            while image:
-                b = image.bit_length() - 1
-                image ^= 1 << b
-                jj = image_gens[b]
-                if jj not in place:
-                    continue
-                image_offset, out_deg, _ = place[jj]
-                rows = right_rows(image_monos[b], sub, out_deg)
+            for n, out_deg, image_offset in res._terms(k, image, sub_deg(gens[j], self.shift), place):
+                rows = right_rows(n, sub, out_deg)
                 for q in picked:
                     out ^= rows[q] << image_offset
         return out

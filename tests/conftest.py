@@ -1,4 +1,5 @@
 from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 import pytest
 
@@ -41,6 +42,109 @@ def word_to_milnor(word):
     for a in word:
         out = milnor.multiply(out, adem.sq_to_milnor(a))
     return out
+
+
+# the Milnor matrices of the product formula made explicit: the
+# brute-force reference for `milnor._matrix_product_terms`
+
+
+class MilnorMatrix(NamedTuple):
+    """A finitely supported matrix (x_ij), (i,j) != (0,0), driving the
+    product formula; entries stored sparsely as (i, j, x) with x > 0."""
+
+    entries: tuple[tuple[int, int, int], ...]
+
+    def row_condition(self) -> tuple[int, ...]:
+        """R(X): r_i = sum_j 2^j x_ij."""
+        n = max((i for i, _, _ in self.entries), default=0)
+        return milnor.trim(sum(x << j for a, j, x in self.entries if a == i) for i in range(1, n + 1))
+
+    def column_condition(self) -> tuple[int, ...]:
+        """S(X): s_j = sum_i x_ij."""
+        n = max((j for _, j, _ in self.entries), default=0)
+        return milnor.trim(sum(x for i, b, x in self.entries if b == j) for j in range(1, n + 1))
+
+    def diagonal(self) -> tuple[int, ...]:
+        """T(X): t_n = sum_{i+j=n} x_ij."""
+        n = max((i + j for i, j, _ in self.entries), default=0)
+        return milnor.trim(sum(x for i, j, x in self.entries if i + j == d) for d in range(1, n + 1))
+
+
+def _matrices(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
+    """All matrices X with row condition R(X) = r and column condition
+    S(X) = s, as (inner rows, derived first column); the derived first
+    row is reconstructed from the column deficits.
+
+    inner[i-1][j-1] = x_ij for i, j >= 1; first_col[i-1] = x_i0.
+    """
+    nr, nc = len(r), len(s)
+    results = []
+    inner_rows: list[tuple[int, ...]] = []
+    first_col: list[int] = []
+
+    def rec_row(i: int, col_used: list[int]):
+        if i > nr:
+            results.append((tuple(inner_rows), tuple(first_col)))
+            return
+        budget = r[i - 1]
+
+        def rec_entry(j: int, left: int, row_acc: list[int]):
+            if j > nc:
+                inner_rows.append(tuple(row_acc))
+                first_col.append(left)
+                rec_row(i + 1, col_used)
+                first_col.pop()
+                inner_rows.pop()
+                return
+            cap = min(left >> j, s[j - 1] - col_used[j - 1])
+            for x in range(cap + 1):
+                col_used[j - 1] += x
+                row_acc.append(x)
+                rec_entry(j + 1, left - (x << j), row_acc)
+                row_acc.pop()
+                col_used[j - 1] -= x
+
+        rec_entry(1, budget, [])
+
+    rec_row(1, [0] * nc)
+    return tuple(results)
+
+
+def enumerate_matrices(r: Iterable[int], s: Iterable[int]) -> list[MilnorMatrix]:
+    """Exactly the matrices X with R(X)=r and S(X)=s, each once."""
+    rt, st = milnor.trim(r), milnor.trim(s)
+    out = []
+    for inner, first_col in _matrices(rt, st):
+        entries = []
+        nc = len(st)
+        col_sums = [sum(row[j] for row in inner) for j in range(nc)]
+        for j in range(1, nc + 1):
+            x = st[j - 1] - col_sums[j - 1]
+            if x:
+                entries.append((0, j, x))
+        for i, row in enumerate(inner, start=1):
+            if first_col[i - 1]:
+                entries.append((i, 0, first_col[i - 1]))
+            for j, x in enumerate(row, start=1):
+                if x:
+                    entries.append((i, j, x))
+        out.append(MilnorMatrix(tuple(sorted(entries))))
+    return sorted(out, key=lambda m: m.entries)
+
+
+def b_mod2(x: MilnorMatrix) -> int:
+    """prod t_n! / prod x_ij! reduced mod 2, via Lucas: odd iff on each
+    antidiagonal the binary digits of the entries are disjoint."""
+    diagonals: dict[int, list[int]] = {}
+    for i, j, v in x.entries:
+        diagonals.setdefault(i + j, []).append(v)
+    for vals in diagonals.values():
+        acc = 0
+        for v in vals:
+            if acc & v:
+                return 0
+            acc |= v
+    return 1
 
 
 class ExteriorMilnorAlgebra(H.WindowedAlgebra):

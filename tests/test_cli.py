@@ -540,6 +540,28 @@ def test_compare_doubling_needs_matching_gradings(tmp_path, capsys):
     assert code == 1 and "verdict: MISMATCH" in out
 
 
+OUT_COMMANDS = {
+    "resolve": ["resolve", "--tmax", "4", "--smax", "2"],
+    "massey": ["massey", "h0", "h1", "h0", "--tmax", "6", "--smax", "3"],
+    "isotropic": ["isotropic", "--tmax", "4", "--smax", "2"],
+    "compare": ["compare", "{chart}", "{chart}"],
+}
+
+
+@pytest.mark.parametrize("bad_out", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_unwritable_out_is_usage_error(command, bad_out, tmp_path, capsys):
+    # an --out path that cannot be written is a usage error, not the
+    # mismatch code, and nothing is reported before it
+    chart = tmp_path / "chart.csv"
+    chart.write_text("s,t,u,dim\n0,0,,1\n")
+    out_path = tmp_path / "missing" / "x" if bad_out == "missing-dir" else tmp_path
+    argv = [arg.format(chart=chart) for arg in OUT_COMMANDS[command]]
+    code, out, err = run_cli([*argv, "--out", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "isoadams.cli", "frobnicate"], capture_output=True

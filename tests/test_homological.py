@@ -727,6 +727,62 @@ def test_dual_resolve_keeps_no_rows(monkeypatch):
     assert not algebra._right_rows
 
 
+def _product_image_ranks(res):
+    """(number of generator classes with s >= 1, {cell: rank of the span
+    of the Yoneda products of two such classes landing there})."""
+    gens = [
+        H.class_of_generator(res, s, deg, n)
+        for s in range(1, res.smax + 1)
+        for deg in sorted(set(res.gens[s]))
+        for n in range(res.gen_count(s, deg))
+    ]
+    images = {}
+    for x, y in itertools.product(gens, repeat=2):
+        if x.s + y.s <= res.smax and x.deg[0] + y.deg[0] <= res.pmax:
+            z = H.yoneda_product(res, x, y)
+            images.setdefault((z.s, z.deg), []).append(z.bits)
+    return len(gens), {cell: gf2.rank_ints(v, res.gen_count(*cell)) for cell, v in images.items()}
+
+
+def test_chain_maps_over_a0op_match_a0(monkeypatch):
+    # the antipode is an algebra isomorphism A0 = A0^op, so the Yoneda
+    # products over both have images of the same rank in every cell.
+    # Over A0^op the chain lifts read rows m *op n built by
+    # milnor.left_rows; no pairwise Milnor product is formed on either path
+    def forbidden(*args):
+        raise AssertionError("a chain map reached the pairwise Milnor product")
+
+    monkeypatch.setattr(milnor, "multiply_mono", forbidden)
+    monkeypatch.setattr(milnor, "p_product", forbidden)
+    a0, a0op = (
+        _product_image_ranks(H.resolve(algebra, smax=8, pmax=32))
+        for algebra in (H.algebra_for("A0", 32), H.OppositeGeneralizedAlgebra(32))
+    )
+    assert a0 == a0op
+    classes, ranks = a0
+    assert classes == 116 and sum(1 for r in ranks.values() if r) == 92
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: H.algebra_for("classical", 16),
+        lambda: H.algebra_for("A0", 16),
+        lambda: H.algebra_for("G", 16),
+        lambda: H.OppositeGeneralizedAlgebra(16),
+        lambda: ExteriorMilnorAlgebra(3, 16),
+    ],
+    ids=["classical", "A0", "G", "A0op", "exterior"],
+)
+def test_rows_of_no_terms_are_zero(make):
+    # a generator whose differential has no term in the codomain cell
+    # gets one zero row per algebra basis element
+    algebra = make()
+    for p in range(17):
+        for deg in algebra.cells_at(p):
+            assert algebra.rows([], deg) == [0] * len(algebra.basis(deg)), deg
+
+
 def _two_point_target(algebra):
     from isoadams.milnor import Bidegree
     from isoadams.modules import trivial_module

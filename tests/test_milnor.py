@@ -8,7 +8,7 @@ import pytest
 from isoadams import milnor as M
 from isoadams.milnor import Bidegree, Element, P, Q
 
-from conftest import dual_product
+from conftest import MilnorMatrix, b_mod2, dual_product, enumerate_matrices
 
 
 def mono(e, r):
@@ -76,25 +76,25 @@ def brute_matrices(r, s):
     [((1,), (1,), 1), ((), (), 1), ((2,), (1,), 2)],
 )
 def test_enumerate_matrices_examples(r, s, expected_count):
-    got = M.enumerate_matrices(r, s)
+    got = enumerate_matrices(r, s)
     assert len(got) == expected_count
     assert len({m.entries for m in got}) == expected_count
     assert {m.entries for m in got} == brute_matrices(r, s)
 
 
 def test_enumerate_matrices_specific():
-    one = M.enumerate_matrices((1,), (1,))[0]
+    one = enumerate_matrices((1,), (1,))[0]
     assert one.entries == ((0, 1, 1), (1, 0, 1))
-    two = {m.entries for m in M.enumerate_matrices((2,), (1,))}
+    two = {m.entries for m in enumerate_matrices((2,), (1,))}
     assert two == {((0, 1, 1), (1, 0, 2)), ((1, 1, 1),)}
 
 
 def test_enumerate_matrices_vs_brute():
     cases = [((3,), (2,)), ((1, 1), (2,)), ((4,), (1, 1)), ((2, 1), (1, 1)), ((5,), (3,))]
     for r, s in cases:
-        got = {m.entries for m in M.enumerate_matrices(r, s)}
+        got = {m.entries for m in enumerate_matrices(r, s)}
         assert got == brute_matrices(r, s)
-        for x in M.enumerate_matrices(r, s):
+        for x in enumerate_matrices(r, s):
             assert x.row_condition() == M.trim(r)
             assert x.column_condition() == M.trim(s)
 
@@ -118,19 +118,19 @@ def b_factorial(x):
 
 
 def test_b_mod2_examples():
-    x = M.MilnorMatrix(((0, 1, 1), (1, 0, 1)))  # t_1 = 2
+    x = MilnorMatrix(((0, 1, 1), (1, 0, 1)))  # t_1 = 2
     assert b_factorial(x) == 0
-    assert M.b_mod2(x) == 0
-    assert M.b_mod2(M.MilnorMatrix(())) == 1
-    y = M.MilnorMatrix(((0, 2, 1), (1, 0, 1)))  # t_1 = 1, t_2 = 1
+    assert b_mod2(x) == 0
+    assert b_mod2(MilnorMatrix(())) == 1
+    y = MilnorMatrix(((0, 2, 1), (1, 0, 1)))  # t_1 = 1, t_2 = 1
     assert b_factorial(y) == 1
-    assert M.b_mod2(y) == 1
+    assert b_mod2(y) == 1
 
 
 def test_b_mod2_vs_factorial():
     for r, s in [((3,), (2,)), ((4, 1), (2,)), ((2, 1), (1, 1)), ((6,), (3,)), ((7,), (7,))]:
-        for x in M.enumerate_matrices(r, s):
-            assert M.b_mod2(x) == b_factorial(x)
+        for x in enumerate_matrices(r, s):
+            assert b_mod2(x) == b_factorial(x)
 
 
 def test_pruned_matrix_terms_match_enumeration():
@@ -142,7 +142,7 @@ def test_pruned_matrix_terms_match_enumeration():
         for s in exps:
             if M.p_weight(r) + M.p_weight(s) > 24:
                 continue
-            want = Counter(x.diagonal() for x in M.enumerate_matrices(r, s) if M.b_mod2(x))
+            want = Counter(x.diagonal() for x in enumerate_matrices(r, s) if b_mod2(x))
             assert Counter(M._matrix_product_terms(r, s)) == want, (r, s)
             pairs += 1
     assert pairs == 5_894
@@ -166,7 +166,7 @@ def test_pairwise_kernel_matches_every_matrix():
                     x[0, j] = s[j - 1] - sum(x[i, j] for i in range(1, len(r) + 1))
                 if min(x.values(), default=0) < 0:
                     continue
-                if b_factorial(M.MilnorMatrix(tuple((i, j, v) for (i, j), v in x.items() if v))):
+                if b_factorial(MilnorMatrix(tuple((i, j, v) for (i, j), v in x.items() if v))):
                     t = [0] * (len(r) + len(s))
                     for (i, j), v in x.items():
                         t[i + j - 1] += v
