@@ -176,26 +176,23 @@ def to_csv(chart: ExtChart) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(chart: ExtChart) -> str:
-    def cell_obj(cell: Cell, dimension: Optional[int] = None):
-        s, deg = cell
-        obj: dict = {"s": s, "t": deg[0]}
-        if len(deg) > 1:
-            obj["u"] = deg[1]
-        if dimension is not None:
-            obj["dim"] = dimension
-        return obj
+def cell_fields(s: int, deg: Deg) -> dict:
+    """The JSON fields of a cell: s, t and, on a bigraded chart, u; read
+    back by `_parse_cell`."""
+    return {"s": s, "t": deg[0], **({"u": deg[1]} if len(deg) > 1 else {})}
 
+
+def to_json(chart: ExtChart) -> str:
     payload = {
         "schema": "isoadams-chart/1",
         "flavor": chart.flavor,
         "grading": chart.grading,
         "smax": chart.smax,
         "tmax": chart.tmax,
-        "cells": [cell_obj(c, d) for c, d in chart.sorted_cells() if d],
-        "truncated": [cell_obj(c) for c in sorted(chart.truncated)],
+        "cells": [{**cell_fields(s, deg), "dim": d} for (s, deg), d in chart.sorted_cells() if d],
+        "truncated": [cell_fields(s, deg) for s, deg in sorted(chart.truncated)],
         "classes": [
-            {"name": n, "s": s, "t": deg[0], **({"u": deg[1]} if len(deg) > 1 else {}), "index": i}
+            {"name": n, **cell_fields(s, deg), "index": i}
             for n, (s, deg, i) in sorted(chart.classes.items())
         ],
         "products": [
@@ -221,9 +218,10 @@ def _entries(payload: dict, key: str) -> list:
     return _field(payload, key, list, "the chart") if key in payload else []
 
 
-def _parse_deg(obj: dict, grading: int, where: str) -> Deg:
-    t = _field(obj, "t", int, where)
-    return (t,) if grading == 1 else (t, _field(obj, "u", int, where))
+def _parse_cell(obj: dict, grading: int, where: str) -> Cell:
+    """The cell (s, deg) of the fields `cell_fields` writes."""
+    s, t = _field(obj, "s", int, where), _field(obj, "t", int, where)
+    return s, (t,) if grading == 1 else (t, _field(obj, "u", int, where))
 
 
 def from_json(text: str) -> ExtChart:
@@ -242,20 +240,17 @@ def from_json(text: str) -> ExtChart:
     )
     for n, obj in enumerate(_field(payload, "cells", list, "the chart")):
         where = f"cell {n}"
-        cell = (_field(obj, "s", int, where), _parse_deg(obj, grading, where))
+        cell = _parse_cell(obj, grading, where)
         if cell in chart.cells:
             raise ValueError(f"chart JSON: {where} repeats an earlier cell")
         chart.cells[cell] = _field(obj, "dim", int, where)
     for n, obj in enumerate(_entries(payload, "truncated")):
         where = f"truncated cell {n}"
-        chart.truncated.add((_field(obj, "s", int, where), _parse_deg(obj, grading, where)))
+        chart.truncated.add(_parse_cell(obj, grading, where))
     for n, obj in enumerate(_entries(payload, "classes")):
         where = f"class {n}"
-        chart.classes[_field(obj, "name", str, where)] = (
-            _field(obj, "s", int, where),
-            _parse_deg(obj, grading, where),
-            _field(obj, "index", int, where),
-        )
+        s, deg = _parse_cell(obj, grading, where)
+        chart.classes[_field(obj, "name", str, where)] = (s, deg, _field(obj, "index", int, where))
     for n, obj in enumerate(_entries(payload, "products")):
         where = f"product {n}"
         if not isinstance(obj, dict) or "value" not in obj:

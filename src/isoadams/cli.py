@@ -105,11 +105,8 @@ def cmd_mul(args) -> int:
         else:
             u = adem.parse_word(args.lhs)
             v = adem.parse_word(args.rhs)
-            word_flavor = adem.CLASSICAL if flavor == "classical" else adem.EVEN
-            product = adem.multiply_words(
-                adem.adem_reduce(u, word_flavor), adem.adem_reduce(v, word_flavor)
-            )
-            print(product)
+            # admissible forms are unique, so the word uv reduces to the product
+            print(adem.adem_reduce(u + v, adem.CLASSICAL if flavor == "classical" else adem.EVEN))
     except (milnor.ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -150,9 +147,7 @@ def _fill_product_table(chart: ExtChart, res: H.FreeResolution) -> dict:
                 if prod.bits == 1 << k:
                     named = chart.class_name_at(s, deg, k)
             chart.products[(n1, n2)] = named or {
-                "s": s,
-                "t": deg[0],
-                **({"u": deg[1]} if len(deg) > 1 else {}),
+                **charts.cell_fields(s, deg),
                 "indices": [k for k in range(res.gen_count(s, deg)) if (prod.bits >> k) & 1],
             }
     return factors
@@ -243,9 +238,7 @@ def cmd_massey(args) -> int:
         chart.brackets.append(
             {
                 "args": [args.a, args.b, args.c],
-                "s": result.s,
-                "t": result.deg[0],
-                **({"u": result.deg[1]} if len(result.deg) > 1 else {}),
+                **charts.cell_fields(result.s, result.deg),
                 "value": desc,
                 "indeterminacy_rank": len(result.indeterminacy),
             }

@@ -321,7 +321,10 @@ def isotropic_chart(window: IsotropicWindow, smax: int, pmax: int) -> ExtChart:
     Hom(F_s, Q) vanish there (the long exact sequence of 0 -> H_w -> H ->
     Q -> 0), with F the minimal resolution of F2 over A0.  Q sits below
     p_min and the generators of F_s have p >= s, so that holds when t.p
-    <= max(s - 1, 0) - p_min."""
+    <= max(s - 1, 0) - p_min.  So no cell with p <= pmax is truncated
+    once p_min <= -pmax, and a deeper window runs as p_min = -pmax: the
+    same chart from a smaller exterior basis."""
+    window = IsotropicWindow(max(window.p_min, -pmax))
     table = solve_action_table(n_max=window.n_max, w_max=pmax // 2)
     report = table.report
     if not report.unique:

@@ -31,6 +31,10 @@ everywhere:
   no term of the layout can hold packs to no key.  Nothing of the
   product formula is used.  `dual_coproduct` is the same psi(w)
   unpacked into pairs of dual monomials.
+
+The P^R Q^E presentation is reached through the one rewriting of P past
+Q by the commutator rule, `_p_past_qs`: `prqe_to_qepr` applies it, and
+`qepr_to_prqe` inverts it, since it is unitriangular in the P-weight.
 """
 
 from __future__ import annotations
@@ -457,19 +461,6 @@ def commutator_terms(k: int, r: tuple[int, ...]) -> tuple[tuple[int, tuple[int, 
 
 
 @lru_cache(maxsize=None)
-def _q_past_p(k: int, r: tuple[int, ...]) -> frozenset[tuple[tuple[int, ...], int]]:
-    """Q_k P^r rewritten as a sum of P^{r'} Q_m, each with a single Q.
-
-    Iterates the commutator rule; the correction terms recurse on
-    strictly smaller r.
-    """
-    out: set[tuple[tuple[int, ...], int]] = {(r, k)}
-    for m, lowered in commutator_terms(k, r):
-        out ^= _q_past_p(m, lowered)
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
 def _p_past_qs(r: tuple[int, ...], f: tuple[int, ...]) -> frozenset[Mono]:
     """P^r Q^f expanded in the Q^E P^R basis (f strictly increasing)."""
     if not f:
@@ -808,35 +799,30 @@ class PrqeElement:
         return f"PrqeElement({format_prqe(self)!r})"
 
 
-@lru_cache(maxsize=None)
-def _qepr_mono_to_prqe(e: tuple[int, ...], r: tuple[int, ...]) -> frozenset[Mono]:
-    """Q^E P^R in the P^R Q^E basis, by the double induction on R and |E|."""
-    if not e:
-        return frozenset([((), r)])
-    last, front = e[-1], e[:-1]
-    out: set[Mono] = set()
-    for r1, m in _q_past_p(last, r):
-        for e2, r2 in _qepr_mono_to_prqe(front, r1):
-            if m in e2:
-                continue
-            out ^= {(tuple(sorted(e2 + (m,))), r2)}
-    return frozenset(out)
-
-
-def qepr_to_prqe(a: Element) -> PrqeElement:
-    """Rewrite from the Q^E P^R basis to the P^R Q^E basis."""
-    out: set[Mono] = set()
-    for e, r in a.terms:
-        out ^= _qepr_mono_to_prqe(e, r)
-    return PrqeElement(out)
-
-
 def prqe_to_qepr(a: PrqeElement) -> Element:
-    """Inverse conversion; round-trips with `qepr_to_prqe`."""
+    """Rewrite from the P^R Q^E basis to the Q^E P^R basis."""
     out: set[Mono] = set()
     for e, r in a.pairs:
         out ^= _p_past_qs(r, e)
     return Element(out)
+
+
+def qepr_to_prqe(a: Element) -> PrqeElement:
+    """The inverse of `prqe_to_qepr`.
+
+    That map is unitriangular: P^R Q^E is Q^E P^R plus terms whose
+    P-part has strictly lower weight, since each commutation lowers R by
+    2^k e_j.  So the pair of the term left over with the highest weight
+    (ties broken by the monomial, for a fixed order) is in the answer:
+    take it, XOR its image out, and repeat until nothing is left.
+    """
+    left = set(a.terms)
+    out: set[Mono] = set()
+    while left:
+        e, r = top = max(left, key=lambda m: (p_weight(m[1]), m))
+        out.add(top)
+        left ^= _p_past_qs(r, e)
+    return PrqeElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +888,11 @@ def parse_element(text: str) -> Element:
             if junk is not None:
                 raise ParseError(f"unexpected token {junk!r}", where)
             if qi is not None:
-                factor_acc = multiply(factor_acc, Element([((int(qi),), ())]))
+                try:
+                    factor_acc = multiply(factor_acc, Element([((int(qi),), ())]))
+                except OverflowError:
+                    # the commutator rule shifts by 2^index
+                    raise ParseError(f"Q index {qi} too large", where) from None
             elif pr is not None:
                 # `P()` is the unit; otherwise every slot holds a number
                 slots = pr.split(",") if pr.strip() else []

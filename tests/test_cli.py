@@ -51,6 +51,15 @@ def test_mul_empty_exponent_slot_is_usage_error(lhs, capsys):
     assert code == 2 and out == "" and "empty P exponent slot" in err
 
 
+@pytest.mark.parametrize("argv", [["Q0", "Q99999999999999999999"], ["Q99999999999999999999", "1", "--basis", "qepr"]])
+def test_mul_overflowing_index_is_usage_error(argv, capsys):
+    # the commutator rule shifts by 2^index, which overflows here; a
+    # malformed element is a usage error, not the mismatch code
+    code, out, err = run_cli(["mul", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_resolve_tmax_zero(capsys):
     code, out, _ = run_cli(["resolve", "--flavor", "classical", "--tmax", "0"], capsys)
     assert code == 0
@@ -357,6 +366,31 @@ def test_isotropic_default_window_is_pmin_minus_tmax(tmax, tmp_path, capsys):
     assert json.loads(json_file.read_text())["truncated"] == []
     # r_4 sits at p = -31, so both windows stop at r_3
     assert iso.IsotropicWindow(-tmax).n_max == 3
+
+
+def test_isotropic_window_deeper_than_tmax_runs_as_pmin_minus_tmax(monkeypatch, tmp_path, capsys):
+    # no cell with t <= T is truncated once P <= -T, so a deeper window
+    # changes no cell; it is solved as the window p >= -T, whose exterior
+    # basis does not grow with the depth asked for
+    solve = iso.solve_action_table
+    n_maxes = []
+
+    def recorded(n_max, w_max):
+        n_maxes.append(n_max)
+        return solve(n_max, w_max)
+
+    monkeypatch.setattr(iso, "solve_action_table", recorded)
+    csvs = []
+    for pmin in ("-16", "-5000"):
+        out_file = tmp_path / f"iso{pmin}.csv"
+        code, out, _ = run_cli(
+            ["isotropic", "--tmax", "16", "--smax", "4", "--pmin", pmin, "--out", str(out_file)], capsys)
+        assert code == 0 and "verdict: MATCH" in out.splitlines()
+        csvs.append(out_file.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert n_maxes == [iso.IsotropicWindow(-16).n_max] * 2
+    truncated = [iso.isotropic_chart(iso.IsotropicWindow(pmin), 4, 16).truncated for pmin in (-16, -5000)]
+    assert truncated[0] == truncated[1]
 
 
 # the isotropic chart has one command, `isotropic`, and the classical

@@ -543,6 +543,17 @@ def test_basis_roundtrip_and_counts():
             assert len({pair for m in monos for pair in M.qepr_to_prqe(Element([m])).pairs}) == len(monos) or not monos
 
 
+def test_conversion_matches_duality_oracle():
+    # both conversions read `_p_past_qs`, so the round trip cannot catch
+    # a fault there; the oracle shares no code with it: multiplying out
+    # each pair P^R Q^E of qepr_to_prqe(m) by duality must give m back
+    for m in all_monos(40):
+        back = M.ZERO
+        for e, r in M.qepr_to_prqe(Element([m])).pairs:
+            back = back + M.multiply_via_duality(P(*r), Element([(e, ())]))
+        assert back == Element([m]), m
+
+
 # ---------------------------------------------------------------------------
 # enumeration / dimensions
 
