@@ -128,12 +128,16 @@ def _adem_pair(a: int, b: int, flavor: str) -> frozenset[Word]:
 
 
 @lru_cache(maxsize=None)
-def _reduce_word(word: Word, flavor: str) -> frozenset[Word]:
+def reduce_word(word: Word, flavor: str = CLASSICAL) -> frozenset[Word]:
+    """Raw admissible expansion, without the element wrapper, by
+    rewriting leftmost inadmissible pairs, memoized for the run; the
+    reference the classical resolution's packed Sq^a rows are tested
+    against (`ClassicalAlgebra.multiply`), not on the resolve path."""
     for i in range(len(word) - 1):
         if word[i] < 2 * word[i + 1]:
             out: set[Word] = set()
             for rep in _adem_pair(word[i], word[i + 1], flavor):
-                out ^= _reduce_word(word[:i] + rep + word[i + 2 :], flavor)
+                out ^= reduce_word(word[:i] + rep + word[i + 2 :], flavor)
             return frozenset(out)
     return frozenset([word])
 
@@ -143,14 +147,7 @@ def adem_reduce(word: Word, flavor: str = CLASSICAL) -> WordElement:
     validate_word(word, flavor)
     if flavor == GENERALIZED:
         raise ValueError("no rewriting engine for the A0 flavor; multiply out sq_to_milnor of its letters")
-    return WordElement(_reduce_word(word, flavor), flavor)
-
-
-def reduce_word(word: Word, flavor: str = CLASSICAL) -> frozenset[Word]:
-    """Raw admissible expansion, without the element wrapper; the
-    reference the classical resolution's packed Sq^a rows are tested
-    against (`ClassicalAlgebra.multiply`), not on the resolve path."""
-    return _reduce_word(word, flavor)
+    return WordElement(reduce_word(word, flavor), flavor)
 
 
 def multiply_words(x: WordElement, y: WordElement) -> WordElement:
@@ -159,7 +156,7 @@ def multiply_words(x: WordElement, y: WordElement) -> WordElement:
     out: set[Word] = set()
     for u in x.terms:
         for v in y.terms:
-            out ^= _reduce_word(u + v, x.flavor)
+            out ^= reduce_word(u + v, x.flavor)
     return WordElement(frozenset(out), x.flavor)
 
 

@@ -93,6 +93,9 @@ def _load_chart(path: str) -> ExtChart:
 
 def cmd_mul(args) -> int:
     flavor = args.flavor
+    if flavor != "A0" and args.basis is not None:
+        print("error: --basis selects a Milnor-basis order, which only the A0 flavor prints", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if flavor == "A0":
             lhs = milnor.parse_element(args.lhs)
@@ -317,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("lhs")
     p_mul.add_argument("rhs")
     p_mul.add_argument("--flavor", choices=["classical", "G", "A0"], default="A0")
-    p_mul.add_argument("--basis", choices=["qepr", "prqe"], default="prqe")
+    # absent: prqe for A0
+    p_mul.add_argument("--basis", choices=["qepr", "prqe"], default=None)
     p_mul.set_defaults(func=cmd_mul)
 
     p_res = sub.add_parser("resolve", help="minimal resolution and Ext chart")

@@ -16,16 +16,17 @@ to Ext with coefficients, `rows` is `milnor.left_rows`, which XORs the
 P-product tables straight into a generator's rows, so a resolve keeps no
 row.
 
-`resolve` records the runs of generators of F_s as it appends them
-(`FreeResolution.runs`), and each cell (F_s)_deg has one layout record
-(`FreeResolution._cell`), its size and the block of each generator, from
-which its basis and bit decoding are both read; one walk over the runs
-of F_s records the layouts of every nonempty cell at a topological
-degree p, and a cell with no record is empty.  An element of F_s is
-always bits over the basis of its cell: the differentials `resolve`
-stores are the kernel vectors it finds, and chain-map values are the
-bits their solve returns; both are read through one decode table per
-cell (`_decoder`).  Over the classical algebra the rows come from packed
+`resolve` appends the generators of F_s in increasing degree, so
+`FreeResolution.gens[s]` is sorted, and its runs of equal degrees are
+found by bisection (`gens_at`).  Each cell (F_s)_deg has one layout
+record (`FreeResolution._cell`), its size and the block of each
+generator, from which its basis and bit decoding are both read; one
+walk over the runs of F_s records the layouts of every nonempty cell at
+a topological degree p, and a cell with no record is empty.  An element
+of F_s is always bits over the basis of its cell: the differentials
+`resolve` stores are the kernel vectors it finds, and chain-map values
+are the bits their solve returns; both are read through one decode
+table per cell (`_decoder`).  Over the classical algebra the rows come from packed
 Sq^a tables (`ClassicalAlgebra.sq_rows`), one per letter and source
 degree, so no Adem word is reduced (`adem.reduce_word`) on the resolve
 path.  Over A0, G and A0^op they come from P-product tables
@@ -49,6 +50,7 @@ builds no rows: the classes it carries all become generators.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -94,16 +96,13 @@ class WindowedAlgebra:
     def basis(self, deg: Deg) -> tuple:
         raise NotImplementedError
 
-    def monomial_product(self, m1, m2) -> frozenset:
-        raise NotImplementedError
-
     def multiply(self, m1, m2) -> frozenset:
-        """The product of two basis monomials by `monomial_product`,
-        which never reads the packed rows: an independent reference for
-        them.  The A0 product is formed afresh on each call; the
-        classical product, and each step of its Adem recursion, reads
-        the run-long memo of `adem._reduce_word`."""
-        return self.monomial_product(m1, m2)
+        """The product of two basis monomials, which never reads the
+        packed rows: an independent reference for them.  The A0 product
+        is formed afresh on each call; the classical product, and each
+        step of its Adem recursion, reads the run-long memo of
+        `adem.reduce_word`."""
+        raise NotImplementedError
 
     def index(self, deg: Deg) -> dict:
         """Position of each monomial in basis(deg)."""
@@ -155,7 +154,7 @@ class ClassicalAlgebra(WindowedAlgebra):
 
     Its rows come from packed Sq^a tables (`sq_rows`): a product m*n
     applies the letters of m, right to left, to the unit vector of n.
-    `monomial_product` (Adem reduction of the concatenated word) is the
+    `multiply` (Adem reduction of the concatenated word) is the
     reference the rows are tested against, and is off the resolve path."""
 
     flavor = "classical"
@@ -171,7 +170,7 @@ class ClassicalAlgebra(WindowedAlgebra):
         self.check_window(deg)
         return adem.admissible_words(adem.CLASSICAL, deg[0]) if deg[0] >= 0 else ()
 
-    def monomial_product(self, m1, m2) -> frozenset:
+    def multiply(self, m1, m2) -> frozenset:
         return adem.reduce_word(m1 + m2, adem.CLASSICAL)
 
     def sq_rows(self, a: int, d: int) -> tuple[int, ...]:
@@ -240,7 +239,7 @@ class GeneralizedAlgebra(WindowedAlgebra):
         p, q = deg
         return milnor.basis(p, q) if p >= 0 else ()
 
-    def monomial_product(self, m1, m2) -> frozenset:
+    def multiply(self, m1, m2) -> frozenset:
         return milnor.multiply_mono(m1, m2)
 
     def _build_right_rows(self, n, deg: Deg, out_deg: Deg) -> tuple[int, ...]:
@@ -275,8 +274,8 @@ class OppositeGeneralizedAlgebra(GeneralizedAlgebra):
 
     flavor = "A0op"
 
-    def monomial_product(self, m1, m2) -> frozenset:
-        return super().monomial_product(m2, m1)
+    def multiply(self, m1, m2) -> frozenset:
+        return super().multiply(m2, m1)
 
     def rows(self, terms: list[tuple], deg: Deg) -> list[int]:
         return milnor.left_rows(terms, deg, self._p_rows)
@@ -320,15 +319,12 @@ class FreeResolution:
     pmax: int
     # the module resolved
     target: FiniteModule
-    # gens[s] lists generator degrees of F_s; diff[s][i] is d g_i, the
-    # kernel vector resolve found for g_i: bits over the cell basis of
+    # gens[s] lists generator degrees of F_s, sorted, as resolve appends
+    # them in increasing degree; diff[s][i] is d g_i, the kernel vector
+    # resolve found for g_i: bits over the cell basis of
     # (F_{s-1})_{|g_i|}, or over target.basis_at(|g_i|) for s = 0
     gens: list[list[Deg]] = field(default_factory=list)
     diff: list[list[int]] = field(default_factory=list)
-    # runs[s] lists (degree, first, stop) for each run of equal-degree
-    # generators of F_s, as resolve appends them: one run per degree, in
-    # increasing degree
-    runs: list[list[tuple[Deg, int, int]]] = field(default_factory=list)
     # (s, p) -> {deg: (size, place)} for every nonempty cell of F_s at
     # topological degree p (see _cell)
     _cells: dict = field(default_factory=dict, repr=False)
@@ -343,10 +339,8 @@ class FreeResolution:
 
     def gens_at(self, s: int, deg: Deg) -> range:
         """Indices of the generators of F_s in degree deg."""
-        for gdeg, first, stop in self.runs[s] if s < len(self.runs) else ():
-            if gdeg >= deg:
-                return range(first, stop) if gdeg == deg else range(0)
-        return range(0)
+        gens = self.gens[s] if s < len(self.gens) else ()
+        return range(bisect_left(gens, deg), bisect_right(gens, deg))
 
     def gen_count(self, s: int, deg: Deg) -> int:
         return len(self.gens_at(s, deg))
@@ -359,25 +353,27 @@ class FreeResolution:
         there is zero.  The cell basis is (j, m) for j in place order
         and m in basis order.
 
-        The first call at topological degree p walks the runs of F_s up
-        to p once and records every nonempty cell of F_s at p; a degree
-        with no record is empty.  `resolve` places the generators it adds
-        at the end of their cell's record and drops the records of p
-        when it leaves p."""
+        The first call at topological degree p walks the runs of
+        equal-degree generators of F_s (gens[s] is sorted) up to p once
+        and records every nonempty cell of F_s at p; a degree with no
+        record is empty.  `resolve` places the generators it adds at the
+        end of their cell's record and drops the records of p when it
+        leaves p."""
         p = deg[0]
         layouts = self._cells.get((s, p))
         if layouts is None:
             layouts = self._cells[(s, p)] = {}
-            algebra = self.algebra
-            for gdeg, first, stop in self.runs[s]:
-                if gdeg[0] > p:
-                    break
+            algebra, gens, first = self.algebra, self.gens[s], 0
+            while first < len(gens) and gens[first][0] <= p:
+                gdeg = gens[first]
+                stop = bisect_right(gens, gdeg, first)
                 bases = self._bases.get(p - gdeg[0])
                 if bases is None:
                     subs = algebra.cells_at(p - gdeg[0])
                     bases = self._bases[p - gdeg[0]] = [(sub, b) for sub in subs if (b := algebra.basis(sub))]
                 for sub, basis in bases:
                     _add_block(layouts, add_deg(gdeg, sub), first, stop, sub, basis)
+                first = stop
         return layouts.get(deg, _EMPTY_CELL)
 
     def _decoder(self, s: int, deg: Deg) -> tuple[tuple[int, ...], tuple]:
@@ -493,10 +489,9 @@ def resolve(
     input combinations give ker d_s, carried to stage s+1.  New
     generators leave ker d_s unchanged: their images are independent of
     the old rows, and they sit at the end of the cell basis, where they
-    are placed in the cell's layout; their run is appended to
-    `FreeResolution.runs`.  A stage where F_s is empty at the cell
-    builds no rows: every carried kernel vector becomes a generator, and
-    ker d_s = 0.  The layouts of a topological degree p (see
+    are placed in the cell's layout.  A stage where F_s is empty at the
+    cell builds no rows: every carried kernel vector becomes a generator,
+    and ker d_s = 0.  The layouts of a topological degree p (see
     `FreeResolution._cell`) are dropped once every cell at p is done."""
     if pmax > algebra.max_p:
         raise WindowExceededError("algebra window too small for the requested resolution")
@@ -506,7 +501,6 @@ def resolve(
     levels = smax + 2
     res.gens = [[] for _ in range(levels)]
     res.diff = [[] for _ in range(levels)]
-    res.runs = [[] for _ in range(levels)]
 
     zero = (0,) * algebra.grading
     unit_basis = algebra.basis(zero)
@@ -526,7 +520,6 @@ def resolve(
                     if s:  # build the table their differentials are read through
                         res._decoder(s - 1, deg)
                     first, stop = len(res.gens[s]) - len(new), len(res.gens[s])
-                    res.runs[s].append((deg, first, stop))
                     _add_block(res._cells[(s, p)], deg, first, stop, zero, unit_basis)
                 kernel = next_kernel
         # keep no cells from the loop; later solves rebuild theirs

@@ -32,6 +32,13 @@ everywhere:
   product formula is used.  `dual_coproduct` is the same psi(w)
   unpacked into pairs of dual monomials.
 
+The resolve paths never form a product as a set of monomials.  They
+read packed rows over the block layout of each bidegree (`basis_blocks`,
+one block per exterior part E, from which `basis` is read): right rows
+from `packed_rows`, and the left rows of all terms of a differential at
+once from `left_rows`, both by shifting whole `p_product_table`s to
+their blocks.
+
 The P^R Q^E presentation is reached through the one rewriting of P past
 Q by the commutator rule, `_p_past_qs`: `prqe_to_qepr` applies it, and
 `qepr_to_prqe` inverts it, since it is unitriangular in the P-weight.
@@ -622,14 +629,14 @@ def left_rows(
     is the sum over the terms Q^G P^{R1} of P^R Q^F with G and E
     disjoint of Q^{E u G} P^{R1} P^S.  So each such term of each n adds
     one whole table to the rows of block F, P^{R1} P^S for every such S
-    (`p_product_table`, kept in `p_rows`, see `_p_tables`), shifted once:
+    (`p_product_table`, kept in `p_rows`), shifted once:
     by its term's shift plus the offset of the block of E u G in
     basis(*out_deg).  No product n m is formed on its own, and a row of
     the block is one reduce over the tables' entries for it."""
     terms = [(e, r, basis_blocks(*out_deg), shift) for (e, r), out_deg, shift in terms]
     rows: list[int] = []
     for f, (_, w) in basis_blocks(*deg).items():
-        tables = _p_tables(p_rows, True, w)
+        tables = p_rows.setdefault((True, w), {})
         shifts = []
         block = []
         for e_n, r_n, out_blocks, shift in terms:
@@ -660,8 +667,7 @@ def packed_rows(n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows:
     (Q^E P^R)(Q^F P^S) is the XOR, over the terms Q^G P^{R1} of P^R Q^F
     with G and E disjoint, of P^{R1} P^S shifted to the block of E u G.
     Each P^{R1} P^S is read from the table of P^S at R1's weight
-    (`p_product_table`, kept in `p_rows`, see `_p_tables`) by R1's
-    position.
+    (`p_product_table`, kept in `p_rows`) by R1's position.
     """
     out_blocks = basis_blocks(*out_deg)
     rows: list[int] = []
@@ -680,7 +686,7 @@ def packed_rows(n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows:
                     if set(e).isdisjoint(g):
                         offset, w_out = out_blocks[tuple(sorted(e + g))]
                         w1 = w_out - s_weight
-                        tables = _p_tables(p_rows, False, w1)
+                        tables = p_rows.setdefault((False, w1), {})
                         table = tables.get(s)
                         if table is None:
                             table = tables[s] = p_product_table(s, w1, False)
@@ -691,17 +697,6 @@ def packed_rows(n: Mono, deg: tuple[int, int], out_deg: tuple[int, int], p_rows:
                     row ^= table[positions[r1]] << offset
             rows.append(row)
     return tuple(rows)
-
-
-def _p_tables(p_rows: dict, left: bool, w: int) -> dict:
-    """The tables p_product_table(factor, w, left) formed so far, kept
-    in p_rows as {(left, w): {factor: table}}; a reader forms a missing
-    one and stores it there."""
-    key = (left, w)
-    got = p_rows.get(key)
-    if got is None:
-        got = p_rows[key] = {}
-    return got
 
 
 def multiply(a: Element, b: Element) -> Element:

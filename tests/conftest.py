@@ -150,7 +150,7 @@ def b_mod2(x: MilnorMatrix) -> int:
 class ExteriorMilnorAlgebra(H.WindowedAlgebra):
     """The exterior subalgebra on Milnor operations Q_0..Q_n; bidegrees
     are multiplicity-free.  Its rows are formed monomial by monomial
-    through `monomial_product`."""
+    through `multiply`."""
 
     flavor = "exterior"
     grading = 2
@@ -167,7 +167,7 @@ class ExteriorMilnorAlgebra(H.WindowedAlgebra):
             return ()
         return (mono,)
 
-    def monomial_product(self, m1, m2):
+    def multiply(self, m1, m2):
         if set(m1) & set(m2):
             return frozenset()
         return frozenset([tuple(sorted(m1 + m2))])
@@ -177,7 +177,7 @@ class ExteriorMilnorAlgebra(H.WindowedAlgebra):
         rows = []
         for m in self.basis(deg):
             row = 0
-            for t in self.monomial_product(m, n):
+            for t in self.multiply(m, n):
                 row ^= 1 << index[t]
             rows.append(row)
         return tuple(rows)
@@ -222,8 +222,8 @@ def random_trivial_module(rng, size, degree_pool, *, unit):
 
 def reference_runs(gens):
     """Runs (degree, first, stop) of consecutive equal degrees in a list
-    of generator degrees: the reference for the runs `resolve` records
-    in `FreeResolution.runs`."""
+    of generator degrees: the reference for the runs
+    `FreeResolution.gens_at` finds by bisection."""
     runs = []
     for i, deg in enumerate(gens):
         if runs and runs[-1][0] == deg:

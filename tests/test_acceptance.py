@@ -377,6 +377,23 @@ PRODUCTS_SCRIPT = (
     + PEAK_RSS_TAIL
 )
 
+# The Lambda-algebra oracle (tests/lambda_algebra.py, whose directory is
+# the first argument) against the classical resolve chart to t <= tmax,
+# s <= smax: prints the number of nonzero cells and those that differ.
+LAMBDA_SCRIPT = (
+    "import resource, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import lambda_algebra as L\n"
+    "from isoadams import homological as H\n"
+    "tmax, smax = map(int, sys.argv[2:])\n"
+    "res = H.resolve(H.algebra_for('classical', tmax), smax=smax, pmax=tmax)\n"
+    "chart = {(s, deg[0]): d for (s, deg), d in H.ext_chart_field(res).cells.items() if d}\n"
+    "dims = L.ext_dims(smax, tmax)\n"
+    "print('cells', sum(1 for s, _ in dims if s >= 1))\n"
+    "print('differ', sorted(set(dims.items()) ^ set(chart.items())))\n"
+    + PEAK_RSS_TAIL
+)
+
 
 def run_alone(script, *args):
     """Run a script in its own process with `src` on the path, so that
@@ -467,3 +484,15 @@ def test_products_commute_to_classical_t64():
     assert (count, nonzero) == (20992, 2255)
     assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
     report("10 (t <= 64)", f"xy = yx for all {count} products ({nonzero} nonzero) of generator classes to classical t <= 64, s <= 16; products {products_s:.2f}s of {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
+
+
+@pytest.mark.slow
+def test_lambda_oracle_to_classical_t28():
+    # the Lambda algebra's homology equals the classical resolve chart in
+    # every cell with s <= 12 and t <= 28
+    proc, elapsed, peak_mb = run_alone(LAMBDA_SCRIPT, str(Path(__file__).resolve().parent), "28", "12")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["cells 69", "differ []"], lines
+    assert peak_mb < 800, f"peak RSS {peak_mb:.0f} MB"
+    report("7 (Lambda, t <= 28)", f"Lambda-algebra homology = classical resolve chart in all cells to t <= 28, s <= 12 (69 nonzero with s >= 1), in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")

@@ -29,6 +29,22 @@ def test_mul_qepr_basis(capsys):
     assert code == 0 and out.strip() == "Q0 P(1)"
 
 
+@pytest.mark.parametrize("basis", ["qepr", "prqe"])
+@pytest.mark.parametrize("flavor", ["classical", "G"])
+def test_mul_basis_without_milnor_flavor_is_usage_error(flavor, basis, capsys):
+    # admissible words have no Milnor-basis order, so the flag would
+    # select nothing
+    code, out, err = run_cli(["mul", "Sq2", "Sq2", "--flavor", flavor, "--basis", basis], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_mul_absent_basis_is_prqe(capsys):
+    for argv in (["mul", "Q0", "P(1)"], ["mul", "Q0", "P(1)", "--basis", "prqe"]):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == "P(1) Q0 + Q1\n"
+
+
 def test_mul_classical_square_zero(capsys):
     code, out, _ = run_cli(["mul", "Sq1", "Sq1", "--flavor", "classical"], capsys)
     assert code == 0 and out.strip() == "0"
@@ -162,6 +178,12 @@ PINNED_OUTPUTS = {
     "massey-classical": (
         ["massey", "--flavor", "classical", "--tmax", "30", "--smax", "8", "h0", "h1", "h0"],
         "32cc4bc454c99ef2966ab465d8582325f139da066e50d369212a09f1dca458ce",
+        None,
+    ),
+    # chain maps over A0 read right rows of terms with Q-parts
+    "massey-A0": (
+        ["massey", "--flavor", "A0", "--tmax", "30", "--smax", "8", "h1", "h0", "h1"],
+        "980ef4e7759a1b5df8e6b0765d828aba1a627982c5aec990fdb36974aabe5ecf",
         None,
     ),
     "massey-G": (

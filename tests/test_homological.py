@@ -598,13 +598,13 @@ def test_resolve_and_lifts_keep_no_milnor_product_cache(flavor, monkeypatch):
 def test_classical_resolve_and_lifts_keep_no_word_cache():
     # the classical rows come from packed Sq^a tables: a resolve, a
     # Yoneda product and a Massey bracket reduce no Adem word
-    adem._reduce_word.cache_clear()
+    adem.reduce_word.cache_clear()
     res = H.resolve(H.algebra_for("classical", 16), smax=6, pmax=14)
     h0 = ChartClass(1, (1,), 1)
     h1 = ChartClass(1, (2,), 1)
     assert H.yoneda_product(res, h1, h1).bits
     assert H.massey_triple(res, h0, h1, h0).bits
-    assert adem._reduce_word.cache_info().currsize == 0
+    assert adem.reduce_word.cache_info().currsize == 0
     assert res.algebra._right_rows
 
 
@@ -843,21 +843,24 @@ def _ordered(layout):
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_runs_are_recorded_by_resolve(case):
-    # the runs resolve records as it appends generators are the runs of
-    # equal-degree generators of gens[s], and gens_at reads them
+    # resolve appends generators in increasing degree, so gens[s] is
+    # sorted, and gens_at finds each run of equal degrees in it; every
+    # other visited degree, and every level past the last, has none
     res = LAYOUT_CASES[case]()
-    assert len(res.runs) == len(res.gens) == res.smax + 2
+    assert len(res.gens) == res.smax + 2
+    empty = 0
     for s, gens in enumerate(res.gens):
-        assert res.runs[s] == reference_runs(gens), s
-        for deg, first, stop in res.runs[s]:
+        assert gens == sorted(gens), s
+        for deg, first, stop in reference_runs(gens):
             assert res.gens_at(s, deg) == range(first, stop), (s, deg)
-    s, gens = next((s, gens) for s, gens in enumerate(res.gens) if gens)
-    empty = [deg for deg in _all_cells(res) if deg not in gens]
+        for deg in _all_cells(res):
+            if deg not in gens:
+                assert res.gens_at(s, deg) == range(0), (s, deg)
+                empty += 1
     assert empty
-    for deg in empty:
-        assert res.gens_at(s, deg) == range(0), (s, deg)
     for past in (len(res.gens), len(res.gens) + 3):
-        assert res.gens_at(past, gens[0]) == range(0)
+        for deg in _all_cells(res):
+            assert res.gens_at(past, deg) == range(0), (past, deg)
 
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
