@@ -4,8 +4,9 @@ resolution and cobar engines, their comparisons, and their emitters.
 Cells are keyed (s, deg) with deg a 1-tuple (t,) for the singly graded
 classical algebra or a 2-tuple (t, u) otherwise.  CSV is the
 interchange authority (`s,t,u,dim`, u blank when bigraded charts are
-not available); JSON carries named classes, products and brackets; SVG
-and ascii renderings are derived views.
+not available, dim blank on a truncated cell); JSON carries named
+classes, products and brackets; SVG and ascii renderings are derived
+views.
 """
 
 from __future__ import annotations
@@ -167,10 +168,12 @@ def vanishing_check(chart: ExtChart) -> VanishingReport:
 
 
 def to_csv(chart: ExtChart) -> str:
+    """A row per nonzero cell and a row with an empty dim per truncated
+    cell, in cell order."""
+    dims = {cell: str(d) for cell, d in chart.cells.items() if d}
+    dims.update(dict.fromkeys(chart.truncated, ""))
     lines = ["s,t,u,dim"]
-    for (s, deg), dimension in chart.sorted_cells():
-        if not dimension:
-            continue
+    for (s, deg), dimension in sorted(dims.items()):
         u = str(deg[1]) if len(deg) > 1 else ""
         lines.append(f"{s},{deg[0]},{u},{dimension}")
     return "\n".join(lines) + "\n"
@@ -262,12 +265,15 @@ def from_json(text: str) -> ExtChart:
 
 
 def from_csv(text: str, flavor: str = "chart") -> ExtChart:
+    """Parse the rows `to_csv` writes; a row with an empty dim is a
+    truncated cell.  smax and tmax are the largest s and t of any row."""
     lines = [l for l in text.strip().splitlines() if l]
     if not lines:
         raise ValueError("empty CSV chart")
     if lines[0].strip() != "s,t,u,dim":
         raise ValueError("bad CSV header; expected s,t,u,dim")
     cells: dict[Cell, int] = {}
+    truncated: set[Cell] = set()
     grading = 0  # set by the first row: 1 without u, 2 with it
     for n, line in enumerate(lines[1:], start=2):
         fields = [x.strip() for x in line.split(",")]
@@ -279,13 +285,16 @@ def from_csv(text: str, flavor: str = "chart") -> ExtChart:
             raise ValueError(f"CSV row {n} {'has' if u_ else 'lacks'} u, unlike the rows before it")
         grading = len(deg)
         cell = (int(s_), deg)
-        if cell in cells:
+        if cell in cells or cell in truncated:
             raise ValueError(f"CSV row {n} repeats the cell of an earlier row")
-        cells[cell] = int(d_)
-    smax = max((s for s, _ in cells), default=0)
-    tmax = max((d[0] for _, d in cells), default=0)
-    chart = ExtChart(flavor, grading or 1, smax, tmax, cells)
-    return chart
+        if d_ == "":
+            truncated.add(cell)
+        else:
+            cells[cell] = int(d_)
+    rows = [*cells, *truncated]
+    smax = max((s for s, _ in rows), default=0)
+    tmax = max((d[0] for _, d in rows), default=0)
+    return ExtChart(flavor, grading or 1, smax, tmax, cells, truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -66,18 +66,18 @@ def _emit(chart: ExtChart, fmt: str, out: Optional[str]) -> bool:
 
 
 def _filter_weights(chart: ExtChart, qmin: Optional[int], qmax: Optional[int]) -> ExtChart:
-    """The chart with only the cells of weight in [qmin, qmax]; a display
-    filter, never applied before a comparison."""
+    """The chart with only the cells, truncated ones included, of weight
+    in [qmin, qmax]; a display filter, never applied before a
+    comparison."""
     if qmin is None and qmax is None:
         return chart
-    keep = {}
-    for (s, deg), dim in chart.cells.items():
-        if qmin is not None and deg[1] < qmin:
-            continue
-        if qmax is not None and deg[1] > qmax:
-            continue
-        keep[(s, deg)] = dim
-    return replace(chart, cells=keep)
+
+    def kept(cell) -> bool:
+        u = cell[1][1]
+        return (qmin is None or u >= qmin) and (qmax is None or u <= qmax)
+
+    cells = {cell: dim for cell, dim in chart.cells.items() if kept(cell)}
+    return replace(chart, cells=cells, truncated=set(filter(kept, chart.truncated)))
 
 
 def _load_chart(path: str) -> ExtChart:

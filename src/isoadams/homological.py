@@ -20,16 +20,18 @@ row.
 `FreeResolution.gens[s]` is sorted, and its runs of equal degrees are
 found by bisection (`gens_at`).  Each cell (F_s)_deg has one layout
 record (`FreeResolution._cell`), its size and the block of each
-generator, from which its basis and bit decoding are both read; one
+generator, from which its basis is read and its bits are decoded; one
 walk over the runs of F_s records the layouts of every nonempty cell at
 a topological degree p, and a cell with no record is empty.  An element
 of F_s is always bits over the basis of its cell: the differentials
 `resolve` stores are the kernel vectors it finds, and chain-map values
-are the bits their solve returns; both are read through one decode
-table per cell (`_decoder`).  Over the classical algebra the rows come from packed
-Sq^a tables (`ClassicalAlgebra.sq_rows`), one per letter and source
-degree, so no Adem word is reduced (`adem.reduce_word`) on the resolve
-path.  Over A0, G and A0^op they come from P-product tables
+are the bits their solve returns; both are read block by block over
+their cell's layout (`_terms`).
+
+Over the classical algebra the rows come from packed Sq^a tables
+(`ClassicalAlgebra.sq_rows`), one per letter and source degree, so no
+Adem word is reduced (`adem.reduce_word`) on the resolve path.  Over
+A0, G and A0^op they come from P-product tables
 (`milnor.p_product_table`), one per fixed P-part and weight of the other
 factor, shifted into the block layout of the Milnor basis
 (`milnor.packed_rows` for the right rows of A0 and G; G is A0's slope-2
@@ -332,8 +334,9 @@ class FreeResolution:
     _bases: dict = field(default_factory=dict, repr=False)
     # (s, deg) -> quasi-inverse of d_s at deg, built on first solve
     _inverse_cache: dict = field(default_factory=dict, repr=False)
-    # (s, deg) -> decode table of the cell (see _decoder)
-    _decode_cache: dict = field(default_factory=dict, repr=False)
+    # (s, deg) -> place of (F_s)_deg, kept by resolve for each cell
+    # that differentials are bits over (see _terms)
+    _kept: dict = field(default_factory=dict, repr=False)
     # (s, deg, bits) -> chain lift of that class (see ChainMap.lift)
     _lift_cache: dict = field(default_factory=dict, repr=False)
 
@@ -358,7 +361,8 @@ class FreeResolution:
         and records every nonempty cell of F_s at p; a degree with no
         record is empty.  `resolve` places the generators it adds at the
         end of their cell's record and drops the records of p when it
-        leaves p."""
+        leaves p, keeping the place of each cell that differentials are
+        bits over (see `_terms`)."""
         p = deg[0]
         layouts = self._cells.get((s, p))
         if layouts is None:
@@ -376,38 +380,27 @@ class FreeResolution:
                 first = stop
         return layouts.get(deg, _EMPTY_CELL)
 
-    def _decoder(self, s: int, deg: Deg) -> tuple[tuple[int, ...], tuple]:
-        """(generator indices, algebra monomials) of the bits over the
-        cell basis of (F_s)_deg, one entry per bit: place order, then
-        basis order (see `_cell`), built from the cell's layout on first
-        read.  `resolve` builds the table of (F_s)_deg when it appends
-        generators of F_{s+1} at deg, whose differentials are bits over
-        that cell: the cell is final by then, and `_rows` reads their
-        differentials through it later, so no layout of an earlier
-        topological degree is rebuilt."""
-        key = (s, deg)
-        got = self._decode_cache.get(key)
-        if got is None:
-            place = self._cell(s, deg)[1]
-            gens = tuple(j for j, (_, _, basis) in place.items() for _ in basis)
-            monos = tuple(m for _, _, basis in place.values() for m in basis)
-            got = self._decode_cache[key] = (gens, monos)
-        return got
-
     def _terms(self, s: int, bits: int, deg: Deg, place: dict) -> list[tuple]:
         """The terms (n, degree, bit offset of g_j's block in `place`, a
         cell layout of F_s) of an element of (F_s)_deg, bits over its cell
-        basis, read through the cell's decode table; a term whose g_j has
-        no block in `place` lands on zero and is dropped."""
-        gens, monos = self._decoder(s, deg)
+        basis, read over the blocks of the cell's layout: the one `resolve`
+        kept, or else `_cell`'s.  A term whose g_j has no block in `place`
+        lands on zero and is dropped."""
+        src = self._kept.get((s, deg))
+        if src is None:
+            src = self._cell(s, deg)[1]
         terms = []
-        while bits:
-            b = bits.bit_length() - 1
-            bits ^= 1 << b
-            j = gens[b]
-            if j in place:
-                offset, out_deg, _ = place[j]
-                terms.append((monos[b], out_deg, offset))
+        for j, (offset, _, basis) in src.items():
+            rest = bits >> offset
+            if not rest:
+                break
+            chunk = rest & ((1 << len(basis)) - 1)
+            if chunk and j in place:
+                out_offset, out_deg, _ = place[j]
+                while chunk:
+                    q = chunk.bit_length() - 1
+                    chunk ^= 1 << q
+                    terms.append((basis[q], out_deg, out_offset))
         return terms
 
     def _rows(self, s: int, deg: Deg) -> tuple[list[int], int]:
@@ -484,9 +477,9 @@ def resolve(
     bits.  Each kernel vector whose top bit is not an image pivot gets
     a new generator of F_s: together with the image they span ker
     d_{s-1}, and no reduction is needed to find them; that kernel vector
-    is its differential, and the decode table of its cell
-    (`FreeResolution._decoder`) is built as it is stored.  The tracked
-    input combinations give ker d_s, carried to stage s+1.  New
+    is its differential, bits over (F_{s-1})_deg, whose place is kept
+    for reading it (`FreeResolution._terms`).  The tracked input
+    combinations give ker d_s, carried to stage s+1.  New
     generators leave ker d_s unchanged: their images are independent of
     the old rows, and they sit at the end of the cell basis, where they
     are placed in the cell's layout.  A stage where F_s is empty at the
@@ -517,8 +510,8 @@ def resolve(
                 if new:
                     res.gens[s].extend([deg] * len(new))
                     res.diff[s].extend(new)
-                    if s:  # build the table their differentials are read through
-                        res._decoder(s - 1, deg)
+                    if s:  # keep the layout their differentials are read through
+                        res._kept[(s - 1, deg)] = res._cell(s - 1, deg)[1]
                     first, stop = len(res.gens[s]) - len(new), len(res.gens[s])
                     _add_block(res._cells[(s, p)], deg, first, stop, zero, unit_basis)
                 kernel = next_kernel
@@ -608,8 +601,8 @@ class ChainMap:
     Each rhs is built straight into bits over the target cell basis from
     the algebra's packed right-multiplication rows, each shifted to its
     generator's block (the placement of `FreeResolution._cell`); the
-    terms of a value are read by the decode `resolve` reads d through
-    (`FreeResolution._terms`).
+    terms of a value are read over its cell's layout, as those of a
+    differential are (`FreeResolution._terms`).
     """
 
     def __init__(self, res: FreeResolution, src: int, shift: Deg, base=frozenset(), composite=None, rng=None):

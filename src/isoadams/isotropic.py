@@ -209,6 +209,11 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
     P^S P^{(h)} over the S of weight w - h (`milnor.p_product_table`),
     packed over p_exponents_of_weight(w) and the same for every
     generator; only their right-hand sides depend on i.
+
+    Where r_i has a target r_k at weight w, the Q_k rows are unit rows,
+    one on each unknown, so every system has full column rank: the
+    square equations act as consistency checks, `underdetermined` is
+    empty by construction, and only `inconsistent` can refuse a table.
     """
     report = SolveReport()
     solved: set[tuple[tuple[int, ...], int]] = set()

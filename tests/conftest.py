@@ -220,6 +220,22 @@ def random_trivial_module(rng, size, degree_pool, *, unit):
     return trivial_module([rng.choice(degree_pool) for _ in range(size)], unit=unit)
 
 
+def corrupt_p_product_table(monkeypatch):
+    """Flip bit 0 of the first entry of the table P^(1) P^R over the R of
+    weight 1, the square equations' rows for Sq^2 P^R; the action
+    table solved from it is inconsistent at (weight, generator) = (2, 2),
+    (3, 2), (6, 3) and (7, 3)."""
+    table = milnor.p_product_table
+
+    def flipped(factor, w, left):
+        got = table(factor, w, left)
+        if (factor, w, left) == ((1,), 1, True):
+            got = (got[0] ^ 1,) + got[1:]
+        return got
+
+    monkeypatch.setattr(milnor, "p_product_table", flipped)
+
+
 def reference_runs(gens):
     """Runs (degree, first, stop) of consecutive equal degrees in a list
     of generator degrees: the reference for the runs
@@ -252,14 +268,14 @@ def reference_cell(res, s, deg):
 
 def cell_basis(res, s, deg):
     """Ordered basis (gen index, algebra monomial) of (F_s)_deg, as the
-    library's decode table reads it."""
-    return tuple(zip(*res._decoder(s, deg)))
+    library's cell layout places it."""
+    return tuple((j, m) for j, (_, _, basis) in res._cell(s, deg)[1].items() for m in basis)
 
 
 def decode(res, s, deg, bits):
     """Bits over cell_basis(res, s, deg) as {gen index: frozenset of
     algebra monomials}, read over the blocks of `reference_cell`: the
-    reference for the library's decode tables."""
+    reference for the library's reading of bits (`_terms`)."""
     out = {}
     for j, (offset, _, basis) in reference_cell(res, s, deg)[1].items():
         monos = frozenset(m for k, m in enumerate(basis) if bits >> (offset + k) & 1)

@@ -136,6 +136,29 @@ def test_admissible_basis_examples():
     assert adem.admissible_words(EVEN, Bidegree(3, 1)) == ()
 
 
+def _compositions(n):
+    """Every word of positive letters summing to n."""
+    if n == 0:
+        return [()]
+    return [(a,) + w for a in range(1, n + 1) for w in _compositions(n - a)]
+
+
+def test_admissible_words_are_the_words_is_admissible_accepts():
+    # the enumerators against the pair predicate, degree by degree: the
+    # classical words by t, the G and A0 words by (p, q) with q the sum
+    # of the a // 2 (G: even letters only)
+    for p in range(13):
+        words = _compositions(p)
+        accepted = sorted(w for w in words if adem.is_admissible(w, CLASSICAL))
+        assert sorted(adem.admissible_words(CLASSICAL, p)) == accepted, p
+        for q in range(p + 1):
+            at = [w for w in words if sum(a // 2 for a in w) == q]
+            even = sorted(w for w in at if all(a % 2 == 0 for a in w) and adem.is_admissible(w, EVEN))
+            assert sorted(adem.admissible_words(EVEN, Bidegree(p, q))) == even, (p, q)
+            generalized = sorted(w for w in at if adem.is_admissible(w, GENERALIZED))
+            assert sorted(adem.admissible_words(GENERALIZED, Bidegree(p, q))) == generalized, (p, q)
+
+
 def test_dimension_match_classical_even_milnor():
     for t in range(0, 21):
         n_classical = len(adem.admissible_words(CLASSICAL, t))

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from isoadams import cli, homological as H, isotropic as iso
-from isoadams.charts import ExtChart, from_csv, from_json, to_json
+from isoadams.charts import ExtChart, from_csv, from_json, to_csv, to_json
+
+from conftest import corrupt_p_product_table
 
 
 def run_cli(args, capsys):
@@ -150,6 +152,61 @@ def test_compare_report_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(rep.read_text())
     assert payload["match"] is True and payload["mode"] == "equality"
+
+
+def test_compare_doubling_report_json_lists_the_mismatch(tmp_path, capsys):
+    cl = tmp_path / "cl.csv"
+    g = tmp_path / "g.csv"
+    run_cli(["resolve", "--flavor", "classical", "--tmax", "8", "--smax", "4", "--out", str(cl)], capsys)
+    run_cli(["resolve", "--flavor", "G", "--tmax", "16", "--smax", "4", "--out", str(g)], capsys)
+    text = g.read_text()
+    assert "\n2,4,2,1\n" in text
+    g.write_text(text.replace("\n2,4,2,1\n", "\n2,4,2,2\n"))
+    rep = tmp_path / "rep.json"
+    code, out, _ = run_cli(["compare", str(cl), str(g), "--mode", "doubling", "--out", str(rep)], capsys)
+    assert code == 1 and "  MISMATCH at (2, (4, 2)): 1 vs 2" in out.splitlines()
+    payload = json.loads(rep.read_text())
+    assert payload["match"] is False and payload["mode"] == "doubling"
+    assert payload["mismatches"] == [{"s": 2, "deg": [4, 2], "left": 1, "right": 2}]
+
+
+def test_csv_keeps_truncated_cells():
+    # a truncated cell is a row with an empty dim, in cell order
+    chart = ExtChart("isotropic", 2, 2, 4, {(0, (0, 0)): 1, (1, (2, 1)): 1}, {(1, (4, 1)), (0, (4, 2))})
+    text = to_csv(chart)
+    assert text == "s,t,u,dim\n0,0,0,1\n0,4,2,\n1,2,1,1\n1,4,1,\n"
+    back = from_csv(text)
+    assert (back.cells, back.truncated, back.smax, back.tmax) == (chart.cells, chart.truncated, 1, 4)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_narrowed_isotropic_chart_compares_as_the_run(fmt, tmp_path, capsys):
+    # the truncated cells of a narrowed window travel with the saved
+    # chart, so comparing it repeats the run's own report
+    iso_file = tmp_path / f"iso.{fmt}"
+    cl = tmp_path / "cl.csv"
+    code, run_out, _ = run_cli(
+        ["isotropic", "--tmax", "16", "--smax", "4", "--pmin", "-5", "--format", fmt, "--out", str(iso_file)], capsys)
+    assert code == 0
+    run_cli(["resolve", "--flavor", "classical", "--tmax", "8", "--smax", "4", "--out", str(cl)], capsys)
+    code, out, _ = run_cli(["compare", str(cl), str(iso_file), "--mode", "doubling"], capsys)
+    assert code == 0
+    assert out.splitlines() == run_out.splitlines()[:3] == [
+        "compare mode=doubling: checked 19 cells",
+        "  skipped 320 truncated cells",
+        "verdict: MATCH",
+    ]
+
+
+def test_weight_filter_filters_truncated_cells(tmp_path, capsys):
+    out_file = tmp_path / "iso.json"
+    code, _, _ = run_cli(
+        ["isotropic", "--tmax", "16", "--smax", "4", "--pmin", "-5", "--qmin", "3", "--qmax", "3",
+         "--format", "json", "--out", str(out_file)], capsys)
+    assert code == 0
+    chart = from_json(out_file.read_text())
+    assert chart.cells and chart.truncated
+    assert {deg[1] for _, deg in chart.cells} == {deg[1] for _, deg in chart.truncated} == {3}
 
 
 # sha256 of the stdout, and of the chart file written by --out, of
@@ -311,6 +368,36 @@ def test_isotropic_non_unique_action_table_is_a_mismatch(monkeypatch, tmp_path, 
     assert code == 1
     assert "not unique" in err and "(2, 0)" in err
     assert "verdict" not in out and not out_file.exists()
+
+
+def test_isotropic_refuses_an_inconsistent_action_table(monkeypatch, capsys):
+    # the real solver, fed one wrong structure constant, refuses the
+    # table, and the command stops before resolving anything
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("resolved with an inconsistent action table")
+
+    corrupt_p_product_table(monkeypatch)
+    monkeypatch.setattr(H, "resolve", no_resolve)
+    code, out, err = run_cli(["isotropic", "--tmax", "16", "--smax", "4"], capsys)
+    assert code == 1
+    assert "not unique" in err and "inconsistent: [(2, 2), (3, 2), (6, 3), (7, 3)]" in err
+    assert "verdict" not in out
+
+
+def test_isotropic_changed_chart_is_a_mismatch(monkeypatch, capsys):
+    # one on-line cell of the isotropic chart off by one fails the run
+    chart_of = iso.isotropic_chart
+
+    def changed(window, smax, pmax):
+        chart = chart_of(window, smax, pmax)
+        chart.cells[(1, (2, 1))] += 1
+        return chart
+
+    monkeypatch.setattr(iso, "isotropic_chart", changed)
+    code, out, _ = run_cli(["isotropic", "--tmax", "16", "--smax", "4"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "  MISMATCH at (1, (2, 1)): 1 vs 2" in lines and "verdict: MISMATCH" in lines
 
 
 def test_isotropic_does_not_build_the_hom_chart(monkeypatch, capsys):

@@ -481,6 +481,21 @@ def test_chart_compare_doubling_small():
     assert rep.ok and rep.checked > 50
 
 
+def test_chart_compare_doubling_reports_each_mismatch():
+    # a changed cell on the t = 2u line and a nonzero cell off it are
+    # each one mismatch (cell, classical, target)
+    cchart = H.ext_chart_field(H.resolve(H.algebra_for("classical", 8), smax=4, pmax=8))
+    gres = H.resolve(H.algebra_for("G", 16), smax=4, pmax=16)
+    on_line = H.ext_chart_field(gres)
+    on_line.cells[(2, (4, 2))] = 2
+    rep = charts.compare_doubling(cchart, on_line)
+    assert rep.mismatches == [((2, (4, 2)), 1, 2)] and not rep.ok
+    off_line = H.ext_chart_field(gres)
+    off_line.cells[(2, (5, 2))] = 1
+    rep = charts.compare_doubling(cchart, off_line)
+    assert rep.mismatches == [((2, (5, 2)), 0, 1)] and not rep.ok
+
+
 def test_chart_compare_detects_defects():
     cres = H.resolve(H.algebra_for("classical", 10), smax=4, pmax=8)
     a = H.ext_chart_field(cres)
@@ -896,8 +911,8 @@ def test_cell_layouts_match_single_cell_walk(monkeypatch, case):
 def test_differentials_are_packed_bits(case):
     # each differential is the kernel vector resolve found for its
     # generator, a nonzero int over the cell basis of F_{s-1} (the target
-    # basis for s = 0); the decode tables they are read through were
-    # built during the resolve and match the single-cell walk, and no
+    # basis for s = 0); the layouts they are read through were kept
+    # during the resolve and match the single-cell walk, and no other
     # cell layout outlives the resolve
     res = LAYOUT_CASES[case]()
     assert not res._cells
@@ -905,11 +920,9 @@ def test_differentials_are_packed_bits(case):
         assert len(diffs) == len(res.gens[s])
         assert all(type(z) is int and z for z in diffs), s
         if s:
-            assert all((s - 1, gdeg) in res._decode_cache for gdeg in res.gens[s]), s
-    for (s, deg), (gens, monos) in res._decode_cache.items():
-        place = reference_cell(res, s, deg)[1]
-        expected = [(j, m) for j, (_, _, basis) in place.items() for m in basis]
-        assert list(zip(gens, monos)) == expected, (s, deg)
+            assert all((s - 1, gdeg) in res._kept for gdeg in res.gens[s]), s
+    for (s, deg), place in res._kept.items():
+        assert list(place.items()) == _ordered(reference_cell(res, s, deg))[1], (s, deg)
 
 
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))

@@ -7,7 +7,7 @@ from isoadams import milnor
 from isoadams.milnor import Bidegree
 from isoadams.modules import trivial_module
 
-from conftest import differential, random_trivial_module
+from conftest import corrupt_p_product_table, differential, random_trivial_module
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,16 @@ def test_solver_unique_and_consistent(table):
     assert table.report.unique
     assert table.report.inconsistent == []
     assert table.report.underdetermined == []
+
+
+def test_solver_refuses_a_corrupted_product_table(monkeypatch):
+    # the real solver, fed one wrong structure constant, finds systems
+    # with no solution; the Q_k rows keep each system of full column
+    # rank, so none is underdetermined
+    corrupt_p_product_table(monkeypatch)
+    report = iso.solve_action_table(3, 8).report
+    assert report.inconsistent == [(2, 2), (3, 2), (6, 3), (7, 3)]
+    assert report.underdetermined == [] and not report.unique
 
 
 def test_solver_nmax1():
