@@ -64,14 +64,6 @@ def validate_word(word: Word, flavor: str) -> None:
         raise ValueError("even flavor admits only even exponents")
 
 
-def word_degree(word: Word, flavor: str) -> Bidegree:
-    """Each letter Sq^a sits in bidegree (floor(a/2))[a]; the classical
-    flavor only sees the topological part."""
-    p = sum(word)
-    q = sum(a // 2 for a in word)
-    return Bidegree(p, q if flavor != CLASSICAL else 0)
-
-
 def format_word(word: Word) -> str:
     return " ".join(f"Sq{a}" for a in word) if word else "1"
 
@@ -103,17 +95,6 @@ def verify_lucas(r: int, s: int, t: int) -> tuple[int, int]:
     left = binom2(2 * s - 2 * t - 1, 2 * r - 4 * t)
     right = binom2(s - t - 1, r - 2 * t)
     return left, right
-
-
-def is_admissible(word: Word, flavor: str) -> bool:
-    if flavor in (CLASSICAL, EVEN):
-        return all(word[i] >= 2 * word[i + 1] for i in range(len(word) - 1))
-    # generalized flavor: merge each Bockstein into the following even
-    # square; the odd-primary-style condition on consecutive letters
-    return all(
-        word[i] // 2 >= 2 * (word[i + 1] // 2) + (word[i + 1] & 1)
-        for i in range(len(word) - 1)
-    )
 
 
 def _adem_pair(a: int, b: int, flavor: str) -> frozenset[Word]:

@@ -31,6 +31,9 @@ class ExtChart:
     products: dict = field(default_factory=dict)
     brackets: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    # False for a chart read from CSV, whose smax and tmax are only the
+    # extent of its rows
+    window_stated: bool = True
 
     def dim(self, s: int, deg: Deg) -> int:
         return self.cells.get((s, tuple(deg)), 0)
@@ -110,8 +113,14 @@ def compare_doubling(classical: ExtChart, target: ExtChart) -> CompareReport:
     if classical.grading != 1 or target.grading != 2:
         raise ValueError("doubling compares a singly graded chart against a bigraded one")
     report = CompareReport("doubling")
-    smax = min(classical.smax, target.smax)
-    tmax = min(classical.tmax, target.tmax // 2)
+    # a chart read from CSV states no window, so it never narrows the
+    # comparison: the smaller of the stated windows, or else the larger
+    # of the two extents
+    stated = [(c.smax, c.tmax // c.grading) for c in (classical, target) if c.window_stated]
+    if stated:
+        smax, tmax = min(s for s, _ in stated), min(t for _, t in stated)
+    else:
+        smax, tmax = max(classical.smax, target.smax), max(classical.tmax, target.tmax // 2)
     for s in range(smax + 1):
         for t in range(tmax + 1):
             cl_cell = (s, (t,))
@@ -266,7 +275,8 @@ def from_json(text: str) -> ExtChart:
 
 def from_csv(text: str, flavor: str = "chart") -> ExtChart:
     """Parse the rows `to_csv` writes; a row with an empty dim is a
-    truncated cell.  smax and tmax are the largest s and t of any row."""
+    truncated cell.  smax and tmax are the largest s and t of any row;
+    a CSV states no window, so the chart is not `window_stated`."""
     lines = [l for l in text.strip().splitlines() if l]
     if not lines:
         raise ValueError("empty CSV chart")
@@ -294,7 +304,7 @@ def from_csv(text: str, flavor: str = "chart") -> ExtChart:
     rows = [*cells, *truncated]
     smax = max((s for s, _ in rows), default=0)
     tmax = max((d[0] for _, d in rows), default=0)
-    return ExtChart(flavor, grading or 1, smax, tmax, cells, truncated)
+    return ExtChart(flavor, grading or 1, smax, tmax, cells, truncated, window_stated=False)
 
 
 # ---------------------------------------------------------------------------

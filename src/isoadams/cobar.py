@@ -2,16 +2,16 @@
 independent of the resolution machinery, used as its oracle.
 
 The s-cochains are s-fold tensors of positive-degree dual monomials;
-the differential inserts reduced coproducts.  Products are cochain
-concatenation, so Yoneda products and triple Massey brackets can be
-computed here directly at cochain level.
+the differential inserts reduced coproducts.  The library computes Ext
+dimensions only (`cobar_ext`); the cochain-level products and Massey
+brackets that check the engine's Yoneda products and brackets live in
+the tests (`tests/cobar_products.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 from . import gf2, milnor
 from .charts import ExtChart, name_h_classes
@@ -155,63 +155,6 @@ class CobarComplex:
             return 0
         return len(dom) - self.rank(s, deg) - (self.rank(s - 1, deg) if s > 0 else 0)
 
-    # -- class handling -------------------------------------------------
-
-    def cocycle_space(self, s: int, deg: Deg) -> list[int]:
-        """Canonical basis of the cocycles at a cell (combinations of
-        tensors killed by the differential)."""
-        rows = self.differential_rows(s, deg)
-        ncod = len(self.tensor_basis(s + 1, deg))
-        return gf2.left_kernel_ints(rows, ncod)
-
-    def boundary_space(self, s: int, deg: Deg) -> tuple[list[int], list[int]]:
-        """RREF rows and pivots of the image of the previous differential."""
-        if s == 0:
-            return [], []
-        prev = self.differential_rows(s - 1, deg)
-        red, pivots = gf2.rref_ints(prev, len(self.tensor_basis(s, deg)))
-        return [r for r in red if r], pivots
-
-    def cohomology_basis(self, s: int, deg: Deg) -> list[int]:
-        """Deterministic cocycle representatives of a cohomology basis:
-        each is a cocycle of `cocycle_space` in normal form modulo the
-        boundaries and the representatives before it."""
-        red, pivots = self.boundary_space(s, deg)
-        ncols = len(self.tensor_basis(s, deg))
-        out = []
-        for z in self.cocycle_space(s, deg):
-            rep = gf2.reduce_against(red, pivots, z)
-            if rep:
-                out.append(rep)
-                red, pivots = gf2.rref_ints(red + [rep], ncols)
-                red = red[: len(pivots)]
-        return out
-
-    def class_vector(self, s: int, deg: Deg, cocycle_bits: int) -> int:
-        """Coordinates of a cocycle against `cohomology_basis`."""
-        boundaries, pivots = self.boundary_space(s, deg)
-        v = gf2.reduce_against(boundaries, pivots, cocycle_bits)
-        reps = self.cohomology_basis(s, deg)
-        if not reps:
-            if v:
-                raise ValueError("nonzero vector in a zero cohomology group")
-            return 0
-        reduced_reps = [gf2.reduce_against(boundaries, pivots, r) for r in reps]
-        sol = gf2.solve_ints(_transpose(reduced_reps, len(self.tensor_basis(s, deg))), len(reps), v)
-        if sol is None:
-            raise ValueError("vector is not a cocycle class")
-        return sol
-
-
-def _transpose(rows: list[int], ncols: int) -> list[int]:
-    out = [0] * ncols
-    for c, row in enumerate(rows):
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= 1 << c
-            row ^= low
-    return out
-
 
 def cobar_ext(dual: DualCoalgebra, smax: int, pmax: int) -> ExtChart:
     """Ext chart from the reduced cobar complex."""
@@ -230,69 +173,3 @@ def cobar_ext(dual: DualCoalgebra, smax: int, pmax: int) -> ExtChart:
     name_h_classes(chart)
     return chart
 
-
-# ---------------------------------------------------------------------------
-# cochain-level products and Massey brackets in the cobar complex
-
-
-def concat(cx: CobarComplex, s1: int, deg1: Deg, bits1: int, s2: int, deg2: Deg, bits2: int) -> int:
-    """Concatenation product of cochains, in cell coordinates."""
-    deg = tuple(a + b for a, b in zip(deg1, deg2))
-    basis1 = cx.tensor_basis(s1, deg1)
-    basis2 = cx.tensor_basis(s2, deg2)
-    index = {t: n for n, t in enumerate(cx.tensor_basis(s1 + s2, deg))}
-    out = 0
-    for n1, t1 in enumerate(basis1):
-        if not ((bits1 >> n1) & 1):
-            continue
-        for n2, t2 in enumerate(basis2):
-            if not ((bits2 >> n2) & 1):
-                continue
-            out ^= 1 << index[t1 + t2]
-    return out
-
-
-def solve_coboundary(cx: CobarComplex, s: int, deg: Deg, target_bits: int) -> Optional[int]:
-    """Some u with d(u) = target (an s+1 cochain), or None."""
-    rows = cx.differential_rows(s, deg)
-    ncod = len(cx.tensor_basis(s + 1, deg))
-    return gf2.solve_ints(_transpose(rows, ncod), len(rows), target_bits)
-
-
-@dataclass
-class CobarMassey:
-    s: int
-    deg: Deg
-    class_bits: int
-    indeterminacy_rank: int
-
-
-def massey_in_cobar(
-    cx: CobarComplex,
-    a: tuple[int, Deg, int],
-    b: tuple[int, Deg, int],
-    c: tuple[int, Deg, int],
-) -> CobarMassey:
-    """<a,b,c> at cochain level: u.c + a.v with du = ab, dv = bc."""
-    sa, da, va = a
-    sb, db, vb = b
-    sc, dc, vc = c
-    ab = concat(cx, sa, da, va, sb, db, vb)
-    u = solve_coboundary(cx, sa + sb - 1, tuple(x + y for x, y in zip(da, db)), ab)
-    bc = concat(cx, sb, db, vb, sc, dc, vc)
-    v = solve_coboundary(cx, sb + sc - 1, tuple(x + y for x, y in zip(db, dc)), bc)
-    if u is None or v is None:
-        raise ValueError("products are not coboundaries; bracket undefined")
-    s = sa + sb + sc - 1
-    deg = tuple(x + y + z for x, y, z in zip(da, db, dc))
-    w = concat(cx, sa + sb - 1, tuple(x + y for x, y in zip(da, db)), u, sc, dc, vc)
-    w ^= concat(cx, sa, da, va, sb + sc - 1, tuple(x + y for x, y in zip(db, dc)), v)
-    cls = cx.class_vector(s, deg, w)
-    # indeterminacy rank: a . H^{s_b+s_c-1} + H^{s_a+s_b-1} . c
-    vectors = []
-    for rep in cx.cohomology_basis(sb + sc - 1, tuple(x + y for x, y in zip(db, dc))):
-        vectors.append(cx.class_vector(s, deg, concat(cx, sa, da, va, sb + sc - 1, tuple(x + y for x, y in zip(db, dc)), rep)))
-    for rep in cx.cohomology_basis(sa + sb - 1, tuple(x + y for x, y in zip(da, db))):
-        vectors.append(cx.class_vector(s, deg, concat(cx, sa + sb - 1, tuple(x + y for x, y in zip(da, db)), rep, sc, dc, vc)))
-    rank = gf2.rank_ints([v for v in vectors if v], max(cx.cohomology_dim(s, deg), 1))
-    return CobarMassey(s, deg, cls, rank)

@@ -100,14 +100,6 @@ def left_kernel_ints(rows: list[int], ncols: int) -> list[int]:
     return [row >> ncols for row in red if not (row & mask)]
 
 
-def reduce_against(reduced_rows: list[int], pivots: list[int], v: int) -> int:
-    """Normal form of v modulo the RREF row space."""
-    for r, p in enumerate(pivots):
-        if v & (1 << p):
-            v ^= reduced_rows[r]
-    return v
-
-
 class SpanBuilder:
     """Semi-echelon row space and quasi-inverse of its rows.
 

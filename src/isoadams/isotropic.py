@@ -11,10 +11,13 @@ isotropic chart is `homological.ext_chart_coefficients` of a window.
 
 The generator tables only cover Q_j and the squares Sq^{2^j}; the
 structure constants P^R r_i for general R are obtained weight by weight
-as the unique solution of GF(2) linear systems expressing that the
-known generator actions hold and that the algebra multiplication is
-respected.  Underdetermined or inconsistent systems are reported, never
-silently resolved.
+from GF(2) linear equations expressing that the known generator actions
+hold and that the algebra multiplication is respected.  The equations
+from commuting Q_k past P^R fix each constant, and every other equation
+is checked against it; an inconsistent table is reported, never
+silently resolved.  The module also holds the Baer criterion on the
+exterior subalgebra of Milnor operations; the Hom lemma and the smash
+modules it needs are checked in the tests (`tests/hom_lemma.py`).
 """
 
 from __future__ import annotations
@@ -57,14 +60,6 @@ def ext_product(a: ExtMono, b: ExtMono) -> HElement:
     if set(a) & set(b):
         return H_ZERO
     return frozenset([tuple(sorted(a + b))])
-
-
-def h_product(x: HElement, y: HElement) -> HElement:
-    out: set[ExtMono] = set()
-    for a in x:
-        for b in y:
-            out ^= ext_product(a, b)
-    return frozenset(out)
 
 
 def exterior_monomials(n_max: int) -> tuple[ExtMono, ...]:
@@ -203,17 +198,21 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
     weight(S) + 2^{j-1} = w, expanding the two products
     (Sq^{2^j} P^S) r_i and (P^S Sq^{2^j}) r_i through the Milnor
     multiplication gives a linear equation on the weight-w unknowns;
-    commuting Q_k past P^R adds scalar-output equations.  The known
+    commuting Q_k past P^R (P^R Q_k = Q_k P^R + sum_j Q_{k+j}
+    P^{R-2^k e_j}, Milnor 1958) adds scalar-output equations.  The known
     generator rows enter through S = () (the product with the unit).
     The square equations' rows are the tables of P^{(h)} P^S and
     P^S P^{(h)} over the S of weight w - h (`milnor.p_product_table`),
     packed over p_exponents_of_weight(w) and the same for every
     generator; only their right-hand sides depend on i.
 
-    Where r_i has a target r_k at weight w, the Q_k rows are unit rows,
-    one on each unknown, so every system has full column rank: the
-    square equations act as consistency checks, `underdetermined` is
-    empty by construction, and only `inconsistent` can refuse a table.
+    Where r_i has a target r_k at weight w, the Q_k equations are unit
+    rows, one on each unknown, so the solution is read off the unit
+    rows and every other equation is checked against it: a failed check
+    makes the table `inconsistent`, and `underdetermined` is empty by
+    construction.  Where r_i has no target, every right-hand side
+    vanishes (each source of a bit needs 2^i - w to be a power of 2), so
+    all constants vanish and no system is built.
     """
     report = SolveReport()
     solved: set[tuple[tuple[int, ...], int]] = set()
@@ -226,6 +225,12 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
             return _p_target(milnor.p_weight(r), i)
         return None
 
+    def q_value(k: int, r: tuple[int, ...], i: int) -> bool:
+        """Q_k P^r r_i as commuting Q_k past P^r forces it: P^r Q_k r_i
+        vanishes for r nonempty, so it is the sum of the commutator
+        terms Q_{k+j} P^{r-2^k e_j} r_i over the solved weights."""
+        return sum(c_value(low, i) == m for m, low in milnor.commutator_terms(k, r)) % 2 == 1
+
     for w in range(1, w_max + 1):
         r_list = milnor.p_exponents_of_weight(w)
         # (j, S, P^{(h)} P^S, P^S P^{(h)}) for h = 2^{j-1} <= w
@@ -237,44 +242,21 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
                 squares.append((h.bit_length(), s, left, right))
         for i in range(n_max + 1):
             target = _p_target(w, i)
-            rows: list[int] = []
-            b = 0
+            report.solution_dims[(w, i)] = 0
+            if target is None:
+                continue
+            x = sum(q_value(target, r, i) << n for n, r in enumerate(r_list))
+            consistent = not any(q_value(k, r, i) for k in range(n_max + 2) if k != target for r in r_list)
             # Sq^{2^j} r_k = r_{k-1} iff k == j
             for j, s, left, right in squares:
                 # (Sq^{2^j} P^S) r_i = Sq^{2^j} (P^S r_i)
-                if c_value(s, i) == j:
-                    b |= 1 << len(rows)
-                rows.append(left)
+                consistent &= (left & x).bit_count() % 2 == (c_value(s, i) == j)
                 # (P^S Sq^{2^j}) r_i = P^S (Sq^{2^j} r_i)
-                if i == j and c_value(s, i - 1) is not None:
-                    b |= 1 << len(rows)
-                rows.append(right)
-            # Q_k commutation: (P^R Q_k) r_i = P^R (Q_k r_i) = [k==i][R=()]
-            for k in range(n_max + 2):
-                for n, r in enumerate(r_list):
-                    rhs = False
-                    for m, low in milnor.commutator_terms(k, r):
-                        if c_value(low, i) == m:
-                            rhs = not rhs
-                    if k == target or rhs:
-                        b |= rhs << len(rows)
-                        rows.append(1 << n if k == target else 0)
-
-            if target is None:
-                # no admissible target: all constants vanish; equations
-                # must agree
-                if b:
-                    report.inconsistent.append((w, i))
-                report.solution_dims[(w, i)] = 0
-                continue
-            n_unknown = len(r_list)
-            x = gf2.solve_ints(rows, n_unknown, b)
-            if x is None:
+                consistent &= (right & x).bit_count() % 2 == (i == j and c_value(s, i - 1) is not None)
+            if not consistent:
                 report.inconsistent.append((w, i))
                 report.solution_dims[(w, i)] = -1
                 continue
-            dim = n_unknown - gf2.rank_ints(rows, n_unknown)
-            report.solution_dims[(w, i)] = dim
             for n, r in enumerate(r_list):
                 if (x >> n) & 1:
                     solved.add((r, i))
@@ -344,38 +326,6 @@ def isotropic_chart(window: IsotropicWindow, smax: int, pmax: int) -> ExtChart:
                 chart.truncated.add((s, (p, q)))
                 chart.cells.pop((s, (p, q)), None)
     return chart
-
-
-# ---------------------------------------------------------------------------
-# smash-product module
-
-
-def smash_module(N: FiniteModule, table: ActionTable, window: IsotropicWindow) -> FiniteModule:
-    """Underlying space (window basis of the exterior coefficients)
-    tensor N, with the algebra acting through the coproduct on both
-    factors."""
-    h_keys = window.basis()
-    keys = tuple((J, n) for J in h_keys for n in N.keys)
-
-    def deg(k):
-        return ext_degree(k[0]) + N.degree_of(k[1])
-
-    def act(m: Mono, k) -> frozenset:
-        J, n = k
-        out: set = set()
-        for m1, m2 in milnor.coproduct(m):
-            hs = table.act_mono(m1, J)
-            if not hs:
-                continue
-            ns = N.act_mono(m2, n)
-            if not ns:
-                continue
-            for h in hs:
-                for nn in ns:
-                    out ^= {(h, nn)}
-        return frozenset(out)
-
-    return FiniteModule(keys, deg, act)
 
 
 # ---------------------------------------------------------------------------
@@ -511,57 +461,3 @@ def baer_injectivity_check(n_max: int, ideal_samples: int = 50, seed: int = 0) -
                     report.failures.append((sorted(ideal), shift))
     return report
 
-
-# ---------------------------------------------------------------------------
-# Hom comparison
-
-
-@dataclass
-class HomComparison:
-    dim_linear: int
-    dim_into_smash: int
-    lands_in_module: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.dim_linear == self.dim_into_smash and self.lands_in_module
-
-
-def hom_comparison_check(
-    N: FiniteModule, Nprime: FiniteModule, table: ActionTable, window: IsotropicWindow
-) -> HomComparison:
-    """Compare, in shift zero, linear maps N -> N' with maps from N into
-    the smash module; the latter must land in the copy of N' under the
-    unit.  The Milnor operations act as zero on N and N', so every linear
-    map N -> N' already commutes with them."""
-    dim_linear = sum(1 for a in N.keys for b in Nprime.keys if N.degree_of(a) == Nprime.degree_of(b))
-
-    # into the smash module
-    smash = smash_module(Nprime, table, window)
-    unknowns = []
-    for a in N.keys:
-        d = N.degree_of(a)
-        for k in smash.keys:
-            if smash.degree_of(k) == d:
-                unknowns.append((a, k))
-    uindex = {u: n for n, u in enumerate(unknowns)}
-    rows: list[int] = []
-    for a in N.keys:
-        # Q_j f(a) = f(Q_j a) = 0
-        for j in range(window.n_max + 1):
-            qj = ((j,), ())
-            images: dict = {}
-            for k in smash.keys:
-                if (a, k) not in uindex:
-                    continue
-                for kk in smash.act_mono(qj, k):
-                    images.setdefault(kk, 0)
-                    images[kk] ^= 1 << uindex[(a, k)]
-            rows.extend(v for v in images.values() if v)
-    space = gf2.kernel_ints(rows, len(unknowns)) if unknowns else []
-    lands = True
-    for v in space:
-        for (a, k), n in uindex.items():
-            if (v >> n) & 1 and k[0] != ():
-                lands = False
-    return HomComparison(dim_linear, len(space), lands)

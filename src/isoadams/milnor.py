@@ -738,29 +738,7 @@ def multiply_via_duality(a: Element, b: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# coproduct on the algebra side and basis conversions
-
-
-@lru_cache(maxsize=None)
-def coproduct(m: Mono) -> frozenset[tuple[Mono, Mono]]:
-    """psi(Q^E P^R) = sum over E splits and componentwise R splits.
-
-    Dual to the free graded-commutative product of the dual Hopf algebra:
-    the coefficient at (m1, m2) is the pairing of m against the product
-    of the corresponding dual monomials.
-    """
-    e, r = m
-    e_splits: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for i in e:
-        e_splits = [(a + (i,), b) for a, b in e_splits] + [(a, b + (i,)) for a, b in e_splits]
-    r_splits: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for rj in r:
-        r_splits = [(s1 + (x,), s2 + (rj - x,)) for s1, s2 in r_splits for x in range(rj + 1)]
-    out = set()
-    for e1, e2 in e_splits:
-        for r1, r2 in r_splits:
-            out.add(((e1, trim(r1)), (e2, trim(r2))))
-    return frozenset(out)
+# basis conversions
 
 
 class PrqeElement:

@@ -5,7 +5,7 @@ callback taking an algebra basis monomial and a key to a GF(2) set of
 keys.  Elements are frozensets of keys.  This is the one module type:
 `resolve` takes it as its target (the ground field is a trivial module
 acted on by the algebra's unit, Ext with coefficients in M resolves the
-dual module D M), and the smash-product construction consumes it.
+dual module D M).
 """
 
 from __future__ import annotations

@@ -21,6 +21,58 @@ def dual_product(x, y):
     return frozenset([(tuple(sorted(ex + ey)), milnor.trim(r))])
 
 
+@lru_cache(maxsize=None)
+def coproduct(m):
+    """psi(Q^E P^R) = sum over E splits and componentwise R splits.
+
+    Dual to the free graded-commutative product of the dual Hopf algebra:
+    the coefficient at (m1, m2) is the pairing of m against the product
+    of the corresponding dual monomials.
+    """
+    e, r = m
+    e_splits = [((), ())]
+    for i in e:
+        e_splits = [(a + (i,), b) for a, b in e_splits] + [(a, b + (i,)) for a, b in e_splits]
+    r_splits = [((), ())]
+    for rj in r:
+        r_splits = [(s1 + (x,), s2 + (rj - x,)) for s1, s2 in r_splits for x in range(rj + 1)]
+    out = set()
+    for e1, e2 in e_splits:
+        for r1, r2 in r_splits:
+            out.add(((e1, milnor.trim(r1)), (e2, milnor.trim(r2))))
+    return frozenset(out)
+
+
+def transpose(rows, ncols):
+    """The ncols rows of the transpose of a matrix of bit-packed rows."""
+    out = [0] * ncols
+    for c, row in enumerate(rows):
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= 1 << c
+            row ^= low
+    return out
+
+
+def word_degree(word, flavor):
+    """Each letter Sq^a sits in bidegree (floor(a/2))[a]; the classical
+    flavor only sees the topological part."""
+    p = sum(word)
+    q = sum(a // 2 for a in word)
+    return Bidegree(p, q if flavor != adem.CLASSICAL else 0)
+
+
+def is_admissible(word, flavor):
+    if flavor in (adem.CLASSICAL, adem.EVEN):
+        return all(word[i] >= 2 * word[i + 1] for i in range(len(word) - 1))
+    # generalized flavor: merge each Bockstein into the following even
+    # square; the odd-primary-style condition on consecutive letters
+    return all(
+        word[i] // 2 >= 2 * (word[i + 1] // 2) + (word[i + 1] & 1)
+        for i in range(len(word) - 1)
+    )
+
+
 def reduce_with_strategy(word, flavor, choose):
     """Adem reduction of a word with the inadmissible pair to rewrite
     picked by `choose` from their positions: the normal form must not

@@ -17,6 +17,9 @@ from isoadams import adem, charts, cobar, gf2, homological as H, isotropic as is
 from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree, Element
 
+from cobar_products import CobarComplex, concat, massey_in_cobar
+from hom_lemma import hom_comparison_check
+
 
 def report(n, text):
     print(f"\nACCEPTANCE {n}: PASS — {text}")
@@ -237,7 +240,7 @@ def test_criterion_9_injectivity_and_hom_lemmas():
     for _ in range(100):
         N = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
         Np = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
-        hc = iso.hom_comparison_check(N, Np, table, window)
+        hc = hom_comparison_check(N, Np, table, window)
         assert hc.ok, (N.degrees(), Np.degrees())
         checked += 1
     report(9, f"Baer extension exhaustive (n<=2) + {rep3.ideals_checked} sampled ideals (n=3); {checked} Hom comparisons")
@@ -245,7 +248,7 @@ def test_criterion_9_injectivity_and_hom_lemmas():
 
 def test_criterion_10_higher_products():
     res = H.resolve(H.algebra_for("classical", 14), smax=8, pmax=12)
-    cx = cobar.CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
+    cx = CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
     hs = {i: ChartClass(1, (2**i,), 1) for i in range(4)}
 
     def cobar_h(i):
@@ -258,7 +261,7 @@ def test_criterion_10_higher_products():
             if 2**i + 2**j > 12:
                 continue
             ours = H.yoneda_product(res, hs[i], hs[j])
-            w = cobar.concat(cx, 1, (2**i,), cobar_h(i), 1, (2**j,), cobar_h(j))
+            w = concat(cx, 1, (2**i,), cobar_h(i), 1, (2**j,), cobar_h(j))
             oracle = cx.class_vector(2, (2**i + 2**j,), w)
             assert bool(ours.bits) == bool(oracle), (i, j)
             products += 1
@@ -266,10 +269,10 @@ def test_criterion_10_higher_products():
     assert got.indeterminacy == []
     h1sq = H.yoneda_product(res, hs[1], hs[1])
     assert got.bits == h1sq.bits and got.bits != 0
-    oracle_bracket = cobar.massey_in_cobar(
+    oracle_bracket = massey_in_cobar(
         cx, (1, (1,), cobar_h(0)), (1, (2,), cobar_h(1)), (1, (1,), cobar_h(0))
     )
-    h1sq_cobar = cx.class_vector(2, (4,), cobar.concat(cx, 1, (2,), cobar_h(1), 1, (2,), cobar_h(1)))
+    h1sq_cobar = cx.class_vector(2, (4,), concat(cx, 1, (2,), cobar_h(1), 1, (2,), cobar_h(1)))
     assert oracle_bracket.class_bits == h1sq_cobar and oracle_bracket.indeterminacy_rank == 0
     report(10, f"{products} h-family Yoneda products match the cobar oracle; <h0,h1,h0> = h1^2 with zero indeterminacy in both engines")
 
@@ -279,7 +282,7 @@ def test_criterion_10_bracket_with_indeterminacy():
     # indeterminacy h0 Ext^{2,5} + Ext^{2,5} h0 is nonzero, so the cobar
     # oracle has to handle nonempty indeterminacy cells
     res = H.resolve(H.algebra_for("classical", 14), smax=8, pmax=12)
-    cx = cobar.CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
+    cx = CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
     h0, h1 = ChartClass(1, (1,), 1), ChartClass(1, (2,), 1)
     h1sq = H.yoneda_product(res, h1, h1)
     assert h1sq.bits
@@ -288,8 +291,8 @@ def test_criterion_10_bracket_with_indeterminacy():
         basis = cx.tensor_basis(1, (2**i,))
         return 1 << basis.index((((), (2**i,)),))
 
-    h1sq_cocycle = cobar.concat(cx, 1, (2,), cobar_h(1), 1, (2,), cobar_h(1))
-    oracle = cobar.massey_in_cobar(cx, (1, (1,), cobar_h(0)), (2, (4,), h1sq_cocycle), (1, (1,), cobar_h(0)))
+    h1sq_cocycle = concat(cx, 1, (2,), cobar_h(1), 1, (2,), cobar_h(1))
+    oracle = massey_in_cobar(cx, (1, (1,), cobar_h(0)), (2, (4,), h1sq_cocycle), (1, (1,), cobar_h(0)))
     assert (oracle.s, oracle.deg) == (3, (6,))
     assert oracle.class_bits == 0 and oracle.indeterminacy_rank == 1
     # Ext^{3,6} is one-dimensional in both engines, so zero and nonzero
@@ -311,7 +314,7 @@ def test_criterion_10_doubled_bracket_with_indeterminacy(flavor):
     # the null-homotopy path, canonical and perturbed, against the cobar
     # oracle of the same dual coalgebra, with nonzero indeterminacy
     res = H.resolve(H.algebra_for(flavor, 14), smax=4, pmax=12)
-    cx = cobar.CobarComplex(cobar.dual_coalgebra(flavor), 3, 12)
+    cx = CobarComplex(cobar.dual_coalgebra(flavor), 3, 12)
     h0, h1 = ChartClass(1, (2, 1), 1), ChartClass(1, (4, 2), 1)
     h1sq = H.yoneda_product(res, h1, h1)
     assert h1sq.bits
@@ -320,9 +323,9 @@ def test_criterion_10_doubled_bracket_with_indeterminacy(flavor):
         basis = cx.tensor_basis(1, (2 ** (i + 1), 2**i))
         return 1 << basis.index((((), (2**i,)),))
 
-    h1sq_cocycle = cobar.concat(cx, 1, (4, 2), cobar_h(1), 1, (4, 2), cobar_h(1))
+    h1sq_cocycle = concat(cx, 1, (4, 2), cobar_h(1), 1, (4, 2), cobar_h(1))
     assert cx.class_vector(2, (8, 4), h1sq_cocycle)
-    oracle = cobar.massey_in_cobar(cx, (1, (2, 1), cobar_h(0)), (2, (8, 4), h1sq_cocycle), (1, (2, 1), cobar_h(0)))
+    oracle = massey_in_cobar(cx, (1, (2, 1), cobar_h(0)), (2, (8, 4), h1sq_cocycle), (1, (2, 1), cobar_h(0)))
     assert (oracle.s, oracle.deg) == (3, (12, 6))
     assert oracle.indeterminacy_rank == 1
     # one-dimensional in both engines, so zero and nonzero identify the

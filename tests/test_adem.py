@@ -6,7 +6,7 @@ from isoadams import adem, milnor
 from isoadams.adem import CLASSICAL, EVEN, GENERALIZED, WordElement
 from isoadams.milnor import Bidegree
 
-from conftest import reduce_with_strategy, word_to_milnor
+from conftest import is_admissible, reduce_with_strategy, word_degree, word_to_milnor
 
 
 def word_elt(*words, flavor=CLASSICAL):
@@ -37,7 +37,7 @@ def test_adem_reduce_is_admissible_and_degree_preserving():
         word = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 4)))
         red = adem.adem_reduce(word, CLASSICAL)
         for w in red.terms:
-            assert adem.is_admissible(w, CLASSICAL)
+            assert is_admissible(w, CLASSICAL)
             assert sum(w) == sum(word)
 
 
@@ -149,13 +149,13 @@ def test_admissible_words_are_the_words_is_admissible_accepts():
     # of the a // 2 (G: even letters only)
     for p in range(13):
         words = _compositions(p)
-        accepted = sorted(w for w in words if adem.is_admissible(w, CLASSICAL))
+        accepted = sorted(w for w in words if is_admissible(w, CLASSICAL))
         assert sorted(adem.admissible_words(CLASSICAL, p)) == accepted, p
         for q in range(p + 1):
             at = [w for w in words if sum(a // 2 for a in w) == q]
-            even = sorted(w for w in at if all(a % 2 == 0 for a in w) and adem.is_admissible(w, EVEN))
+            even = sorted(w for w in at if all(a % 2 == 0 for a in w) and is_admissible(w, EVEN))
             assert sorted(adem.admissible_words(EVEN, Bidegree(p, q))) == even, (p, q)
-            generalized = sorted(w for w in at if adem.is_admissible(w, GENERALIZED))
+            generalized = sorted(w for w in at if is_admissible(w, GENERALIZED))
             assert sorted(adem.admissible_words(GENERALIZED, Bidegree(p, q))) == generalized, (p, q)
 
 
@@ -173,7 +173,7 @@ def test_generalized_counts_match_milnor_per_bidegree():
             words = adem.admissible_words(GENERALIZED, Bidegree(p, q))
             assert len(words) == len(milnor.basis(p, q)), (p, q)
             for w in words:
-                assert adem.word_degree(w, GENERALIZED) == Bidegree(p, q)
+                assert word_degree(w, GENERALIZED) == Bidegree(p, q)
 
 
 def test_parse_and_format_words():

@@ -198,6 +198,21 @@ def test_narrowed_isotropic_chart_compares_as_the_run(fmt, tmp_path, capsys):
     ]
 
 
+def test_csv_extent_does_not_narrow_compare(tmp_path, capsys):
+    # c3.csv lists no row at s = 4, so its rows reach only s = 3; a CSV
+    # states no window, so the comparison still reaches the s = 4 cell
+    # that bad.csv changes
+    iso_file, bad, c3 = tmp_path / "iso.csv", tmp_path / "bad.csv", tmp_path / "c3.csv"
+    run_cli(["isotropic", "--tmax", "6", "--smax", "4", "--out", str(iso_file)], capsys)
+    bad.write_text(iso_file.read_text() + "4,6,3,5\n")
+    run_cli(["resolve", "--flavor", "classical", "--tmax", "3", "--smax", "4", "--out", str(c3)], capsys)
+    assert max(int(line.split(",")[0]) for line in c3.read_text().splitlines()[1:]) == 3
+    code, out, _ = run_cli(["compare", str(c3), str(bad), "--mode", "doubling"], capsys)
+    assert code == 1
+    assert "  MISMATCH at (4, (6, 3)): 0 vs 5" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: MISMATCH"
+
+
 def test_weight_filter_filters_truncated_cells(tmp_path, capsys):
     out_file = tmp_path / "iso.json"
     code, _, _ = run_cli(

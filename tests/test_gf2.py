@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from isoadams import gf2
 
+from conftest import transpose
+
 
 def ints(rows):
     """Coordinate lists to bit-packed rows: entry j is bit j."""
@@ -152,10 +154,6 @@ def _combine(rows, x):
     return acc
 
 
-def _transpose(rows, ncols):
-    return [sum(((row >> c) & 1) << i for i, row in enumerate(rows)) for c in range(ncols)]
-
-
 matrices = st.integers(1, 12).flatmap(
     lambda ncols: st.tuples(
         st.just(ncols),
@@ -179,7 +177,7 @@ def test_quasi_inverse_matches_elimination(case):
         assert y and _combine(rows, y) == 0
     assert gf2.rank_ints(qi.kernel, max(len(rows), 1)) == len(qi.kernel)
     x = qi.preimage(b)
-    assert (x is None) == (gf2.solve_ints(_transpose(rows, ncols), len(rows), b) is None)
+    assert (x is None) == (gf2.solve_ints(transpose(rows, ncols), len(rows), b) is None)
     if x is not None:
         assert _combine(rows, x) == b
     assert (qi.reduce(b) == 0) == (x is not None)

@@ -9,6 +9,7 @@ from isoadams.homological import ChartClass
 from isoadams.milnor import Bidegree
 from isoadams.modules import dual_module, trivial_module
 
+from cobar_products import CobarComplex, concat, massey_in_cobar
 from conftest import (
     ExteriorDualCoalgebra,
     ExteriorMilnorAlgebra,
@@ -20,6 +21,7 @@ from conftest import (
     reference_cell,
     reference_runs,
 )
+from hom_lemma import smash_module
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +334,7 @@ def test_yoneda_unit_acts_trivially(classical_res, classical_chart):
 
 
 def test_yoneda_h_products_match_cobar(classical_res):
-    cx = cobar.CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
+    cx = CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
     hs = {i: ChartClass(1, (2**i,), 1) for i in range(4)}
     for i in range(4):
         for j in range(4):
@@ -342,7 +344,7 @@ def test_yoneda_h_products_match_cobar(classical_res):
             prod = H.yoneda_product(classical_res, hs[i], hs[j])
             bi = _cobar_h(cx, i)
             bj = _cobar_h(cx, j)
-            w = cobar.concat(cx, 1, (ti,), bi, 1, (tj,), bj)
+            w = concat(cx, 1, (ti,), bi, 1, (tj,), bj)
             cls = cx.class_vector(2, (ti + tj,), w)
             assert bool(prod.bits) == bool(cls), (i, j)
             assert (prod.bits != 0) == (cls != 0)
@@ -393,8 +395,8 @@ def test_massey_h1_h0_h1(classical_res):
     h1 = ChartClass(1, (2,), 1)
     got = H.massey_triple(classical_res, h1, h0, h1)
     # cross-check against the cobar oracle
-    cx = cobar.CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
-    mr = cobar.massey_in_cobar(cx, (1, (2,), 1), (1, (1,), 1), (1, (2,), 1))
+    cx = CobarComplex(cobar.dual_coalgebra("classical"), 8, 12)
+    mr = massey_in_cobar(cx, (1, (2,), 1), (1, (1,), 1), (1, (2,), 1))
     assert bool(got.bits) == bool(mr.class_bits)
     assert len(got.indeterminacy) == mr.indeterminacy_rank
 
@@ -951,7 +953,7 @@ def _smash_case(p_min):
     window = iso.IsotropicWindow(p_min)
     table = iso.solve_action_table(n_max=window.n_max, w_max=8)
     two_points = trivial_module([Bidegree(0, 0), Bidegree(-3, -1)], unit=milnor.UNIT_MONO)
-    return iso.smash_module(two_points, table, window)
+    return smash_module(two_points, table, window)
 
 
 COEFFICIENT_CASES = {

@@ -8,6 +8,7 @@ from isoadams.milnor import Bidegree
 from isoadams.modules import trivial_module
 
 from conftest import corrupt_p_product_table, differential, random_trivial_module
+from hom_lemma import h_product, hom_comparison_check, smash_module
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ def test_q_action_derivation_law(window):
         lhs = set()
         for m in iso.ext_product(x, y):
             lhs ^= iso.q_action(j, m)
-        rhs = iso.h_product(iso.q_action(j, x), frozenset([y])) ^ iso.h_product(
+        rhs = h_product(iso.q_action(j, x), frozenset([y])) ^ h_product(
             frozenset([x]), iso.q_action(j, y)
         )
         assert frozenset(lhs) == rhs
@@ -127,6 +128,35 @@ def test_solver_refuses_a_corrupted_product_table(monkeypatch):
     report = iso.solve_action_table(3, 8).report
     assert report.inconsistent == [(2, 2), (3, 2), (6, 3), (7, 3)]
     assert report.underdetermined == [] and not report.unique
+
+
+def test_targetless_pairs_have_zero_right_hand_sides():
+    # the solver builds no system where r_i has no target at weight w:
+    # every right-hand side of that system, rebuilt here from the solved
+    # entries, is 0, so all its constants vanish and no equation can fail
+    table = iso.solve_action_table(7, 64)
+
+    def c_value(r, i):
+        if not r:
+            return i
+        return iso._p_target(milnor.p_weight(r), i) if (r, i) in table.entries else None
+
+    pairs = 0
+    for w in range(1, 65):
+        for i in range(8):
+            if iso._p_target(w, i) is not None:
+                continue
+            pairs += 1
+            for h in (2**a for a in range(w.bit_length())):
+                j = h.bit_length()
+                for s in milnor.p_exponents_of_weight(w - h):
+                    assert c_value(s, i) != j, (w, i, s)  # (Sq^{2^j} P^S) r_i
+                    assert not (i == j and c_value(s, i - 1) is not None), (w, i, s)  # (P^S Sq^{2^j}) r_i
+            for k in range(9):  # the Q_k commutation
+                for r in milnor.p_exponents_of_weight(w):
+                    terms = milnor.commutator_terms(k, r)
+                    assert sum(c_value(low, i) == m for m, low in terms) % 2 == 0, (w, i, k, r)
+    assert table.report.unique and pairs == 490  # 22 of the 512 pairs have a target
 
 
 def test_solver_nmax1():
@@ -223,7 +253,7 @@ def test_window_exceeded(table):
 
 def test_smash_trivial_is_coefficients(table, window):
     N = trivial_module(unit=milnor.UNIT_MONO)
-    sm = iso.smash_module(N, table, window)
+    sm = smash_module(N, table, window)
     assert len(sm.keys) == len(window.basis())
     n0 = N.keys[0]
     assert sm.act_mono(((0,), ()), ((0,), n0)) == frozenset([((), n0)])
@@ -231,7 +261,7 @@ def test_smash_trivial_is_coefficients(table, window):
 
 def test_smash_underlying_space(table, window):
     N = trivial_module([Bidegree(0, 0), Bidegree(2, 1)], unit=milnor.UNIT_MONO)
-    sm = iso.smash_module(N, table, window)
+    sm = smash_module(N, table, window)
     assert len(sm.keys) == 2 * len(window.basis())
     for (J, n) in sm.keys:
         assert sm.degree_of((J, n)) == iso.ext_degree(J) + N.degree_of(n)
@@ -257,10 +287,10 @@ def test_hom_comparison_examples(table):
     w = iso.IsotropicWindow(-20)
     t = iso.solve_action_table(3, 8)
     ground = trivial_module(unit=milnor.UNIT_MONO)
-    hc = iso.hom_comparison_check(ground, ground, t, w)
+    hc = hom_comparison_check(ground, ground, t, w)
     assert hc.ok and hc.dim_linear == 1
     shifted = trivial_module([Bidegree(2, 1)], unit=milnor.UNIT_MONO)
-    hc2 = iso.hom_comparison_check(ground, shifted, t, w)
+    hc2 = hom_comparison_check(ground, shifted, t, w)
     assert hc2.ok and hc2.dim_linear == 0
 
 
@@ -272,7 +302,7 @@ def test_hom_comparison_random_modules():
     for _ in range(40):
         N = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
         Np = random_trivial_module(rng, 3, pool, unit=milnor.UNIT_MONO)
-        hc = iso.hom_comparison_check(N, Np, t, w)
+        hc = hom_comparison_check(N, Np, t, w)
         assert hc.ok
 
 

@@ -8,7 +8,7 @@ import pytest
 from isoadams import milnor as M
 from isoadams.milnor import Bidegree, Element, P, Q
 
-from conftest import MilnorMatrix, b_mod2, dual_product, enumerate_matrices
+from conftest import MilnorMatrix, b_mod2, coproduct, dual_product, enumerate_matrices
 
 
 def mono(e, r):
@@ -496,14 +496,14 @@ def test_coproduct_examples():
     unit = M.UNIT_MONO
     q0 = mono([0], [])
     p1 = mono([], [1])
-    assert M.coproduct(q0) == frozenset([(q0, unit), (unit, q0)])
-    assert M.coproduct(p1) == frozenset([(p1, unit), (unit, p1)])
-    assert M.coproduct(unit) == frozenset([(unit, unit)])
+    assert coproduct(q0) == frozenset([(q0, unit), (unit, q0)])
+    assert coproduct(p1) == frozenset([(p1, unit), (unit, p1)])
+    assert coproduct(unit) == frozenset([(unit, unit)])
 
 
 def test_coproduct_matches_dualization():
     for m in all_monos(9):
-        assert M.coproduct(m) == coproduct_by_dualization(m)
+        assert coproduct(m) == coproduct_by_dualization(m)
 
 
 # ---------------------------------------------------------------------------
