@@ -208,11 +208,13 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
 
     Where r_i has a target r_k at weight w, the Q_k equations are unit
     rows, one on each unknown, so the solution is read off the unit
-    rows and every other equation is checked against it: a failed check
-    makes the table `inconsistent`, and `underdetermined` is empty by
-    construction.  Where r_i has no target, every right-hand side
-    vanishes (each source of a bit needs 2^i - w to be a power of 2), so
-    all constants vanish and no system is built.
+    rows and every other equation is checked against it: a failed check,
+    or a square equation's row with a bit at or past the width
+    len(p_exponents_of_weight(w)), makes the table `inconsistent`, and
+    `underdetermined` is empty by construction.  Where r_i has no
+    target, every right-hand side vanishes (each source of a bit needs
+    2^i - w to be a power of 2), so all constants vanish and no system
+    is built.
     """
     report = SolveReport()
     solved: set[tuple[tuple[int, ...], int]] = set()
@@ -240,13 +242,16 @@ def solve_action_table(n_max: int, w_max: int) -> ActionTable:
             rights = milnor.p_product_table((h,), w - h, False)
             for s, left, right in zip(milnor.p_exponents_of_weight(w - h), lefts, rights):
                 squares.append((h.bit_length(), s, left, right))
+        # a row bit at or past the width names no P^R of weight w: the
+        # table is wrong, and no x satisfies that equation
+        fits = not any((left | right) >> len(r_list) for _, _, left, right in squares)
         for i in range(n_max + 1):
             target = _p_target(w, i)
             report.solution_dims[(w, i)] = 0
             if target is None:
                 continue
             x = sum(q_value(target, r, i) << n for n, r in enumerate(r_list))
-            consistent = not any(q_value(k, r, i) for k in range(n_max + 2) if k != target for r in r_list)
+            consistent = fits and not any(q_value(k, r, i) for k in range(n_max + 2) if k != target for r in r_list)
             # Sq^{2^j} r_k = r_{k-1} iff k == j
             for j, s, left, right in squares:
                 # (Sq^{2^j} P^S) r_i = Sq^{2^j} (P^S r_i)

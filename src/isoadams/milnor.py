@@ -26,11 +26,13 @@ everywhere:
 - `multiply_via_duality`: the pairing <xy, w> = <x (x) y, psi(w)>.  The
   dual coproduct psi(w) is built by multiplying out the generator
   coproducts on packed exponents (tau bits and fixed-width xi fields
-  in one int per tensor term) and kept in that form.  The oracle packs
-  each queried pair into w's layout and looks the int up; a factor that
-  no term of the layout can hold packs to no key.  Nothing of the
-  product formula is used.  `dual_coproduct` is the same psi(w)
-  unpacked into pairs of dual monomials.
+  in one int per tensor term) and kept in that form, sorted: one
+  `array('Q')` of 8-byte words where w's layout fits in 64 bits, a
+  tuple of ints where it does not.  The oracle packs each queried pair
+  into w's layout and finds the int by bisection; a factor that no term
+  of the layout can hold packs to no key.  Nothing of the product
+  formula is used.  `dual_coproduct` is the same psi(w) unpacked into
+  pairs of dual monomials.
 
 The resolve paths never form a product as a set of monomials.  They
 read packed rows over the block layout of each bidegree (`basis_blocks`,
@@ -47,10 +49,12 @@ Q by the commutator rule, `_p_past_qs`: `prqe_to_qepr` applies it, and
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import lshift, xor
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class Bidegree(NamedTuple):
@@ -264,9 +268,9 @@ dual_basis = basis
 # from carrying into the next.  A generator factor is a table of
 # (tau bits, packed term): multiplying a term by one of its entries is
 # zero when their tau bits meet and the int sum otherwise.  The duality
-# oracle reads psi(w) in this form: it packs each queried factor into
-# w's layout with `_pack`, which gives no key for a factor that no term
-# of the layout can hold, so a query never aliases another term.
+# oracle reads psi(w) in this form, sorted: it packs each queried factor
+# into w's layout with `_pack`, which gives no key for a factor that no
+# term of the layout can hold, so a query never aliases another term.
 
 
 def _xi_field(j: int, right: bool, n: int, width: int) -> int:
@@ -307,9 +311,12 @@ def _times(terms: set[int], factor: tuple[tuple[int, int], ...]) -> set[int]:
 
 
 @lru_cache(maxsize=None)
-def _packed_coproduct(x: DualMono) -> tuple[frozenset[int], int, int]:
-    """psi(x) as packed terms with their layout (n, width): the
-    multiplicative extension of the generator coproducts."""
+def _packed_coproduct(x: DualMono) -> tuple[Sequence[int], int, int]:
+    """psi(x) as sorted packed terms with their layout (n, width): the
+    multiplicative extension of the generator coproducts.  The terms are
+    an `array('Q')`, 8 bytes each, where the layout's 2(n+1) + 2n*width
+    bits fit in one word, and a tuple where they do not.  The cache
+    hands the same array to every caller, so callers only read it."""
     e, r = x
     n = max(len(r), e[-1] if e else 0)
     width = (mono_degree(x).p // 2).bit_length()
@@ -320,7 +327,9 @@ def _packed_coproduct(x: DualMono) -> tuple[frozenset[int], int, int]:
         for c in range(rj.bit_length()):
             if rj >> c & 1:
                 terms = _times(terms, _xi_factor(j, c, n, width))
-    return frozenset(terms), n, width
+    if 2 * (n + 1) + 2 * n * width <= 64:
+        return array("Q", sorted(terms)), n, width
+    return tuple(sorted(terms)), n, width
 
 
 def _pack(m: DualMono, right: bool, n: int, width: int) -> Optional[int]:
@@ -710,8 +719,9 @@ def multiply(a: Element, b: Element) -> Element:
 
 def multiply_via_duality(a: Element, b: Element) -> Element:
     """Product determined by <xy, w> = <x (x) y, psi(w)> over dual
-    monomials w, each pair of monomials of x and y looked up in psi(w);
-    independent oracle for `multiply`."""
+    monomials w, each pair of monomials of x and y looked up by bisection
+    in the sorted packed terms of psi(w); independent oracle for
+    `multiply`."""
     by_deg_a: dict[Bidegree, set[Mono]] = {}
     for m in a.terms:
         by_deg_a.setdefault(mono_degree(m), set()).add(m)
@@ -732,7 +742,11 @@ def multiply_via_duality(a: Element, b: Element) -> Element:
                     lefts = [k for k in (_pack(x, False, n, width) for x in ta) if k is not None]
                     rights = [k for k in (_pack(y, True, n, width) for y in tb) if k is not None]
                     pairs = keys[n] = [left + right for left in lefts for right in rights]
-                if sum(pair in psi for pair in pairs) & 1:
+                hits = 0
+                for pair in pairs:
+                    k = bisect_left(psi, pair)
+                    hits ^= k < len(psi) and psi[k] == pair
+                if hits:
                     out ^= {w}
     return Element(out)
 

@@ -272,17 +272,20 @@ def random_trivial_module(rng, size, degree_pool, *, unit):
     return trivial_module([rng.choice(degree_pool) for _ in range(size)], unit=unit)
 
 
-def corrupt_p_product_table(monkeypatch):
-    """Flip bit 0 of the first entry of the table P^(1) P^R over the R of
-    weight 1, the square equations' rows for Sq^2 P^R; the action
-    table solved from it is inconsistent at (weight, generator) = (2, 2),
-    (3, 2), (6, 3) and (7, 3)."""
+def corrupt_p_product_table(monkeypatch, bit=0):
+    """Flip one bit of the first entry of the table P^(1) P^R over the R
+    of weight 1, the square equations' rows for Sq^2 P^R.  Bit 0 is a
+    wrong structure constant; bit len(p_exponents_of_weight(2)) = 1 is a
+    term past the last P^R of weight 2, which the parity of the row
+    against a solution never reads.  Either way the action table solved
+    from it is inconsistent at (weight, generator) = (2, 2), (3, 2),
+    (6, 3) and (7, 3)."""
     table = milnor.p_product_table
 
     def flipped(factor, w, left):
         got = table(factor, w, left)
         if (factor, w, left) == ((1,), 1, True):
-            got = (got[0] ^ 1,) + got[1:]
+            got = (got[0] ^ 1 << bit,) + got[1:]
         return got
 
     monkeypatch.setattr(milnor, "p_product_table", flipped)

@@ -397,6 +397,26 @@ LAMBDA_SCRIPT = (
     + PEAK_RSS_TAIL
 )
 
+# Milnor's conversion P^R Q^E -> Q^E P^R against the duality oracle for
+# every monomial m of degree p <= pmax: prints how many were checked and
+# those whose P^R Q^E pairs, multiplied out by duality, do not give m.
+CONVERSION_SCRIPT = (
+    "import resource, sys\n"
+    "from isoadams import milnor as M\n"
+    "pmax = int(sys.argv[1])\n"
+    "monos = [m for p in range(pmax + 1) for q in range(p + 1) for m in M.basis(p, q)]\n"
+    "differ = []\n"
+    "for m in monos:\n"
+    "    back = M.ZERO\n"
+    "    for e, r in M.qepr_to_prqe(M.Element([m])).pairs:\n"
+    "        back = back + M.multiply_via_duality(M.P(*r), M.Element([(e, ())]))\n"
+    "    if back != M.Element([m]):\n"
+    "        differ.append(m)\n"
+    "print('monomials', len(monos))\n"
+    "print('differ', differ)\n"
+    + PEAK_RSS_TAIL
+)
+
 
 def run_alone(script, *args):
     """Run a script in its own process with `src` on the path, so that
@@ -499,3 +519,16 @@ def test_lambda_oracle_to_classical_t28():
     assert lines[:2] == ["cells 69", "differ []"], lines
     assert peak_mb < 800, f"peak RSS {peak_mb:.0f} MB"
     report("7 (Lambda, t <= 28)", f"Lambda-algebra homology = classical resolve chart in all cells to t <= 28, s <= 12 (69 nonzero with s >= 1), in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
+
+
+@pytest.mark.slow
+def test_conversion_matches_duality_oracle_to_p64():
+    # the conversion check of test_milnor.py (p <= 40 there) to p <= 64,
+    # where w's layout outgrows one 64-bit word and psi(w) is kept as a
+    # tuple; the sorted 8-byte terms keep the run near 33 MB
+    proc, elapsed, peak_mb = run_alone(CONVERSION_SCRIPT, "64")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["monomials 5242", "differ []"], lines
+    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB"
+    report("3 (p <= 64)", f"P^R Q^E conversion multiplied out by duality gives back all 5242 monomials of degree p <= 64, in {elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")

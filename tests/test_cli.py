@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from isoadams import cli, homological as H, isotropic as iso
+from isoadams import cli, homological as H, isotropic as iso, milnor
 from isoadams.charts import ExtChart, from_csv, from_json, to_csv, to_json
 
 from conftest import corrupt_p_product_table
@@ -392,6 +392,19 @@ def test_isotropic_refuses_an_inconsistent_action_table(monkeypatch, capsys):
         raise AssertionError("resolved with an inconsistent action table")
 
     corrupt_p_product_table(monkeypatch)
+    monkeypatch.setattr(H, "resolve", no_resolve)
+    code, out, err = run_cli(["isotropic", "--tmax", "16", "--smax", "4"], capsys)
+    assert code == 1
+    assert "not unique" in err and "inconsistent: [(2, 2), (3, 2), (6, 3), (7, 3)]" in err
+    assert "verdict" not in out
+
+
+def test_isotropic_refuses_a_product_table_row_past_its_width(monkeypatch, capsys):
+    # a P-table row with a bit past its width fails the run the same way
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("resolved with an inconsistent action table")
+
+    corrupt_p_product_table(monkeypatch, bit=len(milnor.p_exponents_of_weight(2)))
     monkeypatch.setattr(H, "resolve", no_resolve)
     code, out, err = run_cli(["isotropic", "--tmax", "16", "--smax", "4"], capsys)
     assert code == 1

@@ -130,6 +130,18 @@ def test_solver_refuses_a_corrupted_product_table(monkeypatch):
     assert report.underdetermined == [] and not report.unique
 
 
+def test_solver_refuses_a_product_table_row_past_its_width(monkeypatch):
+    # a square equation's row with a bit past the P^R of its weight holds
+    # a term no P^R can be, whatever the solution; the solver refuses it
+    # at the weight it enters, and the weights built on it follow
+    width = len(milnor.p_exponents_of_weight(2))
+    corrupt_p_product_table(monkeypatch, bit=width)
+    assert milnor.p_product_table((1,), 1, True)[0] >> width
+    report = iso.solve_action_table(4, 12).report
+    assert report.inconsistent == [(2, 2), (3, 2), (6, 3), (7, 3)]
+    assert report.underdetermined == [] and not report.unique
+
+
 def test_targetless_pairs_have_zero_right_hand_sides():
     # the solver builds no system where r_i has no target at weight w:
     # every right-hand side of that system, rebuilt here from the solved

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -308,6 +309,31 @@ def test_duality_oracle_guards_packed_queries():
     assert (mono([2], []), M.UNIT_MONO) in guarded and len(guarded) > 500
 
 
+def test_dual_coproducts_are_sorted_words_to_p24():
+    # every psi(w) with p <= 24 fits one 64-bit word per term and is kept
+    # as a sorted array of 8-byte words
+    for p in range(25):
+        for q in range(p + 1):
+            for w in M.dual_basis(p, q):
+                terms, n, width = M._packed_coproduct(w)
+                assert 2 * (n + 1) + 2 * n * width <= 64, w
+                assert isinstance(terms, array) and terms.typecode == "Q" and terms.itemsize == 8, w
+                assert list(terms) == sorted(set(terms)), w
+
+
+def test_duality_oracle_wide_layout():
+    # P(0,0,0,0,1) P(1) lands in (32)[64], where xi_1 xi_5 has the layout
+    # n = 5 with 6-bit fields, 72 bits, and a term of 67 bits: its psi is
+    # a sorted tuple, and the oracle still agrees with `multiply`
+    w = mono([], [1, 0, 0, 0, 1])
+    terms, n, width = M._packed_coproduct(w)
+    assert (n, width) == (5, 6) and 2 * (n + 1) + 2 * n * width == 72
+    assert isinstance(terms, tuple) and list(terms) == sorted(set(terms))
+    assert max(terms).bit_length() == 67
+    a, b = P(0, 0, 0, 0, 1), P(1)
+    assert M.multiply_via_duality(a, b) == M.multiply(a, b) == Element([w])
+
+
 def test_duality_oracle_is_independent(monkeypatch):
     # the oracle must use nothing of the product formula, and the product
     # formula nothing of the dual coproduct
@@ -546,7 +572,8 @@ def test_basis_roundtrip_and_counts():
 def test_conversion_matches_duality_oracle():
     # both conversions read `_p_past_qs`, so the round trip cannot catch
     # a fault there; the oracle shares no code with it: multiplying out
-    # each pair P^R Q^E of qepr_to_prqe(m) by duality must give m back
+    # each pair P^R Q^E of qepr_to_prqe(m) by duality must give m back;
+    # the conversion rung of test_acceptance.py runs it to p <= 64
     for m in all_monos(40):
         back = M.ZERO
         for e, r in M.qepr_to_prqe(Element([m])).pairs:
